@@ -1,12 +1,21 @@
-"""Exact short vector enumeration (Fincke-Pohst with rational arithmetic).
+"""Exact short vector enumeration (Fincke-Pohst on an integer form).
 
-All pruning decisions are exact: the admissible interval for each
-coordinate is computed with integer square roots, so no vector is ever
-missed or double counted.  A floating point value is used only to start
-nothing at all - the bounds are exact from the start.  Optional LLL
-preprocessing (exact, with the unimodular transform recorded) makes the
-deep lattices tractable; results are transformed back to the original
-coordinates.
+The Gram matrix G is scaled by the lcm c of its denominators, and a coset
+shift s by its common denominator e, so Y = e*x + e*s is an integer
+vector for every lattice vector x.  The fraction-free (Bareiss)
+elimination of cG gives integer rows B with B[k][k] = D_(k+1), the
+leading principal minors (D_0 = 1), and
+
+    c e^2 L (y, y) = sum_k f_k Z_k^2,   Z_k = sum_(j>=k) B[k][j] Y_j,
+
+where L = lcm_k D_k D_(k+1) and f_k = L / (D_k D_(k+1)).  Each level of
+the search bounds |Z_k| by an integer square root and solves for x_k by
+floor division, and each leaf is keyed by the integer sum_k f_k Z_k^2.
+No float and no Fraction enters the search, so no vector is ever missed
+or double counted; a key becomes a norm once per distinct norm, at the
+end.  Optional LLL preprocessing (exact, with the unimodular transform
+recorded) makes the deep lattices tractable; results are transformed
+back to the original coordinates.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -14,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 import math
+from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .errors import CapacityError
@@ -21,57 +32,6 @@ from .lattice import Lattice, inner
 from .qseries import QSeries
 
 DEFAULT_CAPACITY = 10 ** 7
-
-_ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class CholeskyData:
-    """q_ij table of the enumeration recursion.
-
-    diag[i] > 0 and mu[i][j] (j > i) satisfy
-    (x, x) = sum_i diag[i] * (x_i + sum_{j>i} mu[i][j] x_j)^2.
-    """
-
-    diag: tuple
-    mu: tuple
-
-    @property
-    def dim(self):
-        return len(self.diag)
-
-    def reconstruct(self):
-        """Gram matrix U^T D U from the stored data (for validation)."""
-        n = self.dim
-        u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                u[i][j] = self.mu[i][j]
-        d = [[self.diag[i] if i == j else _ZERO for j in range(n)]
-             for i in range(n)]
-        return linalg.mat_mul(linalg.mat_transpose(u), linalg.mat_mul(d, u))
-
-
-def exact_cholesky(gram) -> CholeskyData:
-    n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        d = q[i][i]
-        if d <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / d
-        for k in range(i + 1, n):
-            qki = q[k][i]
-            if qki:
-                row_i, row_k = q[i], q[k]
-                for l in range(k, n):
-                    row_k[l] -= qki * row_i[l]
-    diag = tuple(q[i][i] for i in range(n))
-    mu = tuple(tuple(q[i][j] if j > i else _ZERO for j in range(n))
-               for i in range(n))
-    return CholeskyData(diag, mu)
 
 
 @dataclass(frozen=True)
@@ -108,126 +68,207 @@ def _norm_key(f):
     return int(f) if f.denominator == 1 else f
 
 
-def _interval(t_frac, q_frac, w_frac):
-    """Exact integer bounds lo <= x <= hi for q (x + w)^2 <= t."""
-    tn, td = t_frac.numerator, t_frac.denominator
-    if tn < 0:
-        return 0, -1
-    qn, qd = q_frac.numerator, q_frac.denominator
-    a, b = w_frac.numerator, w_frac.denominator
-    # (b x + a)^2 <= t/q * b^2 = u/v;  |b x + a| <= isqrt(u*v)//v
-    u = tn * qd * b * b
-    v = td * qn
-    s = math.isqrt(u * v) // v
-    return -((s + a) // b), (s - a) // b
+class _Form(NamedTuple):
+    """Integer data of the search; see the module docstring."""
+
+    rows: tuple      # B, fraction-free rows of cG (used on and right of k)
+    weights: tuple   # f_k
+    steps: tuple     # e B[k][k]: change of Z_k per unit step of x_k
+    heads: tuple     # B[k][k] e s_k: the shift's own term in Z_k
+    offsets: tuple   # e s_k
+    den: int         # e
+    scale: int       # c e^2 L; a leaf's key is scale * norm
 
 
-def _run(chol, bound, shift, collect, capacity, outer_range, canonical):
-    """Core scan.  Returns (counts dict, representative layer lists).
+def _integer_form(gram, shift=None) -> _Form:
+    n = len(gram)
+    a, c = linalg.clear_denominators(gram)
+    rows = linalg.bareiss_rows(a)
+    if len(rows) < n or rows[-1][-1] <= 0:
+        raise ValueError("form is not positive definite")
+    if shift is None:
+        e, t = 1, (0,) * n
+    else:
+        shift = [Fraction(v) for v in shift]
+        e = math.lcm(*(v.denominator for v in shift))
+        t = tuple(int(v * e) for v in shift)
+    d = [1] + [rows[k][k] for k in range(n)]
+    big_l = math.lcm(*(d[k] * d[k + 1] for k in range(n)))
+    return _Form(
+        rows=tuple(tuple(row) for row in rows),
+        weights=tuple(big_l // (d[k] * d[k + 1]) for k in range(n)),
+        steps=tuple(e * d[k + 1] for k in range(n)),
+        heads=tuple(d[k + 1] * t[k] for k in range(n)),
+        offsets=t, den=e, scale=c * e * e * big_l)
+
+
+def _top(form, bound):
+    """Integer budget floor(scale * bound) of the outermost level."""
+    return form.scale * bound.numerator // bound.denominator
+
+
+def _range(r, weight, step, a):
+    """All integers x with weight * (step x + a)^2 <= r."""
+    s = math.isqrt(r // weight)
+    return -((s + a) // step), (s - a) // step
+
+
+def _by_norm(counts, scale):
+    return {_norm_key(Fraction(k, scale)): v for k, v in counts.items()}
+
+
+def _run(form, bound, collect, capacity, outer_range, canonical):
+    """Core scan.  Returns (counts, reps), keyed by integer keys.
 
     canonical=True (only without shift) enumerates one of each +-pair and
-    applies multiplicity 2, keeping the zero vector single.
+    applies multiplicity 2, keeping the zero vector single.  When
+    collecting, the scan stops at the first leaf that takes the collected
+    count past `capacity`.
     """
-    n = chol.dim
-    diag, mu = chol.diag, chol.mu
-    bound = Fraction(bound)
-    shift_t = None if shift is None else tuple(Fraction(s) for s in shift)
+    rows, weights, steps, heads = (form.rows, form.weights, form.steps,
+                                   form.heads)
+    offsets, den = form.offsets, form.den
+    n = len(rows)
+    top = n - 1
+    rtop = _top(form, bound)
+    isqrt = math.isqrt
 
-    t_arr = [_ZERO] * n
-    w_arr = [_ZERO] * n
+    r_arr = [0] * n            # remaining budget at each level
+    a_arr = [0] * n            # Z_k = steps[k] * x_k + a_arr[k]
     x_arr = [0] * n
+    y_arr = [0] * n            # Y_k = den * x_k + offsets[k]
     hi_arr = [0] * n
     zab = [False] * n          # all coordinates above this level are zero
-    sigma = [[_ZERO] * (n + 1) for _ in range(n)]
+    # sigma[k][j] = sum_(l >= j) B[k][l] Y_l for j > k.  Row k - 1 is
+    # refreshed only on entering level k - 1, from stale[k] down to k:
+    # stale[k] is the highest level changed since that row was refreshed.
+    sigma = [[0] * (n + 1) for _ in range(n)]
+    stale = [top] * n
 
     counts = {}
     reps = {} if collect else None
     collected = 0
 
-    def enter(lvl, t_val, zflag):
-        t_arr[lvl] = t_val
-        w = sigma[lvl][lvl + 1]
-        if shift_t is not None:
-            w = w + shift_t[lvl]
-        w_arr[lvl] = w if isinstance(w, Fraction) else Fraction(w)
-        lo, hi = _interval(t_val, diag[lvl], w_arr[lvl])
-        if canonical and zflag:
-            lo = max(lo, 0)
-        if lvl == n - 1 and outer_range is not None:
-            lo = max(lo, outer_range[0])
-            hi = min(hi, outer_range[1])
-        zab[lvl] = zflag
-        x_arr[lvl] = lo - 1
-        hi_arr[lvl] = hi
-
-    enter(n - 1, bound, canonical)
-    lvl = n - 1
-    while True:
-        x_arr[lvl] += 1
-        if x_arr[lvl] > hi_arr[lvl]:
-            lvl += 1
-            if lvl >= n:
-                break
-            continue
-        xv = x_arr[lvl]
-        t2 = xv + w_arr[lvl]
-        t_child = t_arr[lvl] - diag[lvl] * t2 * t2
-        if lvl == 0:
-            norm = bound - t_child
-            key = _norm_key(norm)
-            at_zero = canonical and zab[0] and xv == 0
-            mult = 1 if (at_zero or not canonical) else 2
+    def scan(lo, hi, a, r, zflag):
+        """Level 0 below fixed x_1..x_(n-1); False on overflow."""
+        nonlocal collected
+        done = rtop - r
+        w, step = weights[0], steps[0]
+        if not collect:
+            for z in range(step * lo + a, step * hi + a + 1, step):
+                key = done + w * z * z
+                counts[key] = counts.get(key, 0) + 1
+            return True
+        for x in range(lo, hi + 1):
+            z = step * x + a
+            key = done + w * z * z
+            mult = 1 if not canonical or (zflag and x == 0) else 2
             counts[key] = counts.get(key, 0) + mult
-            if reps is not None:
-                collected += mult
-                if collected > capacity:
-                    raise CapacityError(
-                        "collection capacity %d exceeded" % capacity,
-                        partial_counts=ThetaCounts(bound, counts, shift_t))
-                reps.setdefault(key, []).append((tuple(x_arr), mult))
+            collected += mult
+            x_arr[0] = x
+            reps.setdefault(key, []).append((tuple(x_arr), mult))
+            if collected > capacity:
+                return False
+        return True
+
+    a = heads[top]
+    lo, hi = _range(rtop, weights[top], steps[top], a)
+    if canonical:
+        lo = max(lo, 0)
+    if outer_range is not None:
+        lo = max(lo, outer_range[0])
+        hi = min(hi, outer_range[1])
+    if top == 0:
+        if lo <= hi:
+            scan(lo, hi, a, rtop, canonical)
+        lvl = 1
+    else:
+        r_arr[top], a_arr[top], x_arr[top], hi_arr[top] = rtop, a, lo - 1, hi
+        zab[top] = canonical
+        lvl = top
+    while lvl <= top:
+        x = x_arr[lvl] + 1
+        if x > hi_arr[lvl]:
+            lvl += 1
             continue
-        yv = xv if shift_t is None else xv + shift_t[lvl]
-        col = lvl
-        col1 = lvl + 1
-        for i in range(lvl):
-            row = sigma[i]
-            row[col] = row[col1] + mu[i][col] * yv
-        enter(lvl - 1, t_child, zab[lvl] and xv == 0)
-        lvl -= 1
+        x_arr[lvl] = x
+        z = steps[lvl] * x + a_arr[lvl]
+        r = r_arr[lvl] - weights[lvl] * z * z
+        y_arr[lvl] = den * x + offsets[lvl]
+        k = lvl - 1
+        row, brow = sigma[k], rows[k]
+        for j in range(stale[lvl], k, -1):
+            row[j] = row[j + 1] + brow[j] * y_arr[j]
+        if stale[k] < stale[lvl]:
+            stale[k] = stale[lvl]
+        stale[lvl] = lvl
+        a = row[lvl] + heads[k]
+        s = isqrt(r // weights[k])
+        step = steps[k]
+        lo, hi = -((s + a) // step), (s - a) // step
+        zflag = zab[lvl] and x == 0
+        if zflag and lo < 0:
+            lo = 0
+        if lo > hi:
+            continue
+        if k:
+            r_arr[k], a_arr[k], x_arr[k], hi_arr[k] = r, a, lo - 1, hi
+            zab[k] = zflag
+            lvl = k
+        elif not scan(lo, hi, a, r, zflag):
+            break
+    if canonical and not collect:
+        # each leaf stood for +-x; the zero vector (key 0) is its own pair
+        for key in counts:
+            counts[key] *= 2
+        if 0 in counts:
+            counts[0] = 1
     return counts, reps
 
 
-def _finalize_layers(reps, shift_t, u_rows, lat, bound):
+def _finalize_layers(reps, form, u_rows, lat):
     """Expand +- pairs, apply shift and basis transform, sort."""
     layers = {}
-    for key, vecs in (reps or {}).items():
+    cols = None if u_rows is None else list(zip(*u_rows))
+    e, t = form.den, form.offsets
+    shifted = any(t)
+    for key in list(reps):
         out = []
-        for x, mult in vecs:
-            cands = [x] if mult == 1 else [x, tuple(-c for c in x)]
-            for c in cands:
-                if shift_t is not None:
-                    c = tuple(ci + si for ci, si in zip(c, shift_t))
-                if u_rows is not None:
-                    c = tuple(sum(ci * u_rows[i][j] for i, ci in enumerate(c))
-                              for j in range(len(u_rows)))
-                out.append(tuple(_norm_key(Fraction(v)) for v in c))
+        for x, m in reps.pop(key):
+            if shifted:
+                x = tuple(e * xi + ti for xi, ti in zip(x, t))
+            if cols is not None:
+                x = tuple(sum(map(mul, x, col)) for col in cols)
+            if e != 1:
+                x = tuple(v // e if v % e == 0 else Fraction(v, e)
+                          for v in x)
+            out.append(x)
+            if m == 2:
+                out.append(tuple(-v for v in x))
         out.sort()
-        layers[key] = VectorLayer(key, tuple(out), True, lat)
+        norm = _norm_key(Fraction(key, form.scale))
+        layers[norm] = VectorLayer(norm, tuple(out), True, lat)
     return layers
 
 
 def _lll_data(lat: Lattice):
     if lat._lll is None:
-        g_red, u = linalg.gram_lll(lat.gram)
-        u_inv = [[int(x) for x in row] for row in linalg.inverse(u)]
-        object.__setattr__(lat, "_lll", (g_red, u, u_inv))
+        object.__setattr__(lat, "_lll", linalg.gram_lll(lat.gram))
     return lat._lll
 
 
-def _worker(args):
-    gram, bound, shift, capacity, rng, canonical, collect = args
-    chol = exact_cholesky(gram)
-    return _run(chol, Fraction(bound), shift, collect, capacity, rng, canonical)
+def _merge(parts):
+    """Sum the chunks' results in chunk order, taking over their lists."""
+    counts, reps = {}, {}
+    for c_part, r_part in parts:
+        for k, v in c_part.items():
+            counts[k] = counts.get(k, 0) + v
+        for k, v in (r_part or {}).items():
+            if k in reps:
+                reps[k].extend(v)
+            else:
+                reps[k] = v
+    return counts, reps
 
 
 def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
@@ -240,7 +281,8 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     guarded by `capacity`.  reduce_first toggles LLL preprocessing
     (default: on for dim >= 10 without outer_range).  threads > 1 splits
     the range of the outermost coordinate across processes; the merged
-    result is identical to the serial one.
+    result is identical to the serial one, and the capacity guard applies
+    to the merged count.
     """
     bound = Fraction(bound)
     if bound < 0:
@@ -248,53 +290,43 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     if reduce_first is None:
         reduce_first = lat.dim >= 10 and outer_range is None
     if reduce_first:
-        g_red, u, u_inv = _lll_data(lat)
-        shift_red = None if shift is None else tuple(
-            sum(Fraction(si) * u_inv[i][j] for i, si in enumerate(shift))
-            for j in range(lat.dim))
-        u_rows = u
+        g_red, u_rows = _lll_data(lat)
+        # the shift in reduced coordinates: shift_red * u = shift
+        shift_red = None if shift is None else linalg.solve(u_rows, shift)
     else:
-        g_red, shift_red, u_rows = lat.gram, None if shift is None else tuple(
-            Fraction(s) for s in shift), None
+        g_red, shift_red, u_rows = lat.gram, shift, None
     canonical = shift is None
+    form = _integer_form(g_red, shift_red)
 
-    chol = exact_cholesky(g_red)
-    shift_t = shift_red
-
+    ranges = [outer_range]
     if threads > 1 and outer_range is None:
-        n = lat.dim
-        w_top = _ZERO if shift_t is None else Fraction(shift_t[n - 1])
-        lo, hi = _interval(bound, chol.diag[n - 1], w_top)
+        top = lat.dim - 1
+        lo, hi = _range(_top(form, bound), form.weights[top],
+                        form.steps[top], form.heads[top])
         if canonical:
             lo = max(lo, 0)
         width = hi - lo + 1
         if width >= 2:
             nchunks = min(threads, width)
-            edges = [lo + (width * i) // nchunks for i in range(nchunks)] + [hi + 1]
-            jobs = [(g_red, bound, shift_t, capacity,
-                     (edges[i], edges[i + 1] - 1), canonical, collect)
-                    for i in range(nchunks)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(_worker, jobs))
-            counts, reps = {}, ({} if collect else None)
-            for c_part, r_part in parts:
-                for k, v in c_part.items():
-                    counts[k] = counts.get(k, 0) + v
-                if collect:
-                    for k, v in (r_part or {}).items():
-                        reps.setdefault(k, []).extend(v)
-            layers = (_finalize_layers(reps, shift_t, u_rows, lat, bound)
-                      if collect else None)
-            return ThetaCounts(bound, counts,
-                               None if shift is None else tuple(map(Fraction, shift)),
-                               layers)
-
-    counts, reps = _run(chol, bound, shift_t, collect, capacity,
-                        outer_range, canonical)
-    layers = (_finalize_layers(reps, shift_t, u_rows, lat, bound)
+            edges = [lo + (width * i) // nchunks
+                     for i in range(nchunks)] + [hi + 1]
+            ranges = [(edges[i], edges[i + 1] - 1) for i in range(nchunks)]
+    jobs = [(form, bound, collect, capacity, rng, canonical)
+            for rng in ranges]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            counts, reps = _merge(pool.map(_run, *zip(*jobs)))
+    else:
+        counts, reps = _run(*jobs[0])
+    shift_out = None if shift is None else tuple(map(Fraction, shift))
+    if collect and sum(counts.values()) > capacity:
+        raise CapacityError(
+            "collection capacity %d exceeded" % capacity,
+            partial_counts=ThetaCounts(
+                bound, _by_norm(counts, form.scale), shift_out))
+    layers = (_finalize_layers(reps, form, u_rows, lat)
               if collect else None)
-    return ThetaCounts(bound, counts,
-                       None if shift is None else tuple(map(Fraction, shift)),
+    return ThetaCounts(bound, _by_norm(counts, form.scale), shift_out,
                        layers)
 
 
@@ -345,19 +377,28 @@ def theta_series(lat: Lattice, precision_q: int, reduce_first=None,
                  threads=1) -> QSeries:
     """Theta series with coefficients a_L(j) for all j < precision_q.
 
-    For an even lattice odd-norm layers are empty, so enumerating up to
-    precision_q - 2 already determines the window.
+    Norms lie in (1/c)Z for c the lcm of the Gram denominators (in 2Z for
+    an even lattice), so one sweep up to the largest such value below
+    precision_q determines the window.  Rational Grams are accepted when
+    every norm found is a multiple of 1/12, the exponent unit of QSeries;
+    otherwise ValueError names the first norm that is not.
     """
     if precision_q < 1:
         raise ValueError("precision must be at least 1")
-    bound = precision_q - (2 if lat.is_even else 1)
-    coeffs = {}
-    if bound >= 0:
-        tc = enumerate_vectors(lat, bound, reduce_first=reduce_first,
-                               threads=threads)
-        coeffs = {12 * j: Fraction(c) for j, c in tc.counts.items()}
+    if lat.is_even:
+        bound = (precision_q - 1) // 2 * 2
     else:
-        coeffs = {0: Fraction(1)}
+        c = math.lcm(*(Fraction(x).denominator for row in lat.gram
+                       for x in row))
+        bound = precision_q - Fraction(1, c)
+    tc = enumerate_vectors(lat, bound, reduce_first=reduce_first,
+                           threads=threads)
+    coeffs = {}
+    for norm, count in tc.counts.items():
+        if (12 * norm) % 1:
+            raise ValueError("vector norm %s is not a multiple of 1/12, "
+                             "so it has no exponent in the q-series" % norm)
+        coeffs[int(12 * norm)] = count
     return QSeries(coeffs, 12 * precision_q)
 
 

@@ -56,26 +56,25 @@ def clear_denominators(m):
     return [[int(x * c) for x in row] for row in fm], c
 
 
-def leading_principal_minors(m):
-    """Leading principal minors d_1..d_n of an integer symmetric matrix.
+def bareiss_rows(m):
+    """Fraction-free (Bareiss) elimination of an integer symmetric matrix.
 
-    Fraction-free Bareiss elimination; all intermediate entries are integers
-    (they are themselves minors of the input). Stops early when a minor is
-    not positive, returning what was computed so far.
+    Row k is row k after k elimination steps; on and right of the diagonal
+    its entries are integers (minors of the input), and row[k][k] is the
+    leading principal minor d_(k+1).  Stops after the first pivot that is
+    not positive, returning the rows computed so far.
     """
     n = check_square(m)
     a = [[int(x) for x in row] for row in m]
-    minors = []
     prev = 1
     for k in range(n):
-        minors.append(a[k][k])
         if a[k][k] <= 0:
-            return minors
+            return a[:k + 1]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return minors
+    return a
 
 
 def positive_definite_minors(m):
@@ -89,7 +88,7 @@ def positive_definite_minors(m):
     if not is_symmetric(m):
         raise DefinitenessError("matrix is not symmetric", minor_index=0)
     mi, c = clear_denominators(m)
-    minors = leading_principal_minors(mi)
+    minors = [row[k] for k, row in enumerate(bareiss_rows(mi))]
     if len(minors) < n or minors[-1] <= 0:
         k = len(minors)
         raise DefinitenessError(

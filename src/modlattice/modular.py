@@ -219,7 +219,7 @@ def check_modular(lat: Lattice, precision: int = 20, n_level=None,
     if not lat.is_integral:
         raise ModLatticeError("modularity checks need an integral lattice")
     n_level = _resolve_level(lat, n_level)
-    base = theta_series(lat, precision)
+    base = None  # swept only when a divisor needs a theta comparison
     results = []
     for m in exact_divisors(n_level):
         pd = rescale(partial_dual(lat, m, lat_level=n_level), m)
@@ -235,6 +235,8 @@ def check_modular(lat: Lattice, precision: int = 20, n_level=None,
         if linalg.mat_eq(pd.gram, lat.gram):
             results.append(DivisorResult(m, PASS, PASS, "identical gram"))
             continue
+        if base is None:
+            base = theta_series(lat, precision)
         other = theta_series(pd, precision)
         equal, window, diff = base.agree(other)
         if not equal:

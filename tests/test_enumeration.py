@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from modlattice.enumeration import (box_counts, enumerate_vectors,
-                                    exact_cholesky, min_layer, minimum,
+from modlattice.enumeration import (_integer_form, box_counts,
+                                    enumerate_vectors, min_layer, minimum,
                                     theta_series)
 from modlattice.errors import CapacityError
-from modlattice.lattice import Lattice, dual, rescale, zn
+from modlattice.lattice import Lattice, dual, inner, rescale, zn
+from modlattice.modular import extremal_form
 
 
 def random_gram(rng, n, spread=3):
@@ -136,15 +137,60 @@ def test_collect_capacity_guard(catalog):
     assert partial is not None and partial.counts[0] == 1
 
 
-def test_exact_cholesky_reconstructs_gram(catalog):
-    for lat in (catalog.lattice("D4"), zn(3), dual(Lattice([[2, 1], [1, 2]]))):
-        ch = exact_cholesky(lat.gram)
-        rec = ch.reconstruct()
-        for i in range(lat.dim):
-            for j in range(lat.dim):
-                assert rec[i][j] == Fraction(lat.gram[i][j])
-    d4 = exact_cholesky(catalog.lattice("D4").gram)
-    assert d4.diag == (Fraction(2), Fraction(3, 2), Fraction(4, 3), Fraction(1))
+def test_collect_capacity_is_global_across_workers(catalog):
+    # E8 has 241 vectors of norm <= 2; each worker alone stays below 200
+    e8 = catalog.lattice("E8")
+    for threads in (1, 2):
+        with pytest.raises(CapacityError):
+            enumerate_vectors(e8, 2, collect=True, capacity=200,
+                              threads=threads)
+        tc = enumerate_vectors(e8, 2, collect=True, capacity=241,
+                               threads=threads)
+        assert sum(len(layer) for layer in tc.layers.values()) == 241
+
+
+def test_integer_form_reproduces_scaled_norm(catalog):
+    rng = random.Random(3)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [(catalog.lattice("D4").gram, None),
+             (zn(3).gram, (half, half, half)),
+             (dual(Lattice([[2, 1], [1, 2]])).gram, (third, Fraction(1, 6))),
+             (catalog.lattice("K12").gram, (half,) * 6 + (third,) * 6)]
+    for gram, shift in cases:
+        n = len(gram)
+        form = _integer_form(gram, shift)
+        s = shift or (0,) * n
+        for _ in range(20):
+            x = [rng.randint(-4, 4) for _ in range(n)]
+            big_y = [form.den * xi + ti for xi, ti in zip(x, form.offsets)]
+            z = [sum(form.rows[k][j] * big_y[j] for j in range(k, n))
+                 for k in range(n)]
+            y = [xi + si for xi, si in zip(x, s)]
+            assert (sum(w * zk * zk for w, zk in zip(form.weights, z))
+                    == form.scale * inner(gram, y, y))
+    d4 = _integer_form(catalog.lattice("D4").gram)
+    assert [d4.rows[k][k] for k in range(4)] == [2, 3, 4, 4]
+
+
+def test_theta_series_odd_precision_keeps_top_even_norm(catalog):
+    a2 = catalog.lattice("A2")
+    assert theta_series(a2, 9).coefficient_q(8) == 6
+    assert theta_series(a2, 9).coefficient_q(6) == theta_series(
+        a2, 8).coefficient_q(6)
+    assert extremal_form(3, 6, 9).series.coefficient_q(8) == 20412
+
+
+def test_theta_series_of_rational_gram(catalog):
+    da2 = dual(catalog.lattice("A2"))
+    th = theta_series(da2, 3)
+    assert {e: int(c) for e, c in th.coeffs.items()} == {
+        0: 1, 8: 6, 24: 6, 32: 6}
+    # K12 is 3-modular: its dual has the theta of K12 at norms scaled by 1/3
+    dk = theta_series(dual(catalog.lattice("K12")), 3)
+    k12 = theta_series(catalog.lattice("K12"), 9)
+    assert dk.coeffs == {e // 3: c for e, c in k12.coeffs.items()}
+    with pytest.raises(ValueError, match="1/5"):
+        theta_series(rescale(zn(1), Fraction(1, 5)), 2)
 
 
 def test_min_layer_is_sorted_and_complete(catalog):

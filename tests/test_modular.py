@@ -97,6 +97,26 @@ def test_check_modular_d4_exact(catalog):
     assert v.results[0].detail == "identical gram"
 
 
+def test_check_modular_sweeps_only_for_a_theta_comparison(catalog,
+                                                         monkeypatch):
+    from modlattice import modular
+    calls = []
+
+    def counted(lat, precision, **kw):
+        calls.append(lat.dim)
+        return theta_series(lat, precision, **kw)
+
+    monkeypatch.setattr(modular, "theta_series", counted)
+    for name in ("E8", "D16plus", "Leech"):
+        v = check_modular(catalog.lattice(name), precision=20)
+        assert v.verdict == PASS and v.exact_pass, name
+        assert [r.detail for r in v.results] == ["identical gram"], name
+    assert calls == []
+    # D4 is level 2: its m = 2 partial dual needs the base theta as well
+    assert check_modular(catalog.lattice("D4"), exact=False).verdict == PASS
+    assert calls == [4, 4]
+
+
 def test_check_modular_formal_only(catalog):
     v = check_modular(catalog.lattice("D4"), exact=False)
     assert v.verdict == PASS
