@@ -27,7 +27,6 @@ from .qseries import (
 )
 from .lattice import (
     Lattice,
-    validate_lattice,
     dual,
     rescale,
     direct_sum,

@@ -1,5 +1,6 @@
 """Small integer-arithmetic helpers used across the package."""
 
+from fractions import Fraction
 import math
 
 
@@ -31,8 +32,7 @@ def exact_divisors(n: int) -> list:
     return [m for m in divisors(n) if math.gcd(m, n // m) == 1]
 
 
-def isqrt_floor(num: int, den: int = 1) -> int:
-    """floor(sqrt(num/den)) for nonnegative num, positive den."""
-    if num < 0:
-        raise ValueError("negative radicand")
-    return math.isqrt(num * den) // den if den != 1 else math.isqrt(num)
+def int_or_fraction(x):
+    """The rational x as an int when it is integral, else as a Fraction."""
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f

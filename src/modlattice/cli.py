@@ -20,7 +20,8 @@ from .designs import (DesignTestConfig, check_design,
 from .enumeration import min_layer, minimum, theta_series
 from .errors import ModLatticeError
 from .lattice import (Catalog, c_n_lattice, density, density_from_parameters,
-                      integral_dual_scale, level, load_catalog, zn)
+                      bundled_catalog, integral_dual_scale, level,
+                      load_catalog, zn)
 from .modular import (check_extremal, check_extremal_odd, check_modular,
                       extremal_form)
 from .report import FAIL, INCONCLUSIVE, PASS, jsonable
@@ -186,7 +187,7 @@ def build_parser():
 
 
 def _catalog(args):
-    return load_catalog(args.catalog) if args.catalog else load_catalog()
+    return load_catalog(args.catalog) if args.catalog else bundled_catalog()
 
 
 def cmd_catalog(args):

@@ -31,7 +31,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .enumeration import VectorLayer, enumerate_vectors, min_layer, minimum
+from .enumeration import (VectorLayer, enumerate_vectors, min_layer, minimum,
+                          theta_series, window_bound)
 from .errors import ModLatticeError
 from .lattice import Lattice, dual, inner
 from .linalg import inverse, rank, solve
@@ -466,10 +467,6 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
                  "elapsed": round(time.time() - t0, 3)})
 
 
-def _upper_indices(n):
-    return list(range(n * (n + 1) // 2))
-
-
 def _upper_of(mat, n):
     for i in range(n):
         for j in range(i, n):
@@ -653,12 +650,11 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
     alpha = [int(c) for c in alpha]
     if not any(alpha):
         raise ValueError("axis must be nonzero")
-    bound = precision_q - (2 if lat.is_even else 1)
-    coeffs = {}
     if degree == 0:
-        from .enumeration import theta_series
         return theta_series(lat, precision_q, threads=threads)
-    if bound >= 1:
+    bound = window_bound(lat, precision_q)
+    coeffs = {}
+    if bound > 0:
         kw = {"collect": True, "threads": threads}
         if capacity is not None:
             kw["capacity"] = capacity

@@ -21,14 +21,14 @@ back to the original coordinates.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 import math
 from operator import mul
 from typing import NamedTuple
 
 from . import linalg
+from .arith import int_or_fraction
 from .errors import CapacityError
-from .lattice import Lattice, inner
+from .lattice import Lattice
 from .qseries import QSeries
 
 DEFAULT_CAPACITY = 10 ** 7
@@ -62,10 +62,6 @@ class ThetaCounts:
 
     def count(self, norm):
         return self.counts.get(norm, 0)
-
-
-def _norm_key(f):
-    return int(f) if f.denominator == 1 else f
 
 
 class _Form(NamedTuple):
@@ -114,11 +110,14 @@ def _range(r, weight, step, a):
 
 
 def _by_norm(counts, scale):
-    return {_norm_key(Fraction(k, scale)): v for k, v in counts.items()}
+    return {int_or_fraction(Fraction(k, scale)): v for k, v in counts.items()}
 
 
 def _run(form, bound, collect, capacity, outer_range, canonical):
     """Core scan.  Returns (counts, reps), keyed by integer keys.
+
+    outer_range, a (lo, hi) pair or None, restricts the outermost
+    coordinate; the parallel split gives each worker one such chunk.
 
     canonical=True (only without shift) enumerates one of each +-pair and
     applies multiplicity 2, keeping the zero vector single.  When
@@ -246,7 +245,7 @@ def _finalize_layers(reps, form, u_rows, lat):
             if m == 2:
                 out.append(tuple(-v for v in x))
         out.sort()
-        norm = _norm_key(Fraction(key, form.scale))
+        norm = int_or_fraction(Fraction(key, form.scale))
         layers[norm] = VectorLayer(norm, tuple(out), True, lat)
     return layers
 
@@ -273,22 +272,21 @@ def _merge(parts):
 
 def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
                       capacity=DEFAULT_CAPACITY, reduce_first=None,
-                      threads=1, outer_range=None) -> ThetaCounts:
+                      threads=1) -> ThetaCounts:
     """All lattice vectors x (or coset vectors x + shift) with norm <= bound.
 
     Exact counts by norm; with collect=True the coordinate rows themselves
     (in the original basis, shift included) are returned in sorted order,
     guarded by `capacity`.  reduce_first toggles LLL preprocessing
-    (default: on for dim >= 10 without outer_range).  threads > 1 splits
-    the range of the outermost coordinate across processes; the merged
-    result is identical to the serial one, and the capacity guard applies
-    to the merged count.
+    (default: on for dim >= 10).  threads > 1 splits the range of the
+    outermost coordinate across processes; the merged result is identical
+    to the serial one, and the capacity guard applies to the merged count.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if reduce_first is None:
-        reduce_first = lat.dim >= 10 and outer_range is None
+        reduce_first = lat.dim >= 10
     if reduce_first:
         g_red, u_rows = _lll_data(lat)
         # the shift in reduced coordinates: shift_red * u = shift
@@ -298,8 +296,8 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     canonical = shift is None
     form = _integer_form(g_red, shift_red)
 
-    ranges = [outer_range]
-    if threads > 1 and outer_range is None:
+    ranges = [None]
+    if threads > 1:
         top = lat.dim - 1
         lo, hi = _range(_top(form, bound), form.weights[top],
                         form.steps[top], form.heads[top])
@@ -373,26 +371,31 @@ def min_layer(lat: Lattice, reduce_first=None, threads=1,
     return tc.layers[m]
 
 
+def window_bound(lat: Lattice, precision_q: int):
+    """Largest norm below precision_q that a vector of lat can have.
+
+    Norms lie in (1/c)Z for c the lcm of the Gram denominators, and in 2Z
+    for an even lattice, so one sweep to this bound sees every norm of the
+    window q^0 .. q^(precision_q - 1).
+    """
+    if lat.is_even:
+        return (precision_q - 1) // 2 * 2
+    c = math.lcm(*(Fraction(x).denominator for row in lat.gram for x in row))
+    return precision_q - Fraction(1, c)
+
+
 def theta_series(lat: Lattice, precision_q: int, reduce_first=None,
                  threads=1) -> QSeries:
     """Theta series with coefficients a_L(j) for all j < precision_q.
 
-    Norms lie in (1/c)Z for c the lcm of the Gram denominators (in 2Z for
-    an even lattice), so one sweep up to the largest such value below
-    precision_q determines the window.  Rational Grams are accepted when
-    every norm found is a multiple of 1/12, the exponent unit of QSeries;
-    otherwise ValueError names the first norm that is not.
+    One sweep to window_bound determines the window.  Rational Grams are
+    accepted when every norm found is a multiple of 1/12, the exponent
+    unit of QSeries; otherwise ValueError names the first norm that is not.
     """
     if precision_q < 1:
         raise ValueError("precision must be at least 1")
-    if lat.is_even:
-        bound = (precision_q - 1) // 2 * 2
-    else:
-        c = math.lcm(*(Fraction(x).denominator for row in lat.gram
-                       for x in row))
-        bound = precision_q - Fraction(1, c)
-    tc = enumerate_vectors(lat, bound, reduce_first=reduce_first,
-                           threads=threads)
+    tc = enumerate_vectors(lat, window_bound(lat, precision_q),
+                           reduce_first=reduce_first, threads=threads)
     coeffs = {}
     for norm, count in tc.counts.items():
         if (12 * norm) % 1:
@@ -400,28 +403,3 @@ def theta_series(lat: Lattice, precision_q: int, reduce_first=None,
                              "so it has no exponent in the q-series" % norm)
         coeffs[int(12 * norm)] = count
     return QSeries(coeffs, 12 * precision_q)
-
-
-def box_counts(lat: Lattice, bound, guard=10 ** 8) -> dict:
-    """Independent oracle: scan the coordinate box |x_i| <= sqrt(b g^ii).
-
-    Intended for small dimensions; complexity is the full box volume.
-    """
-    bound = Fraction(bound)
-    inv = linalg.inverse(lat.gram)
-    lims = []
-    total = 1
-    for i in range(lat.dim):
-        r = bound * inv[i][i]
-        lim = math.isqrt(r.numerator * r.denominator) // r.denominator
-        lims.append(lim)
-        total *= 2 * lim + 1
-    if total > guard:
-        raise CapacityError("box oracle range %d beyond guard" % total)
-    counts = {}
-    for x in itertools.product(*[range(-l, l + 1) for l in lims]):
-        nrm = inner(lat.gram, x, x)
-        if nrm <= bound:
-            key = _norm_key(Fraction(nrm))
-            counts[key] = counts.get(key, 0) + 1
-    return counts

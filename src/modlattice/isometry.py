@@ -41,12 +41,6 @@ def _check(u_rows, ga, gb):
     return linalg.mat_eq(g, [[Fraction(x) for x in row] for row in ga])
 
 
-def _int_mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
 def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET,
                   dim_cap=DEFAULT_DIM_CAP):
     """Search for U with U G_b U^T = G_a.
@@ -124,7 +118,7 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET,
             if _check(v, ga, gb):
                 # compose back to the original bases: u = ua^-1 v ub
                 ua_inv = [[int(x) for x in row] for row in linalg.inverse(ua)]
-                u = _int_mat_mul(_int_mat_mul(ua_inv, v), ub)
+                u = linalg.mat_mul(linalg.mat_mul(ua_inv, v), ub)
                 assert _check(u, ga0, gb0)
                 return ISOMETRIC, u, nodes
             pos[i] += 1

@@ -8,19 +8,15 @@ level, duals, intersections) are computed exactly.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import functools
 import json
 import math
 from importlib import resources
 
 from . import linalg
-from .arith import divisors
+from .arith import divisors, int_or_fraction
 from .errors import (CatalogError, DivisorError, IntegralityError,
                      ParityError)
-
-
-def _norm_entry(x):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
 
 
 class Lattice:
@@ -29,11 +25,11 @@ class Lattice:
     __slots__ = ("gram", "dim", "det", "_minors", "_level", "_lll")
 
     def __init__(self, gram):
-        rows = [tuple(_norm_entry(x) for x in row) for row in gram]
+        rows = [tuple(int_or_fraction(x) for x in row) for row in gram]
         minors = linalg.positive_definite_minors(rows)
         object.__setattr__(self, "gram", tuple(rows))
         object.__setattr__(self, "dim", len(rows))
-        object.__setattr__(self, "det", _norm_entry(minors[-1]))
+        object.__setattr__(self, "det", int_or_fraction(minors[-1]))
         object.__setattr__(self, "_minors", tuple(minors))
         object.__setattr__(self, "_level", None)
         object.__setattr__(self, "_lll", None)
@@ -76,11 +72,6 @@ def inner(gram, x, y):
     return total
 
 
-def validate_lattice(gram):
-    """Validate symmetry/definiteness and wrap; errors carry the failing minor."""
-    return Lattice(gram)
-
-
 def dual(lat: Lattice) -> Lattice:
     """Dual lattice; its Gram matrix is the exact inverse."""
     return Lattice(linalg.inverse(lat.gram))
@@ -102,23 +93,20 @@ def direct_sum(a: Lattice, b: Lattice) -> Lattice:
 
 
 def level(lat: Lattice) -> int:
-    """Smallest N with N * G^-1 integral with even diagonal (even lattices)."""
+    """Smallest N with N * G^-1 integral with even diagonal (even lattices):
+    the integral dual scale, doubled when a diagonal entry of N * G^-1 is
+    odd."""
     if not lat.is_integral:
         raise IntegralityError("level requires an integral lattice")
     if not lat.is_even:
         raise ParityError("level in this sense is defined for even lattices; "
                           "pass an explicit level for odd ones")
-    if lat._level is not None:
-        return lat._level
-    inv = linalg.inverse(lat.gram)
-    d = 1
-    for row in inv:
-        for x in row:
-            d = math.lcm(d, x.denominator)
-    if any((d * inv[i][i]) % 2 != 0 for i in range(lat.dim)):
-        d *= 2
-    object.__setattr__(lat, "_level", d)
-    return d
+    if lat._level is None:
+        d, inv = _dual_scale(lat)
+        if any((d * inv[i][i]) % 2 for i in range(lat.dim)):
+            d *= 2
+        object.__setattr__(lat, "_level", d)
+    return lat._level
 
 
 def integral_dual_scale(lat: Lattice) -> int:
@@ -126,12 +114,13 @@ def integral_dual_scale(lat: Lattice) -> int:
     surrogate used for odd integral lattices."""
     if not lat.is_integral:
         raise IntegralityError("requires an integral lattice")
+    return _dual_scale(lat)[0]
+
+
+def _dual_scale(lat: Lattice):
+    """(lcm of the denominators of G^-1, G^-1)."""
     inv = linalg.inverse(lat.gram)
-    d = 1
-    for row in inv:
-        for x in row:
-            d = math.lcm(d, x.denominator)
-    return d
+    return math.lcm(*(x.denominator for row in inv for x in row)), inv
 
 
 def partial_dual(lat: Lattice, m: int, lat_level=None) -> Lattice:
@@ -347,3 +336,9 @@ def load_catalog(path=None) -> Catalog:
     if len(set(names)) != len(names):
         raise CatalogError("duplicate lattice names in catalogue")
     return Catalog(entries)
+
+
+@functools.cache
+def bundled_catalog() -> Catalog:
+    """The bundled catalogue, loaded and validated once per process."""
+    return load_catalog()

@@ -1,10 +1,13 @@
 """Exact rational linear algebra.
 
-Everything here is deterministic and exact: fraction-free Bareiss for
-determinants / leading principal minors, Gauss-Jordan inverses over the
-rationals, Hermite normal form over the integers, lattice sums and
-intersections via coordinate duals, and LLL reduction driven directly by
-a Gram matrix with the unimodular transform recorded.
+Everything here is deterministic and exact.  One fraction-free
+(Bareiss) Gauss-Jordan elimination over the integers serves `inverse`,
+`solve` and `rank`: rational input is scaled to integers first, and the
+only Fractions made are the final results.  `bareiss_rows` is the
+symmetric forward sweep that yields the leading principal minors.  Also
+here: Hermite normal form over the integers, coordinate duals, and LLL
+reduction driven directly by a Gram matrix with the unimodular transform
+recorded.
 """
 
 from fractions import Fraction
@@ -48,12 +51,11 @@ def is_symmetric(m):
 
 def clear_denominators(m):
     """(integer matrix, scale c) with c*m integral, c = lcm of denominators."""
-    fm = to_fraction_matrix(m)
-    c = 1
-    for row in fm:
-        for x in row:
-            c = lcm(c, x.denominator)
-    return [[int(x * c) for x in row] for row in fm], c
+    fm = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+          for row in m]
+    c = lcm(*(x.denominator for row in fm for x in row))
+    return [[x.numerator * (c // x.denominator) for x in row]
+            for row in fm], c
 
 
 def bareiss_rows(m):
@@ -98,28 +100,48 @@ def positive_definite_minors(m):
     return [Fraction(d, c ** (k + 1)) for k, d in enumerate(minors)]
 
 
-def det_exact(m):
-    """Determinant of a symmetric positive definite rational matrix."""
-    return positive_definite_minors(m)[-1]
+def _gauss_jordan(a):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Pivots are taken leftmost, swapping rows when needed; each step is the
+    Bareiss update, whose division by the previous pivot is exact.
+    Returns (rows, cols, den): the pivot rows, their pivot columns and the
+    last pivot den.  rows[i] / den is row i of the reduced row echelon
+    form, so every pivot entry equals den and the pivot columns are the
+    earliest columns independent of those before them.
+    """
+    a = list(a)
+    cols = []
+    prev = 1
+    for col in range(len(a[0]) if a else 0):
+        r = len(cols)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        p = prow[col]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[col]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, prow)]
+        prev = p
+        cols.append(col)
+    return a[:len(cols)], cols, prev
 
 
 def inverse(m):
-    """Exact inverse by Gauss-Jordan elimination with partial pivoting."""
+    """Exact inverse (Fractions) by fraction-free elimination of [A | I]."""
     n = check_square(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ShapeError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv_p = 1 / a[col][col]
-        a[col] = [x * inv_p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    mi, c = clear_denominators(m)
+    rows, cols, den = _gauss_jordan(
+        [row + [int(i == j) for j in range(n)] for i, row in enumerate(mi)])
+    if cols != list(range(n)):
+        raise ShapeError("matrix is singular")
+    # A = M / c, so A^-1 = c M^-1
+    return [[Fraction(c * x, den) for x in row[n:]] for row in rows]
 
 
 def hnf(rows, ncols=None):
@@ -169,78 +191,37 @@ def dual_basis(b):
     """Coordinate dual of a full-rank row basis: rows of (B^-1)^T."""
     return mat_transpose(inverse(b))
 
-def lattice_sum(b1, b2):
-    """Basis of the lattice generated by the rows of b1 and b2 (rational)."""
-    stacked = list(b1) + list(b2)
-    mi, c = clear_denominators(stacked)
-    h = hnf(mi)
-    if len(h) != len(b1[0]):
-        raise ShapeError("sum lattice does not have full rank")
-    return [[Fraction(x, c) for x in row] for row in h]
-
-
-def lattice_intersection(b1, b2):
-    """Basis of the intersection of two full-rank row lattices.
-
-    Uses (A cap B) = (A* + B*)* with coordinate duals.
-    """
-    return dual_basis(lattice_sum(dual_basis(b1), dual_basis(b2)))
-
 
 def rank(rows):
-    """Rank over Q of a list of rational rows (early-exit elimination)."""
+    """Rank over Q of a list of rational rows.
+
+    Eliminates on the orientation with fewer rows, so that at most that
+    many pivot steps are taken.
+    """
     if not rows:
         return 0
-    width = len(rows[0])
-    basis = []  # echelon rows, each (lead_index, row)
-    r = 0
-    for row in rows:
-        v = [Fraction(x) for x in row]
-        for lead, b in basis:
-            if v[lead] != 0:
-                f = v[lead]
-                v = [x - f * y for x, y in zip(v, b)]
-        lead = next((i for i, x in enumerate(v) if x != 0), None)
-        if lead is not None:
-            inv_l = 1 / v[lead]
-            v = [x * inv_l for x in v]
-            basis.append((lead, v))
-            r += 1
-            if r == width:
-                break
-    return r
+    mi, _ = clear_denominators(rows)
+    if len(mi) > len(mi[0]):
+        mi = mat_transpose(mi)
+    return len(_gauss_jordan(mi)[1])
 
 
 def solve(a_rows, b):
-    """One exact solution x of A^T-style system sum_i x_i a_i = b, or None.
+    """One exact solution x of sum_i x_i a_i = b, or None.
 
     a_rows are the generating rows; returns coefficients over Q if b lies
-    in their span, else None.
+    in their span, else None.  The earliest rows independent of those
+    before them carry the solution, and every other coefficient is 0.
     """
-    # eliminate on augmented columns [a_i | e_i] transposed
-    cols = len(b)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(len(a_rows))]
-           for i, row in enumerate(a_rows)]
-    target = list(map(Fraction, b)) + [Fraction(0)] * len(a_rows)
-    basis = []
-    for row in aug:
-        v = row[:]
-        for lead, bb in basis:
-            if v[lead] != 0:
-                f = v[lead]
-                v = [x - f * y for x, y in zip(v, bb)]
-        lead = next((i for i in range(cols) if v[i] != 0), None)
-        if lead is not None:
-            inv_l = 1 / v[lead]
-            basis.append((lead, [x * inv_l for x in v]))
-    v = target[:]
-    for lead, bb in basis:
-        if v[lead] != 0:
-            f = v[lead]
-            v = [x - f * y for x, y in zip(v, bb)]
-    if any(v[i] != 0 for i in range(cols)):
+    m = len(a_rows)
+    mi, _ = clear_denominators(mat_transpose(list(a_rows) + [list(b)]))
+    rows, cols, den = _gauss_jordan(mi)
+    if m in cols:
         return None
-    return [-x for x in v[cols:]]
+    x = [Fraction(0)] * m
+    for row, col in zip(rows, cols):
+        x[col] = Fraction(row[m], den)
+    return x
 
 
 def gram_lll(gram, delta=Fraction(3, 4)):

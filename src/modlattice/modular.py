@@ -18,7 +18,7 @@ from .errors import CatalogError, EmptyBasisError, ModLatticeError
 from .isometry import (
     DEFAULT_BUDGET, DEFAULT_DIM_CAP, ISOMETRIC, NOT_ISOMETRIC, find_isometry)
 from .lattice import (
-    Lattice, integral_dual_scale, level as lattice_level, load_catalog,
+    Lattice, bundled_catalog, integral_dual_scale, level as lattice_level,
     partial_dual, rescale, dual)
 from .qseries import LevelData, QSeries, delta_level
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
@@ -26,15 +26,10 @@ from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 from dataclasses import dataclass
 
 
-@lru_cache(maxsize=None)
-def _bundled_catalog():
-    return load_catalog()
-
-
 def base_lattice(n_level: int, catalog=None) -> Lattice:
     """The catalogue lattice whose theta series generates weight d_N."""
     LevelData.for_level(n_level)
-    cat = catalog if catalog is not None else _bundled_catalog()
+    cat = catalog if catalog is not None else bundled_catalog()
     for entry in cat:
         if entry.level == n_level and entry.claims.get("theta_base"):
             return entry.lattice

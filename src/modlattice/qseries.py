@@ -294,25 +294,6 @@ def dedekind_eta(scale, precision):
     return QSeries(coeffs, precision)
 
 
-def eta_pentagonal(scale, precision):
-    """Same series by Euler's pentagonal number theorem:
-    eta(m z) = sum_k (-1)^k u^(m (6k-1)^2).  Used as an independent oracle.
-    """
-    coeffs = {}
-    k = 0
-    while True:
-        hit = False
-        for kk in ([0] if k == 0 else [k, -k]):
-            e = scale * (6 * kk - 1) ** 2
-            if e < precision:
-                coeffs[e] = Fraction(-1 if kk % 2 else 1)
-                hit = True
-        if not hit and scale * (6 * k - 1) ** 2 >= precision:
-            break
-        k += 1
-    return QSeries(coeffs, precision)
-
-
 def delta_level(level, precision):
     """Delta_N = prod_{m | N} eta(m z)^(24/sigma1(N)); weight k_N.
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 
+from .arith import int_or_fraction
 from .enumeration import enumerate_vectors
 from .errors import IntegralityError, LevelError, ModLatticeError, ParityError
 from .lattice import Lattice, dual
@@ -55,10 +57,7 @@ class ShadowTheta:
 
     @property
     def exp_denominator(self):
-        d = 1
-        for k in self.counts:
-            d = d * Fraction(k).denominator // _gcd(d, Fraction(k).denominator)
-        return d
+        return math.lcm(*(Fraction(k).denominator for k in self.counts))
 
     @property
     def min_norm(self):
@@ -66,7 +65,7 @@ class ShadowTheta:
         return min(live) if live else None
 
     def count(self, norm):
-        return self.counts.get(_key(norm), 0)
+        return self.counts.get(int_or_fraction(norm), 0)
 
     def to_dict(self):
         return {
@@ -89,23 +88,12 @@ class ShadowTheta:
         return body + " + O(q^(%s))" % (self.bound,)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _key(x):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
-
-
 def shadow_theta(lat: Lattice, bound, threads=1) -> ShadowTheta:
     """Counts of shadow vectors with norm <= bound, by exact enumeration."""
     dl, shift = shadow_coset(lat)
     tc = enumerate_vectors(dl, bound, shift=shift, threads=threads)
-    counts = {_key(k): v for k, v in tc.counts.items() if v}
-    return ShadowTheta(_key(bound), counts)
+    counts = {int_or_fraction(k): v for k, v in tc.counts.items() if v}
+    return ShadowTheta(int_or_fraction(bound), counts)
 
 
 @dataclass(frozen=True)
@@ -156,7 +144,7 @@ def shadow_min(lat: Lattice, n_level: int = 1, threads=1) -> ShadowReport:
     if m0 is None:
         raise ModLatticeError("no shadow vector of norm <= dim/4 found")
     m = Fraction(l * data.sigma1 - 4 * n_level * m0, 8)
-    return ShadowReport(n_level, lat.dim, _key(m0), st.counts[m0], _key(m))
+    return ShadowReport(n_level, lat.dim, int_or_fraction(m0), st.counts[m0], int_or_fraction(m))
 
 
 def odd_min_bound(n_level: int, dim: int) -> int:

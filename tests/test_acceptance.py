@@ -17,8 +17,8 @@ from modlattice.designs import (even_min_lower_bound, eutaxy_check,
                                 is_strongly_perfect, min_product_check,
                                 moment_tensor_test, perfection_rank,
                                 power_sum_design_test)
-from modlattice.enumeration import (box_counts, enumerate_vectors, min_layer,
-                                    minimum, theta_series)
+from modlattice.enumeration import (enumerate_vectors, min_layer, minimum,
+                                    theta_series)
 from modlattice.errors import EmptyBasisError
 from modlattice.lattice import (density, density_from_parameters, index_in,
                                 load_catalog, partial_dual, zn)
@@ -26,6 +26,7 @@ from modlattice.modular import check_extremal, extremal_form, transformation_che
 from modlattice.qseries import ADMISSIBLE_LEVELS, LevelData, delta_level
 from modlattice.report import PASS
 from modlattice.shadow import shadow_min
+from oracles import box_counts
 
 EXTREMAL_LEECH_COFF = 196560
 

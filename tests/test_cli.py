@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from modlattice import lattice
 from modlattice.cli import build_parser, parse_and_dispatch
+from modlattice.modular import base_lattice
 
 
 def run(capsys, argv):
@@ -147,6 +149,23 @@ def test_identical_runs_are_byte_identical(capsys):
     c = run(capsys, ["check-extremal", "--lattice", "D4"])
     d = run(capsys, ["check-extremal", "--lattice", "D4"])
     assert c == d
+
+
+def test_bundled_catalogue_is_loaded_once(capsys, monkeypatch):
+    """Verbs and the modular-form code share one validated catalogue."""
+    calls = []
+
+    def counting_load(path=None):
+        calls.append(path)
+        return real_load(path)
+
+    real_load = lattice.load_catalog
+    monkeypatch.setattr(lattice, "load_catalog", counting_load)
+    lattice.bundled_catalog.cache_clear()
+    assert run(capsys, ["info", "--lattice", "K12"])[0] == 0
+    assert base_lattice(3) == lattice.bundled_catalog().lattice("A2")
+    assert run(capsys, ["min", "--lattice", "E8"])[0] == 0
+    assert calls == [None]
 
 
 def test_threads_default_from_environment(monkeypatch):

@@ -298,3 +298,12 @@ def test_harmonic_theta_odd_degrees_vanish(catalog):
         assert harmonic_theta_truncation(zn(2), [2, 1], t, 5).coeffs == {}
         assert harmonic_theta_truncation(
             catalog.lattice("A2"), [1, 1], t, 5).coeffs == {}
+
+
+def test_harmonic_theta_odd_precision_keeps_top_even_norm(catalog):
+    """An even lattice at odd precision still sweeps its top even norm."""
+    a2 = catalog.lattice("A2")
+    odd = harmonic_theta_truncation(a2, (1, 0), 6, 9)
+    even = harmonic_theta_truncation(a2, (1, 0), 6, 10)
+    assert odd.coefficient_q(8) == even.coefficient_q(8) == 24576
+    assert odd.agree(even)[0]

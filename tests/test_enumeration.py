@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from modlattice.enumeration import (_integer_form, box_counts,
-                                    enumerate_vectors, min_layer, minimum,
-                                    theta_series)
+from modlattice.enumeration import (_integer_form, enumerate_vectors,
+                                    min_layer, minimum, theta_series)
 from modlattice.errors import CapacityError
 from modlattice.lattice import Lattice, dual, inner, rescale, zn
 from modlattice.modular import extremal_form
+from oracles import box_counts
 
 
 def random_gram(rng, n, spread=3):

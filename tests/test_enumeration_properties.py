@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modlattice import linalg
-from modlattice.enumeration import box_counts, enumerate_vectors
+from modlattice.enumeration import enumerate_vectors
 from modlattice.errors import DefinitenessError
 from modlattice.lattice import Lattice, inner
+from oracles import box_counts
 
 BOX_LIMIT = 5000
 
