@@ -28,8 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .enumeration import (VectorLayer, enumerate_vectors, min_layer, minimum,
                           theta_series, window_bound)
@@ -38,6 +37,9 @@ from .lattice import Lattice, dual, inner
 from .linalg import inverse, rank, solve
 from .qseries import LevelData, QSeries
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FLOAT_EXACT_LIMIT = 1 << 53
 INT64_LIMIT = 1 << 62
@@ -59,6 +61,7 @@ def design_constant(dim: int, k: int, count: int, norm) -> Fraction:
 
 
 def _layer_data(layer: VectorLayer):
+    import numpy as np
     if layer.lattice is None:
         raise ModLatticeError("layer carries no lattice reference")
     if not layer.complete:
@@ -74,6 +77,7 @@ def _layer_data(layer: VectorLayer):
 
 def _half_rows(arr: np.ndarray) -> np.ndarray:
     """One vector out of each antipodal pair {x, -x} (first nonzero > 0)."""
+    import numpy as np
     nz = arr != 0
     first = nz.argmax(axis=1)
     lead = arr[np.arange(len(arr)), first]
@@ -85,6 +89,7 @@ def _half_rows(arr: np.ndarray) -> np.ndarray:
 
 def exact_power_sums(dots: np.ndarray, degrees) -> dict:
     """sum_i dots[i]^d for each d, exactly (values compressed, then int)."""
+    import numpy as np
     values, counts = np.unique(dots, return_counts=True)
     pairs = [(int(v), int(c)) for v, c in zip(values, counts)]
     return {d: sum(c * v ** d for v, c in pairs) for d in degrees}
@@ -112,6 +117,7 @@ def power_sum_design_test(layer: VectorLayer, degrees,
     exact disproof; agreement at all witnesses is recorded as a pass but
     proves nothing by itself.
     """
+    import numpy as np
     t0 = time.time()
     lat, arr = _layer_data(layer)
     degrees = sorted(set(int(d) for d in degrees))
@@ -200,6 +206,7 @@ def moment_tensor_test(layer: VectorLayer, two_k: int,
     2^53, otherwise in int64; the comparison itself is done on cleared
     integers, so a pass is a proof.
     """
+    import numpy as np
     t0 = time.time()
     if two_k % 2 or two_k <= 0 or two_k > TENSOR_MAX_DEGREE:
         raise ValueError("tensor strategy supports even degrees 2..%d"
@@ -415,6 +422,7 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
     and screened for positivity.  Only the strong and certificate verdicts
     are proofs; absence of a certificate proves nothing.
     """
+    import numpy as np
     t0 = time.time()
     layer = min_layer(lat, threads=threads)
     _, arr = _layer_data(layer)
@@ -642,8 +650,10 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
     Coefficient of q^a is sum over the norm-a layer of Z_degree(x); these
     sums vanish for every axis when the layer is a degree-strong design.
     Exact: power sums of the dot products are taken over compressed
-    integer values.
+    integer values, so for degree > 0 the Gram must be integral
+    (ValueError otherwise).
     """
+    import numpy as np
     if precision_q < 1:
         raise ValueError("precision must be at least 1")
     z = zonal_harmonic(lat.dim, degree)
@@ -652,6 +662,10 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
         raise ValueError("axis must be nonzero")
     if degree == 0:
         return theta_series(lat, precision_q, threads=threads)
+    if not lat.is_integral:
+        raise ValueError("Gram matrix %s is not integral; the harmonic "
+                         "theta series needs integer inner products"
+                         % [[str(x) for x in row] for row in lat.gram])
     bound = window_bound(lat, precision_q)
     coeffs = {}
     if bound > 0:

@@ -18,7 +18,6 @@ recorded) makes the deep lattices tractable; results are transformed
 back to the original coordinates.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -312,6 +311,7 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     jobs = [(form, bound, collect, capacity, rng, canonical)
             for rng in ranges]
     if len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             counts, reps = _merge(pool.map(_run, *zip(*jobs)))
     else:

@@ -10,8 +10,6 @@ rational arithmetic before it is reported.
 
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .enumeration import enumerate_vectors
 from .lattice import Lattice
@@ -58,6 +56,7 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET,
         return ISOMETRIC, ident, 0
     if n > dim_cap:
         return INCONCLUSIVE, None, 0
+    import numpy as np
 
     ga0, gb0 = _common_integer_grams(a, b)
     ga, ua = linalg.gram_lll(ga0)

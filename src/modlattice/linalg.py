@@ -1,13 +1,14 @@
 """Exact rational linear algebra.
 
-Everything here is deterministic and exact.  One fraction-free
-(Bareiss) Gauss-Jordan elimination over the integers serves `inverse`,
-`solve` and `rank`: rational input is scaled to integers first, and the
-only Fractions made are the final results.  `bareiss_rows` is the
-symmetric forward sweep that yields the leading principal minors.  Also
-here: Hermite normal form over the integers, coordinate duals, and LLL
-reduction driven directly by a Gram matrix with the unimodular transform
-recorded.
+Everything here is deterministic and exact, and fraction-free: rational
+input is scaled to integers first, and the only Fractions made are the
+final results.  One Bareiss Gauss-Jordan elimination over the integers
+serves `inverse`, `solve` and `rank`; `bareiss_rows` is the symmetric
+forward sweep that yields the leading principal minors.  `gram_lll` is
+integral LLL on a Gram matrix (Cohen, A Course in Computational
+Algebraic Number Theory, Alg. 2.6.7; de Weger 1987) with the unimodular
+transform recorded.  Also here: Hermite normal form over the integers
+and coordinate duals.
 """
 
 from fractions import Fraction
@@ -21,10 +22,6 @@ def check_square(m):
     if n == 0 or any(len(row) != n for row in m):
         raise ShapeError("matrix must be square and nonempty")
     return n
-
-
-def to_fraction_matrix(m):
-    return [[Fraction(x) for x in row] for row in m]
 
 
 def mat_transpose(m):
@@ -229,65 +226,74 @@ def gram_lll(gram, delta=Fraction(3, 4)):
 
     Returns (reduced_gram, u) with reduced_gram = u * gram * u^T and u an
     integer unimodular matrix; rows of u express the reduced basis in the
-    original one. Exact rational arithmetic throughout.
+    original one.  Integral LLL (Cohen, Alg. 2.6.7) on c * gram, c the
+    lcm of the denominators: the state is the Gram determinants d[i] of
+    the first i rows and lam[i][j] = d[j + 1] * mu[i][j], all integers,
+    and every division is exact.  The steps are those of rational LLL
+    with the same delta; the result is divided by c again at the end.
     """
     n = check_square(gram)
-    g = to_fraction_matrix(gram)
+    g, c = clear_denominators(gram)
+    dn, dd = delta.as_integer_ratio()
     u = mat_identity(n)
 
-    # Gram-Schmidt data from the gram matrix: r[i][j] = (b_i, b_j*),
-    # mu[i][j] = r[i][j]/B[j], B[i] = r[i][i]
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    big_b = [Fraction(0)] * n
-
-    def gs_all():
-        for i in range(n):
-            r_row = [Fraction(0)] * n
-            for j in range(i + 1):
-                r = g[i][j] - sum(mu[j][l] * r_row[l] for l in range(j))
-                r_row[j] = r
-                if j < i:
-                    mu[i][j] = r / big_b[j]
-            big_b[i] = r_row[i]
-            if big_b[i] <= 0:
+    # Gram-Schmidt data of every row before the first step, so that a form
+    # that is not positive definite fails at its first non-positive minor
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        lk = lam[k]
+        for j in range(k + 1):
+            lj = lam[j]
+            x = g[k][j]
+            for i in range(j):
+                x = (d[i + 1] * x - lk[i] * lj[i]) // d[i]
+            if j < k:
+                lk[j] = x
+            elif x <= 0:
                 raise DefinitenessError("form is not positive definite",
-                                        minor_index=i + 1)
+                                        minor_index=k + 1)
+            else:
+                d[k + 1] = x
 
     def red(k, l):
-        q = round(mu[k][l])
+        # q = round(mu[k][l]), ties to even as round() on a Fraction
+        q, r = divmod(lam[k][l], d[l + 1])
+        if 2 * r > d[l + 1] or (2 * r == d[l + 1] and q & 1):
+            q += 1
         if q == 0:
             return
         u[k] = [x - q * y for x, y in zip(u[k], u[l])]
-        for j in range(n):
-            g[k][j] -= q * g[l][j]
-        for i in range(n):
-            g[i][k] -= q * g[i][l]
-        mu[k][l] -= q
+        g[k] = [x - q * y for x, y in zip(g[k], g[l])]
+        for row in g:
+            row[k] -= q * row[l]
+        lk, ll = lam[k], lam[l]
+        lk[l] -= q * d[l + 1]
         for i in range(l):
-            mu[k][i] -= q * mu[l][i]
+            lk[i] -= q * ll[i]
 
     def swap(k):
         u[k], u[k - 1] = u[k - 1], u[k]
         g[k], g[k - 1] = g[k - 1], g[k]
         for row in g:
             row[k], row[k - 1] = row[k - 1], row[k]
+        lk, lp = lam[k], lam[k - 1]
         for j in range(k - 1):
-            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-        m = mu[k][k - 1]
-        b_new = big_b[k] + m * m * big_b[k - 1]
-        mu[k][k - 1] = m * big_b[k - 1] / b_new
-        big_b[k] = big_b[k - 1] * big_b[k] / b_new
-        big_b[k - 1] = b_new
+            lk[j], lp[j] = lp[j], lk[j]
+        lm = lk[k - 1]  # lam[k][k - 1] itself is unchanged by the swap
+        b = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
         for i in range(k + 1, n):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lm * t) // d[k]
+            li[k - 1] = (b * t + lm * li[k]) // d[k + 1]
+        d[k] = b
 
-    gs_all()
     k = 1
     while k < n:
         red(k, k - 1)
-        if big_b[k] >= (delta - mu[k][k - 1] ** 2) * big_b[k - 1]:
+        lm = lam[k][k - 1]
+        if dd * (d[k + 1] * d[k - 1] + lm * lm) >= dn * d[k] * d[k]:
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
@@ -295,6 +301,6 @@ def gram_lll(gram, delta=Fraction(3, 4)):
             swap(k)
             k = max(k - 1, 1)
 
-    if all(x.denominator == 1 for row in gram for x in map(Fraction, row)):
-        g = [[int(x) for x in row] for row in g]
+    if c != 1:
+        g = [[Fraction(x, c) for x in row] for row in g]
     return g, u

@@ -5,7 +5,7 @@ import math
 
 from modlattice import linalg
 from modlattice.arith import int_or_fraction
-from modlattice.errors import CapacityError
+from modlattice.errors import CapacityError, DefinitenessError
 from modlattice.lattice import Lattice, inner
 from modlattice.qseries import QSeries
 
@@ -52,3 +52,79 @@ def eta_pentagonal(scale, precision):
             break
         k += 1
     return QSeries(coeffs, precision)
+
+
+def gram_lll_fraction(gram, delta=Fraction(3, 4)):
+    """LLL-reduce a quadratic form given only by its Gram matrix.
+
+    Returns (reduced_gram, u) with reduced_gram = u * gram * u^T and u an
+    integer unimodular matrix; rows of u express the reduced basis in the
+    original one. Exact rational arithmetic throughout.
+    """
+    n = linalg.check_square(gram)
+    g = [[Fraction(x) for x in row] for row in gram]
+    u = linalg.mat_identity(n)
+
+    # Gram-Schmidt data from the gram matrix: r[i][j] = (b_i, b_j*),
+    # mu[i][j] = r[i][j]/B[j], B[i] = r[i][i]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    big_b = [Fraction(0)] * n
+
+    def gs_all():
+        for i in range(n):
+            r_row = [Fraction(0)] * n
+            for j in range(i + 1):
+                r = g[i][j] - sum(mu[j][l] * r_row[l] for l in range(j))
+                r_row[j] = r
+                if j < i:
+                    mu[i][j] = r / big_b[j]
+            big_b[i] = r_row[i]
+            if big_b[i] <= 0:
+                raise DefinitenessError("form is not positive definite",
+                                        minor_index=i + 1)
+
+    def red(k, l):
+        q = round(mu[k][l])
+        if q == 0:
+            return
+        u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+        for j in range(n):
+            g[k][j] -= q * g[l][j]
+        for i in range(n):
+            g[i][k] -= q * g[i][l]
+        mu[k][l] -= q
+        for i in range(l):
+            mu[k][i] -= q * mu[l][i]
+
+    def swap(k):
+        u[k], u[k - 1] = u[k - 1], u[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for row in g:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        m = mu[k][k - 1]
+        b_new = big_b[k] + m * m * big_b[k - 1]
+        mu[k][k - 1] = m * big_b[k - 1] / b_new
+        big_b[k] = big_b[k - 1] * big_b[k] / b_new
+        big_b[k - 1] = b_new
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+
+    gs_all()
+    k = 1
+    while k < n:
+        red(k, k - 1)
+        if big_b[k] >= (delta - mu[k][k - 1] ** 2) * big_b[k - 1]:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+        else:
+            swap(k)
+            k = max(k - 1, 1)
+
+    if all(x.denominator == 1 for row in gram for x in map(Fraction, row)):
+        g = [[int(x) for x in row] for row in g]
+    return g, u

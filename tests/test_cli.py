@@ -1,8 +1,12 @@
 """Command line behaviour: exit codes, schemas, reproducible output."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import modlattice
 from modlattice import lattice
 from modlattice.cli import build_parser, parse_and_dispatch
 from modlattice.modular import base_lattice
@@ -178,3 +182,26 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["--version"])
     assert exc.value.code == 0
+
+
+def _imported_modules(*args):
+    """Names of every module a fresh interpreter imports to run args."""
+    src = os.path.dirname(os.path.dirname(modlattice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("args", [
+    ("-c", "import modlattice"),
+    ("-m", "modlattice", "min", "--lattice", "E7", "--json"),
+])
+def test_start_up_skips_numpy_and_process_pool(args):
+    loaded = _imported_modules(*args)
+    assert "modlattice" in loaded
+    assert "numpy" not in loaded
+    assert "concurrent.futures.process" not in loaded

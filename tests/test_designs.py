@@ -16,7 +16,7 @@ from modlattice.designs import (DesignTestConfig, EUTACTIC_CERT,
                                 predicted_design_strength, zonal_harmonic)
 from modlattice.enumeration import VectorLayer, min_layer, theta_series
 from modlattice.errors import ModLatticeError
-from modlattice.lattice import Lattice, direct_sum, rescale, zn
+from modlattice.lattice import Lattice, direct_sum, dual, rescale, zn
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
 
@@ -307,3 +307,9 @@ def test_harmonic_theta_odd_precision_keeps_top_even_norm(catalog):
     even = harmonic_theta_truncation(a2, (1, 0), 6, 10)
     assert odd.coefficient_q(8) == even.coefficient_q(8) == 24576
     assert odd.agree(even)[0]
+
+
+def test_harmonic_theta_rejects_a_rational_gram(catalog):
+    """dual(A2) has Gram entries 2/3 and -1/3: no silent truncation."""
+    with pytest.raises(ValueError, match="not integral"):
+        harmonic_theta_truncation(dual(catalog.lattice("A2")), (1, 0), 6, 4)

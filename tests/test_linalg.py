@@ -1,15 +1,21 @@
-"""Exact linear algebra against sympy: inverse, rank, solve, dual scales."""
+"""Exact linear algebra against sympy and oracles: inverse, rank, solve,
+dual scales and LLL."""
 from fractions import Fraction
+import fractions
 import math
 import random
+import sys
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import pytest
 import sympy
 
 from modlattice import linalg
-from modlattice.errors import ShapeError
-from modlattice.lattice import (c_n_lattice, integral_dual_scale, level,
+from modlattice.errors import DefinitenessError, ShapeError
+from modlattice.lattice import (c_n_lattice, dual, integral_dual_scale, level,
                                 rescale, zn)
+from oracles import gram_lll_fraction
 
 CASES = 300
 
@@ -134,3 +140,129 @@ def test_dual_scales_of_c_n_and_z_n(n):
     even = rescale(cn, 2)
     assert level(even) == _sympy_dual_scale(even)[1]
     assert level(rescale(zn(n), 2)) == 4
+
+
+def _gram_schmidt(g):
+    """(mu, B) of a Gram matrix in Fractions: B[i] = |b_i*|^2."""
+    n = len(g)
+    g = [[Fraction(x) for x in row] for row in g]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (g[i][j] - sum(mu[j][l] * mu[i][l] * b[l]
+                                      for l in range(j))) / b[j]
+        b.append(g[i][i] - sum(mu[i][l] ** 2 * b[l] for l in range(i)))
+    return mu, b
+
+
+def _lll_matches_oracle(gram):
+    """gram_lll equals the Fraction oracle, entries, types and transform,
+    and its output is an LLL-reduced form of gram (delta = 3/4)."""
+    red, u = linalg.gram_lll(gram)
+    want_red, want_u = gram_lll_fraction(gram)
+    assert red == want_red and u == want_u
+    assert [[type(x) for x in row] for row in red] == \
+        [[type(x) for x in row] for row in want_red]
+    assert all(type(x) is int for row in u for x in row)
+    assert linalg.mat_mul(u, linalg.mat_mul(gram, linalg.mat_transpose(u))) \
+        == red
+    assert abs(sympy.Matrix(u).det()) == 1
+    mu, b = _gram_schmidt(red)
+    n = len(red)
+    assert all(abs(mu[i][j]) <= Fraction(1, 2)
+               for i in range(n) for j in range(i))
+    assert all(b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
+               for k in range(1, n))
+
+
+def test_lll_of_catalogue_and_duals(catalog):
+    for entry in catalog:
+        _lll_matches_oracle(entry.lattice.gram)
+        _lll_matches_oracle(dual(entry.lattice).gram)
+
+
+def _unimodular(rng, n):
+    """A random unimodular matrix: 3n elementary row additions, shuffled."""
+    u = linalg.mat_identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return u
+
+
+@pytest.mark.parametrize("name", ["BW16", "D16plus", "K12", "Leech"])
+def test_lll_of_seeded_rebasings(catalog, name):
+    gram = catalog.lattice(name).gram
+    for seed in range(3):
+        u = _unimodular(random.Random(seed), len(gram))
+        _lll_matches_oracle(
+            linalg.mat_mul(u, linalg.mat_mul(gram, linalg.mat_transpose(u))))
+
+
+@st.composite
+def pd_grams(draw, rational):
+    """A A^T for a random square A, integral or over 2, 3, 5 and 6."""
+    n = draw(st.integers(1, 12))
+    dens = st.sampled_from((1, 2, 3, 5, 6)) if rational else st.just(1)
+    a = [[Fraction(draw(st.integers(-8, 8)), draw(dens)) for _ in range(n)]
+         for _ in range(n)]
+    gram = [[sum(x * y for x, y in zip(r, s)) for s in a] for r in a]
+    try:
+        linalg.positive_definite_minors(gram)
+    except DefinitenessError:
+        assume(False)
+    if not rational:
+        gram = [[int(x) for x in row] for row in gram]
+    return gram
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.booleans())
+def test_lll_of_random_grams(data, rational):
+    _lll_matches_oracle(data.draw(pd_grams(rational)))
+
+
+def test_lll_rejects_indefinite_grams_like_the_oracle():
+    rng = random.Random(7)
+    indices = set()
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        gram = [[sum(x * y for x, y in zip(r, s)) for s in a] for r in a]
+        j = rng.randrange(n)
+        gram[j][j] -= rng.randint(0, 6)
+        try:
+            want = gram_lll_fraction(gram)
+        except DefinitenessError as exc:
+            with pytest.raises(DefinitenessError) as got:
+                linalg.gram_lll(gram)
+            assert got.value.minor_index == exc.minor_index
+            indices.add(exc.minor_index)
+            continue
+        assert linalg.gram_lll(gram) == want
+    assert len(indices) > 3
+
+
+@pytest.mark.parametrize("name", ["K12", "BW16"])
+def test_gram_lll_makes_no_fraction_arithmetic(catalog, name):
+    """Only the final entries of a rational reduced Gram are Fractions."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    lat = catalog.lattice(name)
+    for gram, made in ((lat.gram, 0), (dual(lat).gram, lat.dim ** 2)):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            linalg.gram_lll(gram)
+        finally:
+            sys.setprofile(None)
+        assert set(calls) <= {"__new__", "numerator", "denominator",
+                              "as_integer_ratio"}
+        assert calls.count("__new__") == made
