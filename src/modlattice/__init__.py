@@ -78,8 +78,6 @@ from .modular import (
 )
 from .designs import (
     design_constant,
-    power_sum_design_test,
-    moment_tensor_test,
     DesignTestConfig,
     check_design,
     is_strongly_perfect,

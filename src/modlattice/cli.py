@@ -8,6 +8,7 @@ identical seeds are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -15,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .designs import (DesignTestConfig, check_design,
-                      harmonic_theta_truncation, is_strongly_perfect)
+from .designs import (check_design, harmonic_theta_truncation,
+                      is_strongly_perfect)
 from .enumeration import min_layer, minimum, theta_series
 from .errors import ModLatticeError
 from .lattice import (Catalog, c_n_lattice, density, density_from_parameters,
@@ -51,8 +52,8 @@ def _emit_report(report, as_json):
         print(json.dumps(_strip_timing(report.to_dict()), indent=1,
                          sort_keys=True))
     else:
-        report.details = _strip_timing(report.details)
-        print(report.render())
+        print(dataclasses.replace(
+            report, details=_strip_timing(report.details)).render())
     return VERDICT_EXIT.get(report.verdict, EXIT_FAIL)
 
 
@@ -152,12 +153,13 @@ def build_parser():
     p.add_argument("--level", type=int, default=None)
 
     p = sub.add_parser("check-design", parents=[common],
-                       help="spherical design strength of the minimal layer")
+                       help="design strength of the minimal layer, proved "
+                            "degree by degree (Venkov pair sums)")
     p.add_argument("--lattice", required=True)
     p.add_argument("--t", type=int, required=True, help="target strength")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--witnesses", type=int, default=None,
-                   help="sample size for degrees beyond the tensor range")
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted for compatibility; the exact pair-sum "
+                        "test draws nothing at random")
 
     p = sub.add_parser("check-strongly-perfect", parents=[common],
                        help="minimal vectors form a 4-design (proof level)")
@@ -279,14 +281,8 @@ def cmd_check_design(args):
     lat = resolve_lattice(args.lattice, cat)
     if args.t < 1:
         raise UsageError("--t must be positive")
-    kw = {}
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    if args.witnesses is not None:
-        kw["witness_count"] = args.witnesses
-    config = DesignTestConfig(**kw)
     layer = min_layer(lat, threads=args.threads)
-    rep = check_design(layer, args.t, config)
+    rep = check_design(layer, args.t)
     return _emit_report(rep, args.json)
 
 

@@ -1,21 +1,26 @@
 """Spherical design tests for lattice layers, and related certificates.
 
-A layer X of vectors of common norm m is a spherical t-design when the
-average over X of every polynomial of degree <= t equals its average over
-the sphere of radius sqrt(m).  Since layers are antipodal, odd degrees are
-free and only the even moment identities
+A layer X of vectors of common norm m in dimension n is a spherical
+t-design when the average over X of every polynomial of degree <= t equals
+its average over the sphere of radius sqrt(m).  Layers are antipodal, so
+odd degrees are free and only the even degrees 2j <= t need checking.
+Each is decided exactly by the Venkov pair-sum criterion (Venkov, Reseaux
+et designs spheriques, 2001; Delsarte-Goethals-Seidel 1977):
 
-    sum_{x in X} (a, x)^(2k)  =  c_k * (a, a)^k,
-    c_k = |X| * m^k * (2k-1)!! / (n (n+2) ... (n+2k-2)),
+    sum_{x,y in X} (x,y)^(2j) >= |X|^2 m^(2j) (2j-1)!! / (n(n+2)...(n+2j-2)).
 
-for 2k <= t need checking.  Two strategies are used:
+The left side is the squared norm of the moment tensor T = sum_x x^(2j),
+since (x^(2j), y^(2j)) = (x, y)^(2j); the right side is the squared norm
+of its projection onto the O(n)-invariant tensors, the multiples of the
+symmetrised metric power.  Their difference is the squared norm of the
+rest of T, so equality holds exactly when T is invariant, that is when
 
-* moment_tensor_test compares the full symmetric moment tensor
-  sum_x x^(2k) with the matching multiple of the symmetrised metric power,
-  entry by entry in exact integer arithmetic.  A pass is a proof of the
-  identity; feasible for 2k <= 6.
-* power_sum_design_test evaluates the identity at finitely many integer
-  directions a.  A failure is a disproof; a pass is only evidence.
+    sum_{x in X} (a, x)^(2j)  =  c_j * (a, a)^j,
+    c_j = |X| * m^j * (2j-1)!! / (n (n+2) ... (n+2j-2)),
+
+for every a: the degree-2j design identity.  The pair sums are read from
+one histogram of the integer inner products over the antipodal half of X,
+so every even degree is proved or disproved at once in exact integers.
 
 Everything downstream (strong perfection, eutaxy, the Coxeter identity,
 harmonic theta truncations) reduces to these moment computations.
@@ -23,11 +28,9 @@ harmonic theta truncations) reduces to these moment computations.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING
 
 from .enumeration import (VectorLayer, enumerate_vectors, min_layer, minimum,
@@ -43,9 +46,9 @@ if TYPE_CHECKING:
 
 FLOAT_EXACT_LIMIT = 1 << 53
 INT64_LIMIT = 1 << 62
-DEFAULT_SEED = 41651
-DEFAULT_WITNESSES = 100
-TENSOR_MAX_DEGREE = 6
+# inner products formed per block of rows: bounds the working memory of
+# the pair histogram (about 8 bytes per entry, a few arrays at a time)
+_BLOCK_ENTRIES = 1 << 20
 
 
 def double_factorial_odd(k: int) -> int:
@@ -95,292 +98,167 @@ def exact_power_sums(dots: np.ndarray, degrees) -> dict:
     return {d: sum(c * v ** d for v, c in pairs) for d in degrees}
 
 
-def default_witnesses(dim: int, count: int, seed: int):
-    """Deterministic distinct nonzero integer directions in {-9..9}^dim."""
-    rng = random.Random(seed)
-    seen = set()
-    out = []
-    while len(out) < count:
-        a = tuple(rng.randint(-9, 9) for _ in range(dim))
-        if any(a) and a not in seen:
-            seen.add(a)
-            out.append(a)
-    return out
+def _dot_factors(gram, rows: np.ndarray):
+    """(rows @ G, rows^T) in a dtype in which their product is exact.
 
-
-def power_sum_design_test(layer: VectorLayer, degrees,
-                          witnesses=None, witness_count=DEFAULT_WITNESSES,
-                          seed=DEFAULT_SEED) -> CertReport:
-    """Sampled check of the even design identities on a layer.
-
-    degrees are even positive integers.  A mismatch at any witness is an
-    exact disproof; agreement at all witnesses is recorded as a pass but
-    proves nothing by itself.
+    Every partial sum of an entry (x, y) of the product is bounded by
+    n * max|Gx| * max|y|: float64 is exact below 2^53, int64 below 2^62,
+    and Python integers (object dtype) beyond.
     """
     import numpy as np
-    t0 = time.time()
-    lat, arr = _layer_data(layer)
-    degrees = sorted(set(int(d) for d in degrees))
-    if any(d <= 0 or d % 2 for d in degrees):
-        raise ValueError("degrees must be positive and even")
-    n = lat.dim
-    m = layer.norm
-    gram = np.array([[int(x) for x in row] for row in lat.gram],
-                    dtype=np.int64)
-    if witnesses is None:
-        witnesses = default_witnesses(n, witness_count, seed)
-    witnesses = [tuple(int(c) for c in a) for a in witnesses]
-    consts = {d: design_constant(n, d // 2, len(layer), m) for d in degrees}
-    checked = 0
-    for a in witnesses:
-        av = np.array(a, dtype=np.int64)
-        w = gram @ av
-        aa = int(av @ w)
-        # every partial sum of a dot product stays below n*max|x|*max|w|
-        prod_cap = n * int(np.abs(arr).max()) * (int(np.abs(w).max()) or 1)
-        if prod_cap >= INT64_LIMIT:
-            dots = np.array([sum(int(x) * int(y) for x, y in zip(row, w))
-                             for row in arr], dtype=object)
-        else:
-            dots = arr @ w
-        sums = exact_power_sums(dots, degrees)
-        for d in degrees:
-            k = d // 2
-            rhs = consts[d] * Fraction(aa) ** k
-            checked += 1
-            if sums[d] != rhs:
-                return CertReport(
-                    check="power-sum-design",
-                    verdict=FAIL,
-                    inputs={"layer_norm": m, "layer_size": len(layer),
-                            "degrees": degrees},
-                    details={"proof": True, "checked": checked,
-                             "elapsed": round(time.time() - t0, 3)},
-                    witnesses={"direction": list(a), "degree": d,
-                               "lhs": sums[d], "rhs": rhs},
-                    seed=seed)
-    return CertReport(
-        check="power-sum-design",
-        verdict=PASS,
-        inputs={"layer_norm": m, "layer_size": len(layer),
-                "degrees": degrees, "witnesses": len(witnesses)},
-        details={"proof": False, "checked": checked,
-                 "elapsed": round(time.time() - t0, 3)},
-        seed=seed)
-
-
-def _perfect_matchings(k2: int):
-    """All perfect matchings of positions 0..k2-1 as pair tuples."""
-    if k2 == 0:
-        return [()]
-    out = []
-    rest = list(range(1, k2))
-    for i, p in enumerate(rest):
-        others = rest[:i] + rest[i + 1:]
-        remap = {j: q for j, q in enumerate(others)}
-        for sub in _perfect_matchings(k2 - 2):
-            out.append(((0, p),) + tuple((remap[a], remap[b])
-                                         for a, b in sub))
-    return out
-
-
-def _match_sum(indices, gram_rows, matchings) -> int:
-    s = 0
-    for mt in matchings:
-        p = 1
-        for a, b in mt:
-            p *= gram_rows[indices[a]][indices[b]]
-            if p == 0:
-                break
-        s += p
-    return s
-
-
-def moment_tensor_test(layer: VectorLayer, two_k: int,
-                       block_columns=650) -> CertReport:
-    """Entrywise proof of the degree-2k design identity on a layer.
-
-    Compares sum_x y^mu (y = Gx, mu over all monomials of degree 2k) with
-    the matching-sum expansion of c_k (a,a)^k.  Products are accumulated
-    in float64 only when every partial result is an exact integer below
-    2^53, otherwise in int64; the comparison itself is done on cleared
-    integers, so a pass is a proof.
-    """
-    import numpy as np
-    t0 = time.time()
-    if two_k % 2 or two_k <= 0 or two_k > TENSOR_MAX_DEGREE:
-        raise ValueError("tensor strategy supports even degrees 2..%d"
-                         % TENSOR_MAX_DEGREE)
-    k = two_k // 2
-    lat, arr = _layer_data(layer)
-    n = lat.dim
-    m = int(layer.norm)
-    half = _half_rows(arr)
-    gram_rows = [[int(x) for x in row] for row in lat.gram]
-    gram = np.array(gram_rows, dtype=np.int64)
-    y = half @ gram
-    ymax = int(np.abs(y).max()) if len(y) else 0
-    colmax = ymax ** k
-    acc_bound = len(half) * colmax * colmax
-    if acc_bound < FLOAT_EXACT_LIMIT:
-        yf = y.astype(np.float64)
-        dtype = "float64"
-    elif acc_bound < INT64_LIMIT:
-        yf = y
-        dtype = "int64"
+    n = len(gram)
+    xmax = int(np.abs(rows).max()) if rows.size else 0
+    g = [[int(v) for v in row] for row in gram]
+    gmax = max(abs(v) for row in g for v in row)
+    wide = object if n * gmax * xmax >= INT64_LIMIT else np.int64
+    gx = rows.astype(wide) @ np.array(g, dtype=wide)
+    cap = n * (int(np.abs(gx).max()) if gx.size else 0) * xmax
+    if cap < FLOAT_EXACT_LIMIT:
+        dtype = np.float64
+    elif cap < INT64_LIMIT:
+        dtype = np.int64
     else:
-        raise ModLatticeError("moment accumulation would overflow")
-    cols = list(combinations_with_replacement(range(n), k))
-    denom = math.prod(n + 2 * i for i in range(k))
-    matchings = _perfect_matchings(two_k)
-    scale = 2 * len(half) * m ** k        # |X| * m^k
-    memo = {}
+        dtype = object
+    # a C-ordered right factor: BLAS reads its column blocks contiguously
+    # (column slices of the F-ordered transpose ran about 17 times slower)
+    return gx.astype(dtype), rows.T.astype(dtype, order="C")
 
-    def col_block(lo, hi):
-        blk = np.empty((len(half), hi - lo), dtype=yf.dtype)
-        for j in range(lo, hi):
-            c = yf[:, cols[j][0]].copy()
-            for idx in cols[j][1:]:
-                c *= yf[:, idx]
-            blk[:, j - lo] = c
-        return blk
 
-    edges = list(range(0, len(cols), block_columns)) + [len(cols)]
-    blocks = list(zip(edges, edges[1:]))
-    compared = 0
-    for bi, (lo_i, hi_i) in enumerate(blocks):
-        ti = col_block(lo_i, hi_i)
-        for lo_j, hi_j in blocks[bi:]:
-            tj = ti if lo_j == lo_i else col_block(lo_j, hi_j)
-            prod = ti.T @ tj
-            for a in range(hi_i - lo_i):
-                jstart = a if lo_j == lo_i else 0
-                ca = cols[lo_i + a]
-                for b in range(jstart, hi_j - lo_j):
-                    mu = tuple(sorted(ca + cols[lo_j + b]))
-                    lhs = 2 * int(prod[a, b])       # both halves of +-x
-                    known = memo.get(mu)
-                    if known is None:
-                        ms = _match_sum(mu, gram_rows, matchings)
-                        memo[mu] = (lhs, ms)
-                        compared += 1
-                        if lhs * denom != scale * ms:
-                            return CertReport(
-                                check="moment-tensor",
-                                verdict=FAIL,
-                                inputs={"layer_norm": layer.norm,
-                                        "layer_size": len(layer),
-                                        "degree": two_k},
-                                details={"proof": True, "dtype": dtype,
-                                         "entries": compared,
-                                         "elapsed": round(time.time() - t0, 3)},
-                                witnesses={"monomial": list(mu),
-                                           "lhs_times_denominator": lhs * denom,
-                                           "rhs_times_denominator": scale * ms})
-                    elif known[0] != lhs:
-                        raise ModLatticeError(
-                            "inconsistent moment recomputation")
-    expect = math.comb(n + two_k - 1, two_k)
-    if compared != expect:
-        raise ModLatticeError("moment entries missed: %d of %d"
-                              % (compared, expect))
-    return CertReport(
-        check="moment-tensor",
-        verdict=PASS,
-        inputs={"layer_norm": layer.norm, "layer_size": len(layer),
-                "degree": two_k},
-        details={"proof": True, "dtype": dtype, "entries": compared,
-                 "elapsed": round(time.time() - t0, 3)})
+def _pair_histogram(gram, half: np.ndarray, m: int) -> dict:
+    """{v: number of ordered pairs (x, y) in H x H with (x, y) = v}.
+
+    Rows of H are taken in blocks of about _BLOCK_ENTRIES products, each
+    against the rows from its own first row on, so that every pair above
+    the diagonal is formed once and counted twice; the diagonal adds |H|
+    pairs of value m.  Cauchy-Schwarz puts every value in [-m, m], so
+    bincount (offset by m) tallies a block while 2m + 1 fits the budget,
+    and np.unique beyond, so that a rescaled lattice never allocates O(m).
+    """
+    import numpy as np
+    size = len(half)
+    left, right = _dot_factors(gram, half)
+    rows = max(1, _BLOCK_ENTRIES // max(size, 1))
+    dense = 2 * m + 1 <= _BLOCK_ENTRIES
+    tally = np.zeros(2 * m + 1, dtype=np.int64) if dense else {}
+    index = np.empty(rows * size, dtype=np.intp) if dense else None
+
+    def add(dots):
+        if dense:
+            idx = index[:dots.size].reshape(dots.shape)
+            np.add(dots, m, out=idx, casting="unsafe")
+            tally[:] += np.bincount(idx.ravel(), minlength=2 * m + 1)
+            return
+        values, counts = np.unique(dots, return_counts=True)
+        for v, c in zip(values.tolist(), counts.tolist()):
+            tally[int(v)] = tally.get(int(v), 0) + c
+
+    for lo in range(0, size, rows):
+        hi = min(lo + rows, size)
+        square = left[lo:hi] @ right[:, lo:hi]
+        add(square[np.triu_indices(hi - lo, 1)])
+        add(left[lo:hi] @ right[:, hi:])
+    if dense:
+        hist = {v - m: 2 * int(c) for v, c in enumerate(tally.tolist()) if c}
+    else:
+        hist = {v: 2 * c for v, c in tally.items()}
+    hist[m] = hist.get(m, 0) + size
+    return hist
+
+
+def _direction_witness(lat, arr, half, degree, rhs):
+    """The first layer vector y with sum_{x in X} (x, y)^degree != rhs."""
+    left, _ = _dot_factors(lat.gram, arr)
+    _, right = _dot_factors(lat.gram, half)
+    rows = max(1, _BLOCK_ENTRIES // max(len(half), 1))
+    for lo in range(0, len(arr), rows):
+        for i, dots in enumerate(left[lo:lo + rows] @ right, lo):
+            lhs = 2 * exact_power_sums(dots, [degree])[degree]
+            if lhs != rhs:
+                return {"direction": [int(c) for c in arr[i]],
+                        "degree": degree, "lhs": lhs, "rhs": rhs}
+    raise ModLatticeError("pair sum differs but no direction deviates")
+
+
+def _pair_sum_test(layer: VectorLayer, degrees):
+    """Venkov pair-sum verdict of each even degree (ascending) on a layer.
+
+    Returns ({degree: PASS or FAIL}, witness), where the witness names a
+    direction for the first failed degree and is None when all pass.  A
+    pair sum below its bound is impossible and raises ModLatticeError.
+    """
+    lat, arr = _layer_data(layer)
+    half = _half_rows(arr)
+    if not degrees:
+        return {}, None
+    n, m, size = lat.dim, int(layer.norm), len(layer)
+    hist = _pair_histogram(lat.gram, half, m)
+    verdicts, witness = {}, None
+    for d in degrees:
+        k = d // 2
+        den = math.prod(n + 2 * i for i in range(k))
+        # both sides times den; (+-x, +-y) are four pairs of one value
+        scaled = 4 * sum(c * v ** d for v, c in hist.items()) * den
+        bound = size * size * m ** d * double_factorial_odd(k)
+        if scaled < bound:
+            raise ModLatticeError(
+                "degree-%d pair sum below the design bound: arithmetic "
+                "fault" % d)
+        verdicts[d] = PASS if scaled == bound else FAIL
+        if verdicts[d] == FAIL and witness is None:
+            rhs = design_constant(n, k, size, m) * m ** k
+            witness = _direction_witness(lat, arr, half, d, rhs)
+    return verdicts, witness
 
 
 @dataclass(frozen=True)
 class DesignTestConfig:
-    """How to certify each even degree of a target design strength."""
+    """Accepted by check_design for compatibility.
 
-    tensor_max: int = TENSOR_MAX_DEGREE
-    witness_count: int = DEFAULT_WITNESSES
-    seed: int = DEFAULT_SEED
-    witnesses: tuple = None
+    The pair-sum test is exact and draws nothing at random, so seed has
+    no effect on the verdict and is not echoed in the report.
+    """
 
-    def strategy(self, degree: int) -> str:
-        return "tensor" if degree <= self.tensor_max else "witness"
+    seed: int = None
 
 
 def check_design(layer: VectorLayer, strength: int,
                  config: DesignTestConfig = None) -> CertReport:
-    """Certify design strength t for a layer, degree by degree.
+    """Prove or disprove design strength t for a layer.
 
-    Even degrees up to tensor_max get the entrywise tensor proof; higher
-    ones fall back to witness sampling.  The verdict is a proof exactly
-    when every degree used the tensor strategy (for antipodal layers odd
-    degrees hold automatically).
+    Every even degree 2j <= t gets its own exact pair-sum verdict (odd
+    degrees hold by antipodality), so the report is a proof either way;
+    config has no effect.
     """
     t0 = time.time()
-    if config is None:
-        config = DesignTestConfig()
-    degrees = [d for d in range(2, strength + 1, 2)]
-    parts = {}
-    proof = True
-    witness_degrees = [d for d in degrees if config.strategy(d) == "witness"]
-    for d in degrees:
-        if config.strategy(d) == "tensor":
-            rep = moment_tensor_test(layer, d)
-            parts[d] = rep
-            if rep.verdict == FAIL:
-                break
-        else:
-            proof = False
-    if witness_degrees and all(parts[d].verdict == PASS for d in parts):
-        rep = power_sum_design_test(layer, witness_degrees,
-                                    witnesses=config.witnesses,
-                                    witness_count=config.witness_count,
-                                    seed=config.seed)
-        for d in witness_degrees:
-            parts[d] = rep
-    failed = [d for d, r in parts.items() if r.verdict == FAIL]
-    verdict = FAIL if failed else PASS
-    detail = {
-        "strength": strength,
-        "degrees": {d: {"strategy": config.strategy(d),
-                        "verdict": parts[d].verdict}
-                    for d in sorted(parts)},
-        "proof": proof and not failed,
-        "elapsed": round(time.time() - t0, 3),
-    }
-    wit = None
-    if failed:
-        wit = parts[failed[0]].witnesses
-    return CertReport(check="design-strength", verdict=verdict,
+    verdicts, wit = _pair_sum_test(layer, range(2, strength + 1, 2))
+    return CertReport(check="design-strength",
+                      verdict=FAIL if wit else PASS,
                       inputs={"layer_norm": layer.norm,
                               "layer_size": len(layer), "strength": strength},
-                      details=detail, witnesses=wit, seed=config.seed)
+                      details={"strength": strength, "degrees": verdicts,
+                               "proof": True},
+                      witnesses=wit, elapsed=time.time() - t0)
 
 
 def is_strongly_perfect(lat: Lattice, threads=1) -> CertReport:
     """Proof-level test that Min(L) is a 4-design (hence 5 by antipodality).
 
-    Runs the entrywise tensor comparison in degrees 2 and 4 on the layer
-    of minimal vectors.
+    Runs the pair-sum test in degrees 2 and 4 on the layer of minimal
+    vectors.
     """
     t0 = time.time()
     layer = min_layer(lat, threads=threads)
-    parts = []
-    for d in (2, 4):
-        rep = moment_tensor_test(layer, d)
-        parts.append(rep)
-        if rep.verdict == FAIL:
-            return CertReport(
-                check="strongly-perfect", verdict=FAIL,
-                inputs={"dim": lat.dim, "min": layer.norm,
-                        "kissing": len(layer)},
-                details={"proof": True, "failed_degree": d,
-                         "elapsed": round(time.time() - t0, 3)},
-                witnesses=rep.witnesses)
+    _, wit = _pair_sum_test(layer, (2, 4))
+    inputs = {"dim": lat.dim, "min": layer.norm, "kissing": len(layer)}
+    if wit:
+        return CertReport(
+            check="strongly-perfect", verdict=FAIL, inputs=inputs,
+            details={"proof": True, "failed_degree": wit["degree"]},
+            witnesses=wit, elapsed=time.time() - t0)
     return CertReport(
-        check="strongly-perfect", verdict=PASS,
-        inputs={"dim": lat.dim, "min": layer.norm, "kissing": len(layer)},
-        details={"proof": True, "degrees": [2, 4],
-                 "elapsed": round(time.time() - t0, 3)})
+        check="strongly-perfect", verdict=PASS, inputs=inputs,
+        details={"proof": True, "degrees": [2, 4]},
+        elapsed=time.time() - t0)
 
 
 def _sym_vec(row, n):
@@ -434,45 +312,35 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
     c = Fraction(int(m) * len(layer), n)
     strong = all(2 * int(s[i][j]) == c * ginv[i][j]
                  for i in range(n) for j in range(n))
+
+    def report(verdict, details, **extra):
+        return CertReport(
+            check="eutaxy", verdict=verdict,
+            inputs={"dim": n, "min": m, "kissing": len(layer)},
+            details=details, elapsed=time.time() - t0, **extra)
+
     if strong:
-        lam = 1 / c
-        return CertReport(
-            check="eutaxy", verdict=PASS,
-            inputs={"dim": n, "min": m, "kissing": len(layer)},
-            details={"kind": STRONGLY_EUTACTIC, "coefficient": lam,
-                     "proof": True, "elapsed": round(time.time() - t0, 3)})
+        return report(PASS, {"kind": STRONGLY_EUTACTIC, "coefficient": 1 / c,
+                             "proof": True})
     if len(half) > EUTAXY_SOLVE_LIMIT:
-        return CertReport(
-            check="eutaxy", verdict=INCONCLUSIVE,
-            inputs={"dim": n, "min": m, "kissing": len(layer)},
-            details={"kind": NO_CERT, "proof": False,
-                     "reason": "system too large for exact solve",
-                     "elapsed": round(time.time() - t0, 3)})
+        return report(INCONCLUSIVE, {
+            "kind": NO_CERT, "proof": False,
+            "reason": "system too large for exact solve"})
     # one projector per antipodal pair; a pair coefficient mu splits into
     # lambda = mu/2 on each of x and -x
     rows = [_sym_vec([int(x) for x in row], n) for row in half]
     sol = solve(rows, list(_upper_of(ginv, n)))
     if sol is None:
-        return CertReport(
-            check="eutaxy", verdict=FAIL,
-            inputs={"dim": n, "min": m, "kissing": len(layer)},
-            details={"kind": NOT_EUTACTIC, "proof": True,
-                     "reason": "identity not in the span of the projectors",
-                     "elapsed": round(time.time() - t0, 3)})
+        return report(FAIL, {
+            "kind": NOT_EUTACTIC, "proof": True,
+            "reason": "identity not in the span of the projectors"})
     if all(x > 0 for x in sol):
-        wit = {"coefficients": [Fraction(x) / 2 for x in sol]}
-        return CertReport(
-            check="eutaxy", verdict=PASS,
-            inputs={"dim": n, "min": m, "kissing": len(layer)},
-            details={"kind": EUTACTIC_CERT, "proof": True,
-                     "elapsed": round(time.time() - t0, 3)},
-            witnesses=wit)
-    return CertReport(
-        check="eutaxy", verdict=INCONCLUSIVE,
-        inputs={"dim": n, "min": m, "kissing": len(layer)},
-        details={"kind": NO_CERT, "proof": False,
-                 "reason": "particular solution has nonpositive entries",
-                 "elapsed": round(time.time() - t0, 3)})
+        return report(PASS, {"kind": EUTACTIC_CERT, "proof": True},
+                      witnesses={"coefficients": [Fraction(x) / 2
+                                                  for x in sol]})
+    return report(INCONCLUSIVE, {
+        "kind": NO_CERT, "proof": False,
+        "reason": "particular solution has nonpositive entries"})
 
 
 def _upper_of(mat, n):
@@ -491,8 +359,8 @@ def min_product_check(lat: Lattice, threads=1) -> CertReport:
     return CertReport(
         check="min-product", verdict=PASS if product >= bound else FAIL,
         inputs={"dim": lat.dim, "min": mp.minimum, "dual_min": md.minimum},
-        details={"product": product, "bound": bound,
-                 "elapsed": round(time.time() - t0, 3)})
+        details={"product": product, "bound": bound},
+        elapsed=time.time() - t0)
 
 
 def even_min_lower_bound(dim: int) -> int:
@@ -516,9 +384,9 @@ def coxeter_number(lat: Lattice, threads=1) -> Fraction:
     return Fraction(tc.count(2), lat.dim)
 
 
-def coxeter_identity_check(lat: Lattice, witness_count=20,
-                           seed=DEFAULT_SEED, threads=1) -> CertReport:
-    """Sampled check of sum_{x in L_2} (a,x)^2 = 2h (a,a), h = |L_2|/dim."""
+def coxeter_identity_check(lat: Lattice, threads=1) -> CertReport:
+    """Proof of sum_{x in L_2} (a,x)^2 = 2h (a,a), h = |L_2|/dim, or a
+    direction a that breaks it: the degree-2 design identity on L_2."""
     t0 = time.time()
     tc = enumerate_vectors(lat, 2, collect=True, threads=threads)
     layer = tc.layers.get(2)
@@ -526,17 +394,15 @@ def coxeter_identity_check(lat: Lattice, witness_count=20,
         return CertReport(
             check="coxeter-identity", verdict=INCONCLUSIVE,
             inputs={"dim": lat.dim},
-            details={"reason": "no vectors of norm 2",
-                     "elapsed": round(time.time() - t0, 3)})
-    h = Fraction(len(layer), lat.dim)
-    rep = power_sum_design_test(layer, [2], witness_count=witness_count,
-                                seed=seed)
-    detail = {"coxeter_number": h, "roots": len(layer),
-              "proof": rep.verdict == FAIL,
-              "elapsed": round(time.time() - t0, 3)}
-    return CertReport(check="coxeter-identity", verdict=rep.verdict,
+            details={"reason": "no vectors of norm 2"},
+            elapsed=time.time() - t0)
+    _, wit = _pair_sum_test(layer, (2,))
+    detail = {"coxeter_number": Fraction(len(layer), lat.dim),
+              "roots": len(layer), "proof": True}
+    return CertReport(check="coxeter-identity",
+                      verdict=FAIL if wit else PASS,
                       inputs={"dim": lat.dim}, details=detail,
-                      witnesses=rep.witnesses, seed=seed)
+                      witnesses=wit or [], elapsed=time.time() - t0)
 
 
 PREDICTED_STRENGTH = {

@@ -1,13 +1,22 @@
 """Independent oracles that the tests check the fast paths against."""
 from fractions import Fraction
 import itertools
+from itertools import combinations_with_replacement
 import math
+import time
 
 from modlattice import linalg
 from modlattice.arith import int_or_fraction
-from modlattice.errors import CapacityError, DefinitenessError
+from modlattice.designs import (FLOAT_EXACT_LIMIT, INT64_LIMIT, _half_rows,
+                                _layer_data)
+from modlattice.enumeration import VectorLayer
+from modlattice.errors import (CapacityError, DefinitenessError,
+                               ModLatticeError)
 from modlattice.lattice import Lattice, inner
 from modlattice.qseries import QSeries
+from modlattice.report import FAIL, PASS, CertReport
+
+TENSOR_MAX_DEGREE = 6
 
 
 def box_counts(lat: Lattice, bound, guard=10 ** 8) -> dict:
@@ -128,3 +137,128 @@ def gram_lll_fraction(gram, delta=Fraction(3, 4)):
     if all(x.denominator == 1 for row in gram for x in map(Fraction, row)):
         g = [[int(x) for x in row] for row in g]
     return g, u
+
+
+def _perfect_matchings(k2: int):
+    """All perfect matchings of positions 0..k2-1 as pair tuples."""
+    if k2 == 0:
+        return [()]
+    out = []
+    rest = list(range(1, k2))
+    for i, p in enumerate(rest):
+        others = rest[:i] + rest[i + 1:]
+        remap = {j: q for j, q in enumerate(others)}
+        for sub in _perfect_matchings(k2 - 2):
+            out.append(((0, p),) + tuple((remap[a], remap[b])
+                                         for a, b in sub))
+    return out
+
+
+def _match_sum(indices, gram_rows, matchings) -> int:
+    s = 0
+    for mt in matchings:
+        p = 1
+        for a, b in mt:
+            p *= gram_rows[indices[a]][indices[b]]
+            if p == 0:
+                break
+        s += p
+    return s
+
+
+def moment_tensor_test(layer: VectorLayer, two_k: int,
+                       block_columns=650) -> CertReport:
+    """Entrywise proof of the degree-2k design identity on a layer.
+
+    Compares sum_x y^mu (y = Gx, mu over all monomials of degree 2k) with
+    the matching-sum expansion of c_k (a,a)^k.  Products are accumulated
+    in float64 only when every partial result is an exact integer below
+    2^53, otherwise in int64; the comparison itself is done on cleared
+    integers, so a pass is a proof.
+    """
+    import numpy as np
+    t0 = time.time()
+    if two_k % 2 or two_k <= 0 or two_k > TENSOR_MAX_DEGREE:
+        raise ValueError("tensor strategy supports even degrees 2..%d"
+                         % TENSOR_MAX_DEGREE)
+    k = two_k // 2
+    lat, arr = _layer_data(layer)
+    n = lat.dim
+    m = int(layer.norm)
+    half = _half_rows(arr)
+    gram_rows = [[int(x) for x in row] for row in lat.gram]
+    gram = np.array(gram_rows, dtype=np.int64)
+    y = half @ gram
+    ymax = int(np.abs(y).max()) if len(y) else 0
+    colmax = ymax ** k
+    acc_bound = len(half) * colmax * colmax
+    if acc_bound < FLOAT_EXACT_LIMIT:
+        yf = y.astype(np.float64)
+        dtype = "float64"
+    elif acc_bound < INT64_LIMIT:
+        yf = y
+        dtype = "int64"
+    else:
+        raise ModLatticeError("moment accumulation would overflow")
+    cols = list(combinations_with_replacement(range(n), k))
+    denom = math.prod(n + 2 * i for i in range(k))
+    matchings = _perfect_matchings(two_k)
+    scale = 2 * len(half) * m ** k        # |X| * m^k
+    memo = {}
+
+    def col_block(lo, hi):
+        blk = np.empty((len(half), hi - lo), dtype=yf.dtype)
+        for j in range(lo, hi):
+            c = yf[:, cols[j][0]].copy()
+            for idx in cols[j][1:]:
+                c *= yf[:, idx]
+            blk[:, j - lo] = c
+        return blk
+
+    edges = list(range(0, len(cols), block_columns)) + [len(cols)]
+    blocks = list(zip(edges, edges[1:]))
+    compared = 0
+    for bi, (lo_i, hi_i) in enumerate(blocks):
+        ti = col_block(lo_i, hi_i)
+        for lo_j, hi_j in blocks[bi:]:
+            tj = ti if lo_j == lo_i else col_block(lo_j, hi_j)
+            prod = ti.T @ tj
+            for a in range(hi_i - lo_i):
+                jstart = a if lo_j == lo_i else 0
+                ca = cols[lo_i + a]
+                for b in range(jstart, hi_j - lo_j):
+                    mu = tuple(sorted(ca + cols[lo_j + b]))
+                    lhs = 2 * int(prod[a, b])       # both halves of +-x
+                    known = memo.get(mu)
+                    if known is None:
+                        ms = _match_sum(mu, gram_rows, matchings)
+                        memo[mu] = (lhs, ms)
+                        compared += 1
+                        if lhs * denom != scale * ms:
+                            return CertReport(
+                                check="moment-tensor",
+                                verdict=FAIL,
+                                inputs={"layer_norm": layer.norm,
+                                        "layer_size": len(layer),
+                                        "degree": two_k},
+                                details={"proof": True, "dtype": dtype,
+                                         "entries": compared,
+                                         "elapsed": round(time.time() - t0, 3)},
+                                witnesses={"monomial": list(mu),
+                                           "lhs_times_denominator": lhs * denom,
+                                           "rhs_times_denominator": scale * ms})
+                    elif known[0] != lhs:
+                        raise ModLatticeError(
+                            "inconsistent moment recomputation")
+    expect = math.comb(n + two_k - 1, two_k)
+    if compared != expect:
+        raise ModLatticeError("moment entries missed: %d of %d"
+                              % (compared, expect))
+    return CertReport(
+        check="moment-tensor",
+        verdict=PASS,
+        inputs={"layer_norm": layer.norm, "layer_size": len(layer),
+                "degree": two_k},
+        details={"proof": True, "dtype": dtype, "entries": compared,
+                 "elapsed": round(time.time() - t0, 3)})
+

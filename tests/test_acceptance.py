@@ -12,16 +12,15 @@ from functools import lru_cache
 
 from conftest import TIMINGS, VERDICTS
 
-from modlattice.designs import (even_min_lower_bound, eutaxy_check,
-                                harmonic_theta_truncation,
+from modlattice.designs import (check_design, even_min_lower_bound,
+                                eutaxy_check, harmonic_theta_truncation,
                                 is_strongly_perfect, min_product_check,
-                                moment_tensor_test, perfection_rank,
-                                power_sum_design_test)
+                                perfection_rank)
 from modlattice.enumeration import (enumerate_vectors, min_layer, minimum,
                                     theta_series)
 from modlattice.errors import EmptyBasisError
 from modlattice.lattice import (density, density_from_parameters, index_in,
-                                load_catalog, partial_dual, zn)
+                                inner, load_catalog, partial_dual, zn)
 from modlattice.modular import check_extremal, extremal_form, transformation_check
 from modlattice.qseries import ADMISSIBLE_LEVELS, LevelData, delta_level
 from modlattice.report import PASS
@@ -107,24 +106,25 @@ def test_criterion_04_level_data_table():
 def test_criterion_05_design_strengths(catalog, leech_layer):
     t0 = time.time()
     e8 = min_layer(catalog.lattice("E8"))
-    for two_k in (2, 4, 6):
-        rep = moment_tensor_test(e8, two_k)
-        assert rep.verdict == PASS and rep.details["proof"], two_k
-    e8_fail = power_sum_design_test(e8, [8])
-    assert e8_fail.verdict == "fail" and e8_fail.witnesses["degree"] == 8
+    rep = check_design(e8, 8)
+    assert rep.details["proof"]
+    assert rep.details["degrees"] == {2: PASS, 4: PASS, 6: PASS, 8: "fail"}
+    w = rep.witnesses
+    assert w["degree"] == 8 and w["lhs"] != w["rhs"]
+    assert w["lhs"] == sum(inner(e8.lattice.gram, x, w["direction"]) ** 8
+                           for x in e8.vectors)
 
-    for two_k in (2, 4, 6):
-        rep = moment_tensor_test(leech_layer, two_k)
-        assert rep.verdict == PASS and rep.details["proof"], two_k
-    wit = power_sum_design_test(leech_layer, [8, 10], witness_count=100)
-    assert wit.verdict == PASS and wit.seed == 41651
-    assert wit.details["checked"] == 200    # 100 directions, two degrees
+    leech = check_design(leech_layer, 12)
+    assert leech.details["proof"]
+    assert leech.details["degrees"] == {2: PASS, 4: PASS, 6: PASS, 8: PASS,
+                                        10: PASS, 12: "fail"}
+    assert leech.witnesses["degree"] == 12
 
     elapsed = time.time() - t0 + TIMINGS["leech_layer"]
     ok = elapsed <= 300.0
-    _line(5, ok, "E8 roots: degrees {2,4,6} proved, degree 8 disproved by "
-          "witness; Leech: {2,4,6} proved, {8,10} on 100 seeded witnesses "
-          "(seed %d) in %.1f s" % (wit.seed, elapsed))
+    _line(5, ok, "E8 roots: degrees {2,4,6} proved, degree 8 disproved "
+          "with a direction witness; Leech: degrees {2,4,6,8,10} proved, "
+          "degree 12 disproved, by exact pair sums in %.1f s" % elapsed)
     assert elapsed <= 300.0
 
 

@@ -8,8 +8,9 @@ import pytest
 
 import modlattice
 from modlattice import lattice
-from modlattice.cli import build_parser, parse_and_dispatch
+from modlattice.cli import _emit_report, build_parser, parse_and_dispatch
 from modlattice.modular import base_lattice
+from modlattice.report import CertReport
 
 
 def run(capsys, argv):
@@ -66,6 +67,16 @@ def test_check_design_pass_and_fail(capsys):
     code, out, _ = run(capsys, ["check-design", "--lattice", "E8", "--t", "8"])
     assert code == 1
     assert "witness" in out
+
+
+def test_emit_report_leaves_the_report_intact(capsys):
+    details = {"proof": True, "elapsed": 1.5, "stages": [{"seconds": 2}]}
+    rep = CertReport(check="demo", verdict="fail", details=dict(details),
+                     elapsed=3.0)
+    assert _emit_report(rep, False) == 1
+    out = capsys.readouterr().out
+    assert out == "[fail] demo\n  proof: True\n  stages: [{}]\n"
+    assert rep.details == details and rep.elapsed == 3.0
 
 
 def test_check_modular_budget_inconclusive(capsys):

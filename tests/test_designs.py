@@ -1,24 +1,31 @@
 """Design strength, perfection, eutaxy and harmonic theta series."""
 from fractions import Fraction
+import math
+import random
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import pytest
 
+from modlattice import designs
 from modlattice.designs import (DesignTestConfig, EUTACTIC_CERT,
                                 NOT_EUTACTIC, STRONGLY_EUTACTIC,
                                 check_design, coxeter_identity_check,
-                                coxeter_number, default_witnesses,
-                                design_constant, double_factorial_odd,
-                                eutaxy_check, even_min_lower_bound,
-                                exact_power_sums, harmonic_theta_truncation,
-                                is_perfect, is_strongly_perfect,
-                                min_product_check, moment_tensor_test,
-                                perfection_rank, power_sum_design_test,
-                                predicted_design_strength, zonal_harmonic)
-from modlattice.enumeration import VectorLayer, min_layer, theta_series
-from modlattice.errors import ModLatticeError
-from modlattice.lattice import Lattice, direct_sum, dual, rescale, zn
+                                coxeter_number, design_constant,
+                                double_factorial_odd, eutaxy_check,
+                                even_min_lower_bound, exact_power_sums,
+                                harmonic_theta_truncation, is_perfect,
+                                is_strongly_perfect, min_product_check,
+                                perfection_rank, predicted_design_strength,
+                                zonal_harmonic)
+from modlattice.enumeration import (VectorLayer, enumerate_vectors,
+                                    min_layer, theta_series)
+from modlattice.errors import (CapacityError, DefinitenessError,
+                               ModLatticeError)
+from modlattice.lattice import Lattice, direct_sum, dual, inner, rescale, zn
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
+from oracles import moment_tensor_test
 
 import numpy as np
 
@@ -36,37 +43,49 @@ def test_exact_power_sums_against_direct_loop():
     assert exact_power_sums(dots, (1, 2, 3, 6)) == want
 
 
-def test_default_witnesses_are_distinct_nonzero_and_stable():
-    w = default_witnesses(5, 40, 123)
-    assert len(set(w)) == 40
-    assert all(any(a) for a in w)
-    assert all(max(map(abs, a)) <= 9 for a in w)
-    assert w == default_witnesses(5, 40, 123)
-    assert w != default_witnesses(5, 40, 124)
+def _recompute(layer, witness):
+    """sum over the layer of (x, a)^degree at the witness direction a."""
+    a, d = witness["direction"], witness["degree"]
+    g = layer.lattice.gram
+    return sum(inner(g, x, a) ** d for x in layer.vectors)
 
 
 def test_square_vertices_are_a_3_design_not_4():
     lay = min_layer(zn(2))
-    assert power_sum_design_test(lay, [2]).verdict == PASS
-    rep = power_sum_design_test(lay, [4])
-    assert rep.verdict == FAIL
+    assert check_design(lay, 3).verdict == PASS
+    rep = check_design(lay, 4)
+    assert rep.verdict == FAIL and rep.details["proof"]
     w = rep.witnesses
+    assert w["degree"] == 4
+    assert w["direction"] in [list(v) for v in lay.vectors]
     # recompute the failing moment from the witness direction
-    a = w["direction"]
-    lhs = sum((v[0] * a[0] + v[1] * a[1]) ** 4 for v in lay.vectors)
+    lhs = _recompute(lay, w)
     assert lhs == w["lhs"] and lhs != w["rhs"]
+    assert w["rhs"] == design_constant(2, 2, 4, 1)     # (a, a) = 1
+
+
+def test_failure_direction_recomputes_on_d4(catalog):
+    lay = min_layer(catalog.lattice("D4"))
+    rep = check_design(lay, 6)
+    assert rep.details["degrees"] == {2: PASS, 4: PASS, 6: FAIL}
+    w = rep.witnesses
+    assert w["degree"] == 6
+    assert w["direction"] == list(lay.vectors[0])
+    a = w["direction"]
+    lhs = _recompute(lay, w)
+    assert lhs == w["lhs"] != w["rhs"]
+    aa = inner(lay.lattice.gram, a, a)
+    assert w["rhs"] == design_constant(4, 3, 24, 2) * aa ** 3
 
 
 def test_layer_guards():
     lay = min_layer(zn(2))
     with pytest.raises(ModLatticeError):
-        power_sum_design_test(VectorLayer(lay.norm, lay.vectors, True, None), [2])
+        check_design(VectorLayer(lay.norm, lay.vectors, True, None), 2)
     with pytest.raises(ModLatticeError):
-        power_sum_design_test(
-            VectorLayer(lay.norm, lay.vectors, False, lay.lattice), [2])
+        check_design(VectorLayer(lay.norm, lay.vectors, False, lay.lattice), 2)
     with pytest.raises(ModLatticeError):
-        moment_tensor_test(
-            VectorLayer(1, ((1, 0), (0, 1)), True, zn(2)), 2)
+        check_design(VectorLayer(1, ((1, 0), (0, 1)), True, zn(2)), 2)
 
 
 def test_moment_tensor_e8_roots(catalog):
@@ -103,20 +122,138 @@ def test_check_design_e8_seven_not_eight(catalog):
     lay = min_layer(catalog.lattice("E8"))
     rep = check_design(lay, 7)
     assert rep.verdict == PASS and rep.details["proof"]
-    assert {int(d) for d in rep.details["degrees"]} == {2, 4, 6}
-    rep8 = check_design(lay, 8)
-    assert rep8.verdict == FAIL
-    assert rep8.details["degrees"][8]["strategy"] == "witness"
+    assert rep.details["degrees"] == {2: PASS, 4: PASS, 6: PASS}
+    rep8 = check_design(lay, 8, DesignTestConfig(seed=7))
+    assert rep8.verdict == FAIL and rep8.details["proof"]
+    assert rep8.details["degrees"][8] == FAIL
     assert rep8.witnesses["degree"] == 8
-    assert rep8.seed == 41651
+    assert rep8.seed is None
+    assert rep8.to_dict() == {**check_design(lay, 8).to_dict(),
+                              "elapsed": rep8.to_dict()["elapsed"]}
 
 
-def test_design_config_strategy_split():
-    cfg = DesignTestConfig()
-    assert [cfg.strategy(d) for d in (2, 4, 6, 8, 10)] == [
-        "tensor", "tensor", "tensor", "witness", "witness"]
-    low = DesignTestConfig(tensor_max=2)
-    assert low.strategy(4) == "witness"
+def _tensor_parity_layers(catalog):
+    """Every catalogue minimal layer but Leech's, and the E8 and K12
+    shells up to norm 8."""
+    for entry in catalog:
+        if entry.name != "Leech":
+            yield entry.name, min_layer(entry.lattice)
+    for name in ("E8", "K12"):
+        tc = enumerate_vectors(catalog.lattice(name), 8, collect=True)
+        for norm, layer in sorted(tc.layers.items()):
+            if norm:
+                yield "%s norm %s" % (name, norm), layer
+
+
+def test_pair_sums_agree_with_the_moment_tensor(catalog):
+    """The tensor oracle proves degrees <= 6 entry by entry."""
+    seen = 0
+    for label, layer in _tensor_parity_layers(catalog):
+        verdicts, _ = designs._pair_sum_test(layer, (2, 4, 6))
+        for d in (2, 4, 6):
+            assert verdicts[d] == moment_tensor_test(layer, d).verdict, (
+                label, d)
+        seen += 1
+    assert seen == 16 + 4 + 3
+
+
+@st.composite
+def integral_layers(draw):
+    """A layer of A^T A for a random square integer A of dimension 2-6."""
+    n = draw(st.integers(2, 6))
+    a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    gram = [[sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    try:
+        lat = Lattice(gram)
+    except DefinitenessError:
+        assume(False)
+    bound = min(gram[i][i] for i in range(n)) + draw(st.integers(0, 2))
+    try:
+        tc = enumerate_vectors(lat, bound, collect=True, capacity=400)
+    except CapacityError:
+        assume(False)
+    return draw(st.sampled_from([v for k, v in tc.layers.items() if k]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integral_layers())
+def test_pair_sums_equal_a_double_loop(layer):
+    lat, arr = designs._layer_data(layer)
+    m, n, size = int(layer.norm), lat.dim, len(layer)
+    hist = designs._pair_histogram(lat.gram, designs._half_rows(arr), m)
+    dots = [inner(lat.gram, x, y) for x in layer.vectors
+            for y in layer.vectors]
+    verdicts, _ = designs._pair_sum_test(layer, (2, 4, 6, 8))
+    for d in (2, 4, 6, 8):
+        pair_sum = sum(v ** d for v in dots)
+        assert 4 * sum(c * v ** d for v, c in hist.items()) == pair_sum
+        bound = Fraction(size * size * m ** d * double_factorial_odd(d // 2),
+                         math.prod(n + 2 * i for i in range(d // 2)))
+        assert pair_sum >= bound
+        assert verdicts[d] == (PASS if pair_sum == bound else FAIL)
+
+
+def test_histogram_does_not_depend_on_the_block_size(catalog, monkeypatch):
+    """Blocks of 1 and 7 rows put block edges everywhere in the triangle;
+    a budget of 1 also switches bincount for np.unique.  Lowered exactness
+    limits send the small layers through int64 and object products."""
+    layers = [min_layer(catalog.lattice("D4")),
+              min_layer(catalog.lattice("K12")),
+              enumerate_vectors(catalog.lattice("E8"), 4,
+                                collect=True).layers[4]]
+    for layer in layers:
+        lat, arr = designs._layer_data(layer)
+        half = designs._half_rows(arr)
+        m = int(layer.norm)
+        want = designs._pair_histogram(lat.gram, half, m)
+        assert sum(want.values()) == len(half) ** 2
+        for budget in (7 * len(half), 1):
+            monkeypatch.setattr(designs, "_BLOCK_ENTRIES", budget)
+            assert designs._pair_histogram(lat.gram, half, m) == want
+        monkeypatch.undo()
+        if len(half) > 500:
+            continue
+        # bincount over int64 and object products
+        monkeypatch.setattr(designs, "FLOAT_EXACT_LIMIT", 0)
+        assert designs._dot_factors(lat.gram, half)[0].dtype.name == "int64"
+        assert designs._pair_histogram(lat.gram, half, m) == want
+        monkeypatch.setattr(designs, "INT64_LIMIT", 0)
+        assert designs._dot_factors(lat.gram, half)[0].dtype.name == "object"
+        assert designs._pair_histogram(lat.gram, half, m) == want
+        monkeypatch.undo()
+
+
+def _skewed(gram, steps, seed):
+    """g -> U g U^T for a seeded product of elementary unimodular U."""
+    rng = random.Random(seed)
+    g = [list(row) for row in gram]
+    for _ in range(steps):
+        i, j = rng.sample(range(len(g)), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        g[i] = [a + q * b for a, b in zip(g[i], g[j])]
+        for row in g:
+            row[i] += q * row[j]
+    return Lattice(g)
+
+
+def test_verdicts_survive_rescaling_on_every_dtype_path(catalog):
+    """A skewed E8 basis makes n max|Gx| max|x| about 2^14, so the scales
+    2^20, 2^40 and 2^60 reach the float64, int64 and object products."""
+    lay = min_layer(_skewed(catalog.lattice("E8").gram, 12, 1))
+    want = check_design(lay, 8)
+    assert want.details["degrees"] == {2: PASS, 4: PASS, 6: PASS, 8: FAIL}
+    for shift, dtype in ((20, "float64"), (40, "int64"), (60, "object")):
+        lat = rescale(lay.lattice, 2 ** shift)
+        big = VectorLayer(lay.norm * 2 ** shift, lay.vectors, True, lat)
+        _, arr = designs._layer_data(big)
+        left, right = designs._dot_factors(lat.gram, designs._half_rows(arr))
+        assert left.dtype.name == right.dtype.name == dtype
+        rep = check_design(big, 8)
+        assert rep.details == want.details, shift
+        w = rep.witnesses
+        assert w["direction"] == want.witnesses["direction"]
+        assert _recompute(big, w) == w["lhs"] != w["rhs"]
 
 
 def test_strongly_perfect_small_cases(catalog):
@@ -126,8 +263,9 @@ def test_strongly_perfect_small_cases(catalog):
     rep = is_strongly_perfect(zn(3))
     assert rep.verdict == FAIL
     assert rep.details["failed_degree"] == 4
-    assert rep.witnesses["lhs_times_denominator"] == 30
-    assert rep.witnesses["rhs_times_denominator"] == 18
+    # sum_x (x, e_i)^4 = 2 over the 6 vectors +-e_j; c_2 = 6 * 3 / 15
+    assert rep.witnesses["lhs"] == 2
+    assert rep.witnesses["rhs"] == Fraction(6, 5)
 
 
 def test_perfection_ranks(catalog):
@@ -207,7 +345,10 @@ def test_coxeter_identity(catalog):
         assert rep.details["coxeter_number"] == h
     # unbalanced norm-2 layer breaks the identity; no roots at all is
     # reported as inconclusive rather than a disproof
-    assert coxeter_identity_check(Lattice([[2, 0], [0, 6]])).verdict == FAIL
+        assert rep.details["proof"]
+    rep = coxeter_identity_check(Lattice([[2, 0], [0, 6]]))
+    assert rep.verdict == FAIL and rep.details["proof"]
+    assert rep.witnesses["degree"] == 2 and rep.witnesses["lhs"] == 8
     rep = coxeter_identity_check(Lattice([[1, 0], [0, 3]]))
     assert rep.verdict == "inconclusive"
 
