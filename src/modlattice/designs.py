@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .enumeration import (VectorLayer, enumerate_vectors, min_layer, minimum,
-                          theta_series, window_bound)
+from .enumeration import (DEFAULT_CAPACITY, VectorLayer, enumerate_vectors,
+                          min_layer, minimum, theta_series, window_bound)
 from .errors import ModLatticeError
 from .lattice import Lattice, dual, inner
 from .linalg import inverse, rank, solve
@@ -185,13 +185,17 @@ def _pair_sum_test(layer: VectorLayer, degrees):
     Returns ({degree: PASS or FAIL}, witness), where the witness names a
     direction for the first failed degree and is None when all pass.  A
     pair sum below its bound is impossible and raises ModLatticeError.
+    The histogram is built once per layer object and kept on it.
     """
     lat, arr = _layer_data(layer)
     half = _half_rows(arr)
     if not degrees:
         return {}, None
     n, m, size = lat.dim, int(layer.norm), len(layer)
-    hist = _pair_histogram(lat.gram, half, m)
+    hist = layer._histogram
+    if hist is None:
+        hist = _pair_histogram(lat.gram, half, m)
+        object.__setattr__(layer, "_histogram", hist)
     verdicts, witness = {}, None
     for d in degrees:
         k = d // 2
@@ -408,6 +412,7 @@ def coxeter_identity_check(lat: Lattice, threads=1) -> CertReport:
 PREDICTED_STRENGTH = {
     (1, 0): 11,
     (1, 4): 7,
+    (1, 8): 3,
     (2, 0): 7,
     (2, 2): 5,
     (3, 0): 5,
@@ -418,9 +423,9 @@ PREDICTED_STRENGTH = {
 def predicted_design_strength(n_level: int, weight: int):
     """Design strength guaranteed for extremal layers, by level and weight.
 
-    weight is dim * sigma0(N) / 4, reduced mod the weight k_N of the
-    level's cusp form; levels beyond 3 have no general prediction and
-    return None.
+    weight is dim / 2, the weight of the theta series, reduced mod the
+    weight k_N of the level's cusp form (Leech: weight 12, row (1, 0));
+    levels beyond 3 have no general prediction and return None.
     """
     if n_level not in (1, 2, 3):
         return None
@@ -510,7 +515,7 @@ def _cleared(dim, degree, coeffs):
 
 def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
                               precision_q: int, threads=1,
-                              capacity=None) -> QSeries:
+                              capacity=DEFAULT_CAPACITY) -> QSeries:
     """Truncated theta series weighted by a zonal harmonic of given degree.
 
     Coefficient of q^a is sum over the norm-a layer of Z_degree(x); these
@@ -535,10 +540,8 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
     bound = window_bound(lat, precision_q)
     coeffs = {}
     if bound > 0:
-        kw = {"collect": True, "threads": threads}
-        if capacity is not None:
-            kw["capacity"] = capacity
-        tc = enumerate_vectors(lat, bound, **kw)
+        tc = enumerate_vectors(lat, bound, collect=True, threads=threads,
+                               capacity=capacity)
         gram = np.array([[int(x) for x in row] for row in lat.gram],
                         dtype=np.int64)
         av = np.array(alpha, dtype=np.int64)

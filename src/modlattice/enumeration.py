@@ -18,7 +18,7 @@ recorded) makes the deep lattices tractable; results are transformed
 back to the original coordinates.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 import math
 from operator import mul
@@ -41,6 +41,8 @@ class VectorLayer:
     vectors: tuple
     complete: bool
     lattice: object = None
+    _histogram: dict = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def __len__(self):
         return len(self.vectors)
@@ -249,7 +251,12 @@ def _finalize_layers(reps, form, u_rows, lat):
     return layers
 
 
-def _lll_data(lat: Lattice):
+def _basis(lat: Lattice, reduce_first=None):
+    """(Gram, transform or None) of the search basis, LLL-reduced once."""
+    if reduce_first is None:
+        reduce_first = lat.dim >= 10
+    if not reduce_first:
+        return lat.gram, None
     if lat._lll is None:
         object.__setattr__(lat, "_lll", linalg.gram_lll(lat.gram))
     return lat._lll
@@ -280,18 +287,15 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     (default: on for dim >= 10).  threads > 1 splits the range of the
     outermost coordinate across processes; the merged result is identical
     to the serial one, and the capacity guard applies to the merged count.
+    Every call sweeps afresh; only minimum and theta_series share a memo.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if reduce_first is None:
-        reduce_first = lat.dim >= 10
-    if reduce_first:
-        g_red, u_rows = _lll_data(lat)
-        # the shift in reduced coordinates: shift_red * u = shift
-        shift_red = None if shift is None else linalg.solve(u_rows, shift)
-    else:
-        g_red, shift_red, u_rows = lat.gram, shift, None
+    g_red, u_rows = _basis(lat, reduce_first)
+    # the shift in reduced coordinates: shift_red * u = shift
+    shift_red = (shift if shift is None or u_rows is None
+                 else linalg.solve(u_rows, shift))
     canonical = shift is None
     form = _integer_form(g_red, shift_red)
 
@@ -328,45 +332,48 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
                        layers)
 
 
+def _counts(lat: Lattice, bound, threads=1) -> ThetaCounts:
+    """Counts of lat up to bound, cut from lat._sweep, the largest
+    count-only unshifted sweep of this (immutable) object; a larger bound
+    sweeps and replaces it.  Each caller gets its own counts dict."""
+    bound = Fraction(bound)
+    memo = lat._sweep
+    if memo is None or memo.bound < bound:
+        memo = enumerate_vectors(lat, bound, threads=threads)
+        object.__setattr__(lat, "_sweep", memo)
+    return ThetaCounts(bound, {k: v for k, v in memo.counts.items()
+                               if k <= bound})
+
+
 @dataclass(frozen=True)
 class MinimumReport:
     minimum: object
     kissing: int
-    counts: ThetaCounts
 
 
-def minimum(lat: Lattice, reduce_first=None, threads=1) -> MinimumReport:
-    """Minimum and kissing number by staged exact enumeration.
-
-    The smallest diagonal entry of the (reduced) Gram matrix is the norm
-    of a basis vector, hence an upper bound for the minimum; one sweep up
-    to it suffices.
-    """
-    if reduce_first is None:
-        reduce_first = lat.dim >= 10
-    g = _lll_data(lat)[0] if reduce_first else lat.gram
-    bound = min(g[i][i] for i in range(lat.dim))
-    tc = enumerate_vectors(lat, bound, reduce_first=reduce_first,
-                           threads=threads)
-    positive = sorted(k for k in tc.counts if k > 0)
-    m = positive[0]
-    return MinimumReport(m, tc.counts[m], tc)
+def _min_bound(lat: Lattice):
+    """Smallest diagonal entry of the Gram matrix the search runs on: the
+    norm of a basis vector, so a sweep up to it reaches Min(L)."""
+    g = _basis(lat)[0]
+    return min(g[i][i] for i in range(lat.dim))
 
 
-def min_layer(lat: Lattice, reduce_first=None, threads=1,
+def minimum(lat: Lattice, threads=1) -> MinimumReport:
+    """Minimum and kissing number, read off one count-only sweep to
+    _min_bound, or off any larger sweep already made on this object."""
+    tc = _counts(lat, _min_bound(lat), threads)
+    m = min(k for k in tc.counts if k > 0)
+    return MinimumReport(m, tc.counts[m])
+
+
+def min_layer(lat: Lattice, threads=1,
               capacity=DEFAULT_CAPACITY) -> VectorLayer:
     """The layer Min(L) of minimal vectors, collected.
 
-    Collects in a single sweep up to the smallest reduced diagonal entry
-    instead of running a counting pass first.
+    Collects in a single sweep up to _min_bound, not stored on lat.
     """
-    if reduce_first is None:
-        reduce_first = lat.dim >= 10
-    g = _lll_data(lat)[0] if reduce_first else lat.gram
-    bound = min(g[i][i] for i in range(lat.dim))
-    tc = enumerate_vectors(lat, bound, collect=True,
-                           reduce_first=reduce_first, threads=threads,
-                           capacity=capacity)
+    tc = enumerate_vectors(lat, _min_bound(lat), collect=True,
+                           threads=threads, capacity=capacity)
     m = min(k for k, layer in tc.layers.items() if k > 0 and len(layer))
     return tc.layers[m]
 
@@ -384,18 +391,17 @@ def window_bound(lat: Lattice, precision_q: int):
     return precision_q - Fraction(1, c)
 
 
-def theta_series(lat: Lattice, precision_q: int, reduce_first=None,
-                 threads=1) -> QSeries:
+def theta_series(lat: Lattice, precision_q: int, threads=1) -> QSeries:
     """Theta series with coefficients a_L(j) for all j < precision_q.
 
-    One sweep to window_bound determines the window.  Rational Grams are
-    accepted when every norm found is a multiple of 1/12, the exponent
-    unit of QSeries; otherwise ValueError names the first norm that is not.
+    The counts to window_bound, shared with minimum (see _counts),
+    determine the window.  Rational Grams are accepted when every norm
+    found is a multiple of 1/12, the exponent unit of QSeries; otherwise
+    ValueError names the first norm that is not.
     """
     if precision_q < 1:
         raise ValueError("precision must be at least 1")
-    tc = enumerate_vectors(lat, window_bound(lat, precision_q),
-                           reduce_first=reduce_first, threads=threads)
+    tc = _counts(lat, window_bound(lat, precision_q), threads)
     coeffs = {}
     for norm, count in tc.counts.items():
         if (12 * norm) % 1:

@@ -9,7 +9,6 @@ whose q-expansion starts 1 + 0 q^2 + ... + 0 q^(2l) + a q^(2l+2).
 import math
 import time
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .arith import exact_divisors
@@ -37,14 +36,7 @@ def base_lattice(n_level: int, catalog=None) -> Lattice:
                        % n_level)
 
 
-@lru_cache(maxsize=None)
-def _theta_base_bundled(n_level, precision):
-    return theta_series(base_lattice(n_level), precision)
-
-
 def theta_base(n_level: int, precision: int, catalog=None) -> QSeries:
-    if catalog is None:
-        return _theta_base_bundled(n_level, precision)
     return theta_series(base_lattice(n_level, catalog), precision)
 
 
@@ -214,7 +206,6 @@ def check_modular(lat: Lattice, precision: int = 20, n_level=None,
     if not lat.is_integral:
         raise ModLatticeError("modularity checks need an integral lattice")
     n_level = _resolve_level(lat, n_level)
-    base = None  # swept only when a divisor needs a theta comparison
     results = []
     for m in exact_divisors(n_level):
         pd = rescale(partial_dual(lat, m, lat_level=n_level), m)
@@ -230,10 +221,8 @@ def check_modular(lat: Lattice, precision: int = 20, n_level=None,
         if linalg.mat_eq(pd.gram, lat.gram):
             results.append(DivisorResult(m, PASS, PASS, "identical gram"))
             continue
-        if base is None:
-            base = theta_series(lat, precision)
-        other = theta_series(pd, precision)
-        equal, window, diff = base.agree(other)
+        equal, window, diff = theta_series(lat, precision).agree(
+            theta_series(pd, precision))
         if not equal:
             results.append(DivisorResult(
                 m, FAIL, "skipped",

@@ -19,8 +19,9 @@ from modlattice.designs import (check_design, even_min_lower_bound,
 from modlattice.enumeration import (enumerate_vectors, min_layer, minimum,
                                     theta_series)
 from modlattice.errors import EmptyBasisError
-from modlattice.lattice import (density, density_from_parameters, index_in,
-                                inner, load_catalog, partial_dual, zn)
+from modlattice.lattice import (Lattice, density, density_from_parameters,
+                                index_in, inner, load_catalog, partial_dual,
+                                zn)
 from modlattice.modular import check_extremal, extremal_form, transformation_check
 from modlattice.qseries import ADMISSIBLE_LEVELS, LevelData, delta_level
 from modlattice.report import PASS
@@ -238,7 +239,8 @@ def test_criterion_12_coefficient_scan():
 def test_criterion_13_property_suites(catalog):
     e8 = catalog.lattice("E8")
     k12 = catalog.lattice("K12")
-    assert theta_series(e8, 8, threads=2) == theta_series(e8, 8, threads=1)
+    assert (theta_series(Lattice(e8.gram), 8, threads=2)
+            == theta_series(Lattice(e8.gram), 8, threads=1))
     assert (enumerate_vectors(k12, 4, threads=3).counts
             == enumerate_vectors(k12, 4, threads=1).counts)
 

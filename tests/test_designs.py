@@ -361,6 +361,40 @@ def test_predicted_design_strength():
     assert predicted_design_strength(3, 6) == 5
     assert predicted_design_strength(3, 1) == 5
     assert predicted_design_strength(5, 2) is None
+    assert predicted_design_strength(1, 8) == 3
+
+
+def test_dimension_16_roots_are_3_designs_as_predicted(catalog):
+    e8 = catalog.lattice("E8")
+    t = predicted_design_strength(1, 8)
+    for lat in (catalog.lattice("D16plus"), direct_sum(e8, e8)):
+        layer = min_layer(lat)
+        assert len(layer) == 480
+        assert check_design(layer, t).verdict == PASS
+        for strength in (t + 1, t + 2):
+            rep = check_design(layer, strength)
+            assert rep.verdict == FAIL and rep.witnesses["degree"] == 4
+
+
+def test_one_histogram_per_layer(catalog, monkeypatch):
+    built = []
+    histogram = designs._pair_histogram
+
+    def counted(*args):
+        built.append(args)
+        return histogram(*args)
+    monkeypatch.setattr(designs, "_pair_histogram", counted)
+    tc = enumerate_vectors(catalog.lattice("E8"), 6, collect=True)
+    layer = tc.layers[6]
+    seven, eleven = check_design(layer, 7), check_design(layer, 11)
+    assert len(built) == 1
+    assert seven.verdict == PASS and eleven.verdict == FAIL
+    assert eleven.witnesses["degree"] == 8
+    # a fresh layer with the same vectors builds its own
+    fresh = enumerate_vectors(catalog.lattice("E8"), 6, collect=True)
+    assert check_design(fresh.layers[6], 11).to_dict()["witnesses"] == (
+        eleven.to_dict()["witnesses"])
+    assert len(built) == 2
 
 
 def test_zonal_coefficient_tables():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from modlattice import enumeration
 from modlattice.enumeration import (_integer_form, enumerate_vectors,
                                     min_layer, minimum, theta_series)
 from modlattice.errors import CapacityError
@@ -77,8 +78,10 @@ def test_box_oracle_with_rational_gram():
 
 
 def test_threads_merge_is_identical(catalog):
+    # fresh objects: a second call on one object is served from its memo
     e8 = catalog.lattice("E8")
-    assert theta_series(e8, 8, threads=2) == theta_series(e8, 8, threads=1)
+    assert (theta_series(Lattice(e8.gram), 8, threads=2)
+            == theta_series(Lattice(e8.gram), 8, threads=1))
     k12 = catalog.lattice("K12")
     a = enumerate_vectors(k12, 4, threads=3)
     b = enumerate_vectors(k12, 4, threads=1)
@@ -222,3 +225,43 @@ def test_bound_validation():
         enumerate_vectors(zn(2), -1)
     with pytest.raises(ValueError):
         theta_series(zn(2), 0)
+
+
+def count_sweeps(monkeypatch):
+    """Lattice objects handed to the enumeration kernel, one per call."""
+    swept = []
+    kernel = enumeration.enumerate_vectors
+
+    def counted(lat, *args, **kwargs):
+        swept.append(lat)
+        return kernel(lat, *args, **kwargs)
+    monkeypatch.setattr(enumeration, "enumerate_vectors", counted)
+    return swept
+
+
+def test_minimum_and_theta_read_one_sweep(catalog, monkeypatch):
+    swept = count_sweeps(monkeypatch)
+    for lat in (catalog.lattice("E8"), catalog.lattice("K12"),
+                dual(catalog.lattice("A2")), zn(5)):
+        warm = Lattice(lat.gram)
+        theta_series(warm, 10)
+        assert swept == [warm]
+        # a smaller window and the minimum are cut from the q^10 sweep
+        assert theta_series(warm, 4) == theta_series(Lattice(lat.gram), 4)
+        assert minimum(warm) == minimum(Lattice(lat.gram))
+        assert sum(s is warm for s in swept) == 1
+        # callers get their own counts: emptying one changes no later read
+        enumeration._counts(warm, 2).counts.clear()
+        assert (enumeration._counts(warm, 2).counts
+                == enumerate_vectors(Lattice(lat.gram), 2).counts)
+        swept.clear()
+
+
+def test_a_larger_bound_sweeps_again_and_replaces(monkeypatch):
+    swept = count_sweeps(monkeypatch)
+    lat = zn(3)
+    assert theta_series(lat, 2) == theta_series(zn(3), 2)
+    assert theta_series(lat, 6) == theta_series(zn(3), 6)
+    assert theta_series(lat, 4) == theta_series(zn(3), 4)
+    assert sum(s is lat for s in swept) == 2
+    assert lat._sweep.bound == 5

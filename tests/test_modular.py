@@ -5,7 +5,8 @@ import pytest
 
 from modlattice.enumeration import theta_series
 from modlattice.errors import EmptyBasisError, LevelError
-from modlattice.lattice import Lattice, direct_sum, rescale, zn
+from modlattice.lattice import (Lattice, bundled_catalog, direct_sum, rescale,
+                                zn)
 from modlattice.modular import (ModularityVerdict, base_lattice,
                                 check_extremal, check_extremal_odd,
                                 check_modular, extremal_form,
@@ -13,6 +14,7 @@ from modlattice.modular import (ModularityVerdict, base_lattice,
                                 transformation_check)
 from modlattice.qseries import ADMISSIBLE_LEVELS
 from modlattice.report import FAIL, INCONCLUSIVE, PASS
+from test_enumeration import count_sweeps
 
 
 def test_theta_base_matches_enumeration(catalog):
@@ -20,6 +22,23 @@ def test_theta_base_matches_enumeration(catalog):
         tb = theta_base(n, 8)
         th = theta_series(base_lattice(n, catalog), 8)
         assert tb.agree(th)[0], "level %d" % n
+
+
+def test_check_extremal_sweeps_the_lattice_once(monkeypatch):
+    # check_modular's theta, minimum, the window theta and (for A2, its own
+    # base lattice) theta_base all read one sweep of the object; the
+    # partial duals are other objects and are swept on their own
+    bundled_catalog.cache_clear()
+    cat = bundled_catalog()
+    swept = count_sweeps(monkeypatch)
+    for name in ("A2", "K12", "BW16"):
+        lat = cat.lattice(name)
+        swept.clear()
+        assert check_extremal(lat).verdict == PASS
+        assert sum(s is lat for s in swept) == 1, name
+        # the one nontrivial divisor's partial dual, a lattice of its own
+        assert sum(s is not lat and s.dim == lat.dim for s in swept) == 1
+    assert base_lattice(3) is cat.lattice("A2")
 
 
 def test_base_lattice_dimensions():
