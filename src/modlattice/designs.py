@@ -33,19 +33,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .enumeration import (DEFAULT_CAPACITY, VectorLayer, enumerate_vectors,
-                          min_layer, minimum, theta_series, window_bound)
+from .enumeration import (VectorLayer, enumerate_vectors, min_layer,
+                          minimum, theta_series, window_bound)
 from .errors import ModLatticeError
 from .lattice import Lattice, dual, inner
-from .linalg import inverse, rank, solve
+from .linalg import (exact_factors, gram_factors, integer_array, inverse,
+                     rank, solve)
 from .qseries import LevelData, QSeries
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 
 if TYPE_CHECKING:
     import numpy as np
 
-FLOAT_EXACT_LIMIT = 1 << 53
-INT64_LIMIT = 1 << 62
 # inner products formed per block of rows: bounds the working memory of
 # the pair histogram (about 8 bytes per entry, a few arrays at a time)
 _BLOCK_ENTRIES = 1 << 20
@@ -64,7 +63,6 @@ def design_constant(dim: int, k: int, count: int, norm) -> Fraction:
 
 
 def _layer_data(layer: VectorLayer):
-    import numpy as np
     if layer.lattice is None:
         raise ModLatticeError("layer carries no lattice reference")
     if not layer.complete:
@@ -72,10 +70,7 @@ def _layer_data(layer: VectorLayer):
     lat = layer.lattice
     if not lat.is_integral:
         raise ModLatticeError("design tests need an integral lattice")
-    arr = np.array(layer.vectors, dtype=np.int64)
-    if arr.ndim != 2:
-        arr = arr.reshape(len(layer.vectors), lat.dim)
-    return lat, arr
+    return lat, integer_array(layer.vectors).reshape(len(layer), lat.dim)
 
 
 def _half_rows(arr: np.ndarray) -> np.ndarray:
@@ -98,32 +93,6 @@ def exact_power_sums(dots: np.ndarray, degrees) -> dict:
     return {d: sum(c * v ** d for v, c in pairs) for d in degrees}
 
 
-def _dot_factors(gram, rows: np.ndarray):
-    """(rows @ G, rows^T) in a dtype in which their product is exact.
-
-    Every partial sum of an entry (x, y) of the product is bounded by
-    n * max|Gx| * max|y|: float64 is exact below 2^53, int64 below 2^62,
-    and Python integers (object dtype) beyond.
-    """
-    import numpy as np
-    n = len(gram)
-    xmax = int(np.abs(rows).max()) if rows.size else 0
-    g = [[int(v) for v in row] for row in gram]
-    gmax = max(abs(v) for row in g for v in row)
-    wide = object if n * gmax * xmax >= INT64_LIMIT else np.int64
-    gx = rows.astype(wide) @ np.array(g, dtype=wide)
-    cap = n * (int(np.abs(gx).max()) if gx.size else 0) * xmax
-    if cap < FLOAT_EXACT_LIMIT:
-        dtype = np.float64
-    elif cap < INT64_LIMIT:
-        dtype = np.int64
-    else:
-        dtype = object
-    # a C-ordered right factor: BLAS reads its column blocks contiguously
-    # (column slices of the F-ordered transpose ran about 17 times slower)
-    return gx.astype(dtype), rows.T.astype(dtype, order="C")
-
-
 def _pair_histogram(gram, half: np.ndarray, m: int) -> dict:
     """{v: number of ordered pairs (x, y) in H x H with (x, y) = v}.
 
@@ -136,7 +105,7 @@ def _pair_histogram(gram, half: np.ndarray, m: int) -> dict:
     """
     import numpy as np
     size = len(half)
-    left, right = _dot_factors(gram, half)
+    left, right = gram_factors(gram, half, half)
     rows = max(1, _BLOCK_ENTRIES // max(size, 1))
     dense = 2 * m + 1 <= _BLOCK_ENTRIES
     tally = np.zeros(2 * m + 1, dtype=np.int64) if dense else {}
@@ -167,8 +136,7 @@ def _pair_histogram(gram, half: np.ndarray, m: int) -> dict:
 
 def _direction_witness(lat, arr, half, degree, rhs):
     """The first layer vector y with sum_{x in X} (x, y)^degree != rhs."""
-    left, _ = _dot_factors(lat.gram, arr)
-    _, right = _dot_factors(lat.gram, half)
+    left, right = gram_factors(lat.gram, arr, half)
     rows = max(1, _BLOCK_ENTRIES // max(len(half), 1))
     for lo in range(0, len(arr), rows):
         for i, dots in enumerate(left[lo:lo + rows] @ right, lo):
@@ -312,7 +280,7 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
     n = lat.dim
     m = layer.norm
     ginv = inverse(lat.gram)
-    s = (half.T @ half) if len(half) else np.zeros((n, n), dtype=np.int64)
+    s = np.matmul(*exact_factors(half.T, half))
     c = Fraction(int(m) * len(layer), n)
     strong = all(2 * int(s[i][j]) == c * ginv[i][j]
                  for i in range(n) for j in range(n))
@@ -514,8 +482,7 @@ def _cleared(dim, degree, coeffs):
 
 
 def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
-                              precision_q: int, threads=1,
-                              capacity=DEFAULT_CAPACITY) -> QSeries:
+                              precision_q: int, threads=1) -> QSeries:
     """Truncated theta series weighted by a zonal harmonic of given degree.
 
     Coefficient of q^a is sum over the norm-a layer of Z_degree(x); these
@@ -529,6 +496,8 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
         raise ValueError("precision must be at least 1")
     z = zonal_harmonic(lat.dim, degree)
     alpha = [int(c) for c in alpha]
+    if len(alpha) != lat.dim:
+        raise ValueError("axis needs %d coordinates" % lat.dim)
     if not any(alpha):
         raise ValueError("axis must be nonzero")
     if degree == 0:
@@ -540,18 +509,15 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
     bound = window_bound(lat, precision_q)
     coeffs = {}
     if bound > 0:
-        tc = enumerate_vectors(lat, bound, collect=True, threads=threads,
-                               capacity=capacity)
-        gram = np.array([[int(x) for x in row] for row in lat.gram],
-                        dtype=np.int64)
-        av = np.array(alpha, dtype=np.int64)
-        w_of_a = int(av @ (gram @ av))
+        tc = enumerate_vectors(lat, bound, collect=True, threads=threads)
+        # (x, a) = x . Ga, with Ga and (a, a) in Python integers
+        ga = [sum(g * c for g, c in zip(row, alpha)) for row in lat.gram]
+        w_of_a = inner(lat.gram, alpha, alpha)
         degrees = [degree - 2 * j for j in range(len(z.coefficients))]
         for norm, layer in tc.layers.items():
             if norm == 0:
                 continue
-            arr = np.array(layer.vectors, dtype=np.int64)
-            dots = arr @ (gram @ av)
+            dots = np.matmul(*exact_factors(layer.vectors, ga))
             sums = exact_power_sums(dots, degrees)
             w = int(norm) * w_of_a
             total = sum(c * (w ** j) * sums[degree - 2 * j]

@@ -366,14 +366,13 @@ def minimum(lat: Lattice, threads=1) -> MinimumReport:
     return MinimumReport(m, tc.counts[m])
 
 
-def min_layer(lat: Lattice, threads=1,
-              capacity=DEFAULT_CAPACITY) -> VectorLayer:
+def min_layer(lat: Lattice, threads=1) -> VectorLayer:
     """The layer Min(L) of minimal vectors, collected.
 
     Collects in a single sweep up to _min_bound, not stored on lat.
     """
     tc = enumerate_vectors(lat, _min_bound(lat), collect=True,
-                           threads=threads, capacity=capacity)
+                           threads=threads)
     m = min(k for k, layer in tc.layers.items() if k > 0 and len(layer))
     return tc.layers[m]
 

@@ -3,9 +3,9 @@
 Backtracking over short vectors: the image of the i-th basis vector must
 be a vector of the right norm with the right inner products against the
 images already chosen.  Both forms are LLL reduced first so the needed
-layers stay small.  Candidate filtering runs on int64 arrays (with an a
-priori overflow check); any isometry found is re-verified in exact
-rational arithmetic before it is reported.
+layers stay small.  Candidate filtering runs on numpy arrays in the
+dtype that linalg.exact_factors makes exact; any isometry found is
+re-verified in exact rational arithmetic before it is reported.
 """
 
 from fractions import Fraction
@@ -39,22 +39,20 @@ def _check(u_rows, ga, gb):
     return linalg.mat_eq(g, [[Fraction(x) for x in row] for row in ga])
 
 
-def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET,
-                  dim_cap=DEFAULT_DIM_CAP):
+def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
     """Search for U with U G_b U^T = G_a.
 
     Returns (status, u, nodes): u rows are the b-coordinates of the images
     of a's basis vectors.  `not-isometric` is a proof (invariant mismatch
     or exhausted search), `inconclusive` means the node budget or the
-    dimension cap was hit.
+    dimension cap DEFAULT_DIM_CAP was hit.
     """
     if a.dim != b.dim or a.det != b.det:
         return NOT_ISOMETRIC, None, 0
     n = a.dim
     if linalg.mat_eq(a.gram, b.gram):
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        return ISOMETRIC, ident, 0
-    if n > dim_cap:
+        return ISOMETRIC, linalg.mat_identity(n), 0
+    if n > DEFAULT_DIM_CAP:
         return INCONCLUSIVE, None, 0
     import numpy as np
 
@@ -70,20 +68,18 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET,
     if ta.counts != tb.counts:
         return NOT_ISOMETRIC, None, 0
 
-    gb_np = np.array(gb, dtype=np.int64)
-    layers, dots = {}, {}
-    for norm, layer in tb.layers.items():
-        arr = np.array(layer.vectors, dtype=np.int64)
-        layers[norm] = arr
-        dots[norm] = arr @ gb_np
-
-    vmax = max(int(np.abs(arr).max()) for arr in layers.values() if arr.size)
-    gmax = max(abs(x) for row in gb for x in row)
-    if n * vmax * vmax * gmax >= 2 ** 62:
-        return INCONCLUSIVE, None, 0
+    # every layer in one array, so that one cast covers the products of
+    # any layer's dots with vectors chosen from any other
+    flat = linalg.integer_array(
+        [v for layer in tb.layers.values() for v in layer.vectors])
+    flat_dots, flat_t = linalg.gram_factors(gb, flat, flat)
+    flat = flat_t.T
+    cuts = np.cumsum([len(layer) for layer in tb.layers.values()])[:-1]
+    layers = dict(zip(tb.layers, np.split(flat, cuts)))
+    dots = dict(zip(tb.layers, np.split(flat_dots, cuts)))
 
     need = [ga[i][i] for i in range(n)]
-    chosen = np.zeros((n, n), dtype=np.int64)
+    chosen = np.zeros((n, n), dtype=flat.dtype)
     nodes = 0
 
     def candidates(i):

@@ -229,15 +229,7 @@ def density(lat: Lattice, minimum) -> DensityReport:
     The rational part min^n/det is computed exactly; pi enters only in
     the final float for delta = (V_n/2^n) sqrt(min^n/det).
     """
-    m = Fraction(minimum)
-    if m <= 0:
-        raise ValueError("minimum must be positive")
-    n = lat.dim
-    ratio_sq = m ** n / Fraction(lat.det)
-    ratio = _sqrt_fraction(ratio_sq)
-    v_n = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    delta = v_n / 2 ** n * math.sqrt(ratio_sq)
-    return DensityReport(n, m, Fraction(lat.det), ratio_sq, ratio, delta)
+    return density_from_parameters(lat.dim, minimum, lat.det)
 
 
 def density_from_parameters(dim: int, minimum, det) -> DensityReport:

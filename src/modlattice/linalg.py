@@ -9,12 +9,20 @@ integral LLL on a Gram matrix (Cohen, A Course in Computational
 Algebraic Number Theory, Alg. 2.6.7; de Weger 1987) with the unimodular
 transform recorded.  Also here: Hermite normal form over the integers
 and coordinate duals.
+
+`exact_factors` is the one rule for the dtype of an exact numpy product
+of integer matrices (float64, int64 or Python integers, the narrowest);
+`designs` and `isometry` multiply only through it and `gram_factors`.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import DefinitenessError, ShapeError
+
+FLOAT_EXACT_LIMIT = 1 << 53
+INT64_LIMIT = 1 << 62
+LLL_DELTA = Fraction(3, 4)
 
 
 def check_square(m):
@@ -33,8 +41,8 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_identity(n, one=1):
-    return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
+def mat_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_eq(a, b):
@@ -53,6 +61,53 @@ def clear_denominators(m):
     c = lcm(*(x.denominator for row in fm for x in row))
     return [[x.numerator * (c // x.denominator) for x in row]
             for row in fm], c
+
+
+def integer_array(rows):
+    """rows as a numpy array: int64 when every entry fits, else object
+    (Python integers)."""
+    import numpy as np
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def exact_factors(a, b):
+    """(a, b) cast to the narrowest dtype in which a @ b is exact.
+
+    a and b are integer arrays or nested lists of integers; a float64
+    array must hold integers, as the product of exact factors does.
+    Every partial sum of a row of a against any vector of entries of b
+    is bounded by k * max|a| * max|b|, k the length of a's rows: float64
+    is exact below 2^53, int64 below 2^62, and Python integers (object
+    dtype) beyond.  Both results are fresh C-ordered arrays.
+    """
+    import numpy as np
+    a, b = (x if isinstance(x, np.ndarray) else integer_array(x)
+            for x in (a, b))
+    # max and -min: abs of the least int64 would wrap
+    bound = a.shape[-1] * prod(max(int(x.max()), -int(x.min()))
+                               if x.size else 0 for x in (a, b))
+    if bound < FLOAT_EXACT_LIMIT:
+        dtype = np.float64
+    elif bound < INT64_LIMIT:
+        dtype = np.int64
+    else:
+        dtype = object
+    # float input (integers below 2^53) reaches Python ints through int64;
+    # C order: BLAS reads column blocks of a transposed right factor
+    # contiguously (slices of the F-ordered transpose ran 17 times slower)
+    return tuple(
+        (x.astype(np.int64) if dtype is object and x.dtype.kind == "f"
+         else x).astype(dtype, order="C") for x in (a, b))
+
+
+def gram_factors(gram, rows, cols):
+    """(rows @ G, cols^T), cast so that their product, the inner products
+    (x, y) of the rows x with the cols y (integer arrays), is exact."""
+    import numpy as np
+    return exact_factors(np.matmul(*exact_factors(rows, gram)), cols.T)
 
 
 def bareiss_rows(m):
@@ -141,7 +196,7 @@ def inverse(m):
     return [[Fraction(c * x, den) for x in row[n:]] for row in rows]
 
 
-def hnf(rows, ncols=None):
+def hnf(rows):
     """Row-style Hermite normal form of an integer matrix.
 
     Returns the echelon rows (zero rows dropped): pivots positive, entries
@@ -150,7 +205,7 @@ def hnf(rows, ncols=None):
     """
     if not rows:
         return []
-    n = ncols if ncols is not None else len(rows[0])
+    n = len(rows[0])
     a = [list(map(int, r)) for r in rows]
     piv = 0
     pivots = []
@@ -221,7 +276,7 @@ def solve(a_rows, b):
     return x
 
 
-def gram_lll(gram, delta=Fraction(3, 4)):
+def gram_lll(gram):
     """LLL-reduce a quadratic form given only by its Gram matrix.
 
     Returns (reduced_gram, u) with reduced_gram = u * gram * u^T and u an
@@ -230,11 +285,11 @@ def gram_lll(gram, delta=Fraction(3, 4)):
     lcm of the denominators: the state is the Gram determinants d[i] of
     the first i rows and lam[i][j] = d[j + 1] * mu[i][j], all integers,
     and every division is exact.  The steps are those of rational LLL
-    with the same delta; the result is divided by c again at the end.
+    with delta = LLL_DELTA; the result is divided by c again at the end.
     """
     n = check_square(gram)
     g, c = clear_denominators(gram)
-    dn, dd = delta.as_integer_ratio()
+    dn, dd = LLL_DELTA.as_integer_ratio()
     u = mat_identity(n)
 
     # Gram-Schmidt data of every row before the first step, so that a form

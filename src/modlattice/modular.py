@@ -14,8 +14,7 @@ from . import linalg
 from .arith import exact_divisors
 from .enumeration import enumerate_vectors, minimum, theta_series
 from .errors import CatalogError, EmptyBasisError, ModLatticeError
-from .isometry import (
-    DEFAULT_BUDGET, DEFAULT_DIM_CAP, ISOMETRIC, NOT_ISOMETRIC, find_isometry)
+from .isometry import DEFAULT_BUDGET, ISOMETRIC, NOT_ISOMETRIC, find_isometry
 from .lattice import (
     Lattice, bundled_catalog, integral_dual_scale, level as lattice_level,
     partial_dual, rescale, dual)
@@ -25,23 +24,21 @@ from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 from dataclasses import dataclass
 
 
-def base_lattice(n_level: int, catalog=None) -> Lattice:
+def base_lattice(n_level: int) -> Lattice:
     """The catalogue lattice whose theta series generates weight d_N."""
     LevelData.for_level(n_level)
-    cat = catalog if catalog is not None else bundled_catalog()
-    for entry in cat:
+    for entry in bundled_catalog():
         if entry.level == n_level and entry.claims.get("theta_base"):
             return entry.lattice
     raise CatalogError("no base lattice for level %d in the catalogue"
                        % n_level)
 
 
-def theta_base(n_level: int, precision: int, catalog=None) -> QSeries:
-    return theta_series(base_lattice(n_level, catalog), precision)
+def theta_base(n_level: int, precision: int) -> QSeries:
+    return theta_series(base_lattice(n_level), precision)
 
 
-def modform_basis(n_level: int, weight: int, precision: int,
-                  catalog=None) -> list:
+def modform_basis(n_level: int, weight: int, precision: int) -> list:
     """Products Delta_N^i theta_N^j with k_N i + d_N j = weight, by i.
 
     The i-th element has leading term exactly q^(2i); empty when the
@@ -52,7 +49,7 @@ def modform_basis(n_level: int, weight: int, precision: int,
     data = LevelData.for_level(n_level)
     if weight % data.theta_weight != 0:
         return []
-    theta = theta_base(n_level, precision, catalog)
+    theta = theta_base(n_level, precision)
     delta = delta_level(n_level, 12 * precision)
     out = []
     power = QSeries.one(12 * precision)
@@ -86,8 +83,7 @@ class ExtremalForm:
         return 2 * (self.weight // data.weight) + 2
 
 
-def extremal_form(n_level: int, weight: int, precision: int,
-                  catalog=None) -> ExtremalForm:
+def extremal_form(n_level: int, weight: int, precision: int) -> ExtremalForm:
     """The modular form 1 + 0 q^2 + ... + 0 q^(2l) + a q^(2l+2) + ...
 
     l = floor(weight / k_N); the combination over the unitriangular basis
@@ -99,7 +95,7 @@ def extremal_form(n_level: int, weight: int, precision: int,
     l = weight // data.weight
     if precision <= 2 * l + 2:
         raise ValueError("precision must exceed 2l+2 = %d" % (2 * l + 2))
-    basis = modform_basis(n_level, weight, precision, catalog)
+    basis = modform_basis(n_level, weight, precision)
     if not basis:
         raise EmptyBasisError("weight %d is not represented at level %d"
                               % (weight, n_level))
@@ -194,8 +190,8 @@ def _resolve_level(lat: Lattice, n_level):
 
 
 def check_modular(lat: Lattice, precision: int = 20, n_level=None,
-                  isometry_budget: int = DEFAULT_BUDGET, exact: bool = True,
-                  dim_cap: int = DEFAULT_DIM_CAP) -> ModularityVerdict:
+                  isometry_budget: int = DEFAULT_BUDGET,
+                  exact: bool = True) -> ModularityVerdict:
     """Strong modularity certificate: for every exact divisor m of the
     level, the rescaled partial dual must have the same theta series on
     the window (formal) and, within budget, an exact isometry.
@@ -231,8 +227,7 @@ def check_modular(lat: Lattice, precision: int = 20, n_level=None,
         if not exact:
             results.append(DivisorResult(m, PASS, "skipped", ""))
             continue
-        status, _, nodes = find_isometry(lat, pd, budget=isometry_budget,
-                                         dim_cap=dim_cap)
+        status, _, nodes = find_isometry(lat, pd, budget=isometry_budget)
         if status == ISOMETRIC:
             results.append(DivisorResult(m, PASS, PASS,
                                          "%d nodes" % nodes))
@@ -253,13 +248,13 @@ def _det_power_check(lat, n_level):
     return lat.det == Fraction(n_level) ** (n // 2)
 
 
-def check_extremal(lat: Lattice, n_level=None, threads: int = 1,
-                   precision=None) -> CertReport:
+def check_extremal(lat: Lattice, n_level=None,
+                   threads: int = 1) -> CertReport:
     """Extremality certificate for an even strongly modular lattice.
 
     Pass means minimum(L) equals 2 + 2 floor(k / k_N) for weight
     k = dim/2 and the theta series matches the extremal form on the
-    computed window (2l + 4 q-units by default).
+    computed window of 2l + 4 q-units.
     """
     t0 = time.time()
     inputs = {"dim": lat.dim, "det": lat.det}
@@ -279,7 +274,7 @@ def check_extremal(lat: Lattice, n_level=None, threads: int = 1,
             witnesses=[{"det": lat.det, "expected": expected}])
     weight = lat.dim // 2
     l = weight // data.weight
-    window = precision if precision is not None else 2 * l + 4
+    window = 2 * l + 4
     verdict = check_modular(lat, precision=window, n_level=n_level,
                             exact=False)
     if not verdict.formal_pass:

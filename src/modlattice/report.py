@@ -39,7 +39,6 @@ class CertReport:
     inputs: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
-    seed: object = None
     elapsed: float = 0.0
 
     @property
@@ -47,7 +46,7 @@ class CertReport:
         return self.verdict == PASS
 
     def to_dict(self):
-        out = {
+        return {
             "check": self.check,
             "verdict": self.verdict,
             "inputs": jsonable(self.inputs),
@@ -55,9 +54,6 @@ class CertReport:
             "witnesses": jsonable(self.witnesses),
             "elapsed": round(self.elapsed, 3),
         }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
@@ -74,6 +70,4 @@ class CertReport:
         elif self.witnesses:
             for w in self.witnesses:
                 lines.append("  witness: %s" % (jsonable(w),))
-        if self.seed is not None:
-            lines.append("  seed: %s" % self.seed)
         return "\n".join(lines)

@@ -7,12 +7,12 @@ import time
 
 from modlattice import linalg
 from modlattice.arith import int_or_fraction
-from modlattice.designs import (FLOAT_EXACT_LIMIT, INT64_LIMIT, _half_rows,
-                                _layer_data)
+from modlattice.designs import _half_rows, _layer_data
 from modlattice.enumeration import VectorLayer
 from modlattice.errors import (CapacityError, DefinitenessError,
                                ModLatticeError)
 from modlattice.lattice import Lattice, inner
+from modlattice.linalg import FLOAT_EXACT_LIMIT, INT64_LIMIT
 from modlattice.qseries import QSeries
 from modlattice.report import FAIL, PASS, CertReport
 

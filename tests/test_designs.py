@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from modlattice import designs
+from modlattice import designs, linalg
 from modlattice.designs import (DesignTestConfig, EUTACTIC_CERT,
                                 NOT_EUTACTIC, STRONGLY_EUTACTIC,
                                 check_design, coxeter_identity_check,
@@ -19,7 +19,7 @@ from modlattice.designs import (DesignTestConfig, EUTACTIC_CERT,
                                 perfection_rank, predicted_design_strength,
                                 zonal_harmonic)
 from modlattice.enumeration import (VectorLayer, enumerate_vectors,
-                                    min_layer, theta_series)
+                                    min_layer, theta_series, window_bound)
 from modlattice.errors import (CapacityError, DefinitenessError,
                                ModLatticeError)
 from modlattice.lattice import Lattice, direct_sum, dual, inner, rescale, zn
@@ -127,7 +127,7 @@ def test_check_design_e8_seven_not_eight(catalog):
     assert rep8.verdict == FAIL and rep8.details["proof"]
     assert rep8.details["degrees"][8] == FAIL
     assert rep8.witnesses["degree"] == 8
-    assert rep8.seed is None
+    assert "seed" not in rep8.to_dict()
     assert rep8.to_dict() == {**check_design(lay, 8).to_dict(),
                               "elapsed": rep8.to_dict()["elapsed"]}
 
@@ -215,11 +215,13 @@ def test_histogram_does_not_depend_on_the_block_size(catalog, monkeypatch):
         if len(half) > 500:
             continue
         # bincount over int64 and object products
-        monkeypatch.setattr(designs, "FLOAT_EXACT_LIMIT", 0)
-        assert designs._dot_factors(lat.gram, half)[0].dtype.name == "int64"
+        monkeypatch.setattr(linalg, "FLOAT_EXACT_LIMIT", 0)
+        left, _ = linalg.gram_factors(lat.gram, half, half)
+        assert left.dtype.name == "int64"
         assert designs._pair_histogram(lat.gram, half, m) == want
-        monkeypatch.setattr(designs, "INT64_LIMIT", 0)
-        assert designs._dot_factors(lat.gram, half)[0].dtype.name == "object"
+        monkeypatch.setattr(linalg, "INT64_LIMIT", 0)
+        left, _ = linalg.gram_factors(lat.gram, half, half)
+        assert left.dtype.name == "object"
         assert designs._pair_histogram(lat.gram, half, m) == want
         monkeypatch.undo()
 
@@ -247,7 +249,8 @@ def test_verdicts_survive_rescaling_on_every_dtype_path(catalog):
         lat = rescale(lay.lattice, 2 ** shift)
         big = VectorLayer(lay.norm * 2 ** shift, lay.vectors, True, lat)
         _, arr = designs._layer_data(big)
-        left, right = designs._dot_factors(lat.gram, designs._half_rows(arr))
+        half = designs._half_rows(arr)
+        left, right = linalg.gram_factors(lat.gram, half, half)
         assert left.dtype.name == right.dtype.name == dtype
         rep = check_design(big, 8)
         assert rep.details == want.details, shift
@@ -301,6 +304,24 @@ def test_eutaxy_certificate_without_strong_eutaxy(catalog):
     coeffs = rep.witnesses["coefficients"]
     assert sorted(coeffs) == [Fraction(1, 6)] * 3 + [Fraction(1, 4)]
     assert all(c > 0 for c in coeffs)
+
+
+def test_eutaxy_of_a_basis_of_z2_with_entries_past_int64():
+    """half^T half has entries 2^64: int64 wrapped them into a false
+    'not strongly eutactic'."""
+    rep = eutaxy_check(Lattice([[1, 2 ** 32], [2 ** 32, 2 ** 64 + 1]]))
+    assert rep.verdict == PASS
+    assert rep.details["kind"] == STRONGLY_EUTACTIC
+
+
+def test_design_verdicts_on_coordinates_past_int64():
+    """Min of a 2^70 skew of Z^2 has coordinates 2^70; every verdict
+    matches a small skew of the same lattice."""
+    for g in ([[1, 3], [3, 10]], [[1, 2 ** 70], [2 ** 70, 2 ** 140 + 1]]):
+        lat = Lattice(g)
+        assert is_strongly_perfect(lat).verdict == FAIL, g
+        assert eutaxy_check(lat).details["kind"] == STRONGLY_EUTACTIC, g
+        assert check_design(min_layer(lat), 3).verdict == PASS, g
 
 
 def test_eutaxy_disproof():
@@ -482,6 +503,27 @@ def test_harmonic_theta_odd_precision_keeps_top_even_norm(catalog):
     even = harmonic_theta_truncation(a2, (1, 0), 6, 10)
     assert odd.coefficient_q(8) == even.coefficient_q(8) == 24576
     assert odd.agree(even)[0]
+
+
+def test_harmonic_theta_on_an_axis_past_int64(catalog):
+    """(a, a) = 1.8 * 10^19 overflowed int64; the series must equal the
+    Python-integer sum of Z_8 over every collected layer."""
+    e8 = catalog.lattice("E8")
+    alpha = (3 * 10 ** 9, 1, 0, 0, 0, 0, 0, 0)
+    qs = harmonic_theta_truncation(e8, alpha, 8, 6)
+    z = zonal_harmonic(8, 8)
+    tc = enumerate_vectors(e8, window_bound(e8, 6), collect=True)
+    want = {12 * norm: sum(z.eval(e8.gram, x, alpha) for x in layer.vectors)
+            for norm, layer in tc.layers.items() if norm}
+    assert qs.coeffs == {e: c for e, c in want.items() if c}
+    assert len(qs.coeffs) == 2
+
+
+def test_harmonic_theta_rejects_an_axis_of_the_wrong_length(catalog):
+    """Ga is summed row by row in Python: a short axis must not be read
+    as one padded with zeros."""
+    with pytest.raises(ValueError, match="8 coordinates"):
+        harmonic_theta_truncation(catalog.lattice("E8"), (1, 2, 3), 8, 4)
 
 
 def test_harmonic_theta_rejects_a_rational_gram(catalog):

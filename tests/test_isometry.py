@@ -2,10 +2,11 @@
 import random
 from fractions import Fraction
 
+from modlattice import isometry
 from modlattice.enumeration import theta_series
 from modlattice.isometry import (INCONCLUSIVE, ISOMETRIC, NOT_ISOMETRIC,
                                  find_isometry)
-from modlattice.lattice import Lattice, direct_sum, dual, zn
+from modlattice.lattice import Lattice, direct_sum, dual, rescale, zn
 
 from test_enumeration import random_gram, transformed, unimodular
 
@@ -36,6 +37,19 @@ def test_transformed_e8_found_with_verified_witness(catalog):
     status, u, _ = find_isometry(other, e8)
     assert status == ISOMETRIC
     assert check_witness(u, other, e8)
+
+
+def test_e8_scaled_past_int64_is_found(catalog):
+    """At scale 2^60 the dots against the Gram pass 2^62: the search runs
+    on Python integers and finds what it finds at scale 1."""
+    rng = random.Random(17)
+    e8 = catalog.lattice("E8")
+    other = transformed(e8, unimodular(rng, 8, steps=10))
+    a, b = rescale(other, 2 ** 60), rescale(e8, 2 ** 60)
+    status, u, nodes = find_isometry(a, b)
+    assert status == ISOMETRIC
+    assert isometry._check(u, a.gram, b.gram)
+    assert nodes == find_isometry(other, e8)[2]
 
 
 def test_dimension_and_determinant_fast_paths():

@@ -16,6 +16,7 @@ from modlattice.errors import DefinitenessError, ShapeError
 from modlattice.lattice import (c_n_lattice, dual, integral_dual_scale, level,
                                 rescale, zn)
 from oracles import gram_lll_fraction
+import numpy as np
 
 CASES = 300
 
@@ -266,3 +267,34 @@ def test_gram_lll_makes_no_fraction_arithmetic(catalog, name):
         assert set(calls) <= {"__new__", "numerator", "denominator",
                               "as_integer_ratio"}
         assert calls.count("__new__") == made
+
+
+@st.composite
+def factor_pairs(draw):
+    """Integer a (r x k) and b (k x c) with k max|a| max|b| within one
+    step of 2^53 or 2^62, a given as float64 when it fits exactly."""
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    limit = draw(st.sampled_from([53, 62]))
+    a_max = draw(st.integers(1, 2 ** 31))
+    b_max = max(1, (1 << limit) // (k * a_max) + draw(st.integers(-1, 1)))
+    a = [[draw(st.integers(-a_max, a_max)) for _ in range(k)]
+         for _ in range(r)]
+    b = [[draw(st.integers(-b_max, b_max)) for _ in range(c)]
+         for _ in range(k)]
+    a[0][0] = draw(st.sampled_from([-a_max, a_max]))
+    b[0][0] = draw(st.sampled_from([-b_max, b_max]))
+    return a, b, draw(st.booleans())
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(factor_pairs())
+def test_exact_factors_products_are_exact(pair):
+    a, b, as_float = pair
+    bound = len(b) * abs(a[0][0]) * abs(b[0][0])
+    want = ("float64" if bound < linalg.FLOAT_EXACT_LIMIT else
+            "int64" if bound < linalg.INT64_LIMIT else "object")
+    left, right = linalg.exact_factors(
+        np.array(a, dtype=np.float64) if as_float else a, b)
+    assert left.dtype.name == right.dtype.name == want
+    prod = np.matmul(left, right)
+    assert [[int(x) for x in row] for row in prod] == linalg.mat_mul(a, b)

@@ -18,9 +18,14 @@ from test_enumeration import count_sweeps
 
 
 def test_theta_base_matches_enumeration(catalog):
+    """theta_base sweeps the bundled catalogue's object; the same entry of
+    the separately loaded fixture is swept cold, not read from its memo."""
+    base = {e.level: e.lattice for e in catalog if e.claims.get("theta_base")}
     for n in ADMISSIBLE_LEVELS:
+        assert base[n] is not base_lattice(n)
+        assert base[n].gram == base_lattice(n).gram, "level %d" % n
         tb = theta_base(n, 8)
-        th = theta_series(base_lattice(n, catalog), 8)
+        th = theta_series(base[n], 8)
         assert tb.agree(th)[0], "level %d" % n
 
 
