@@ -16,17 +16,15 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .designs import (check_design, harmonic_theta_truncation,
-                      is_strongly_perfect)
 from .enumeration import min_layer, minimum, theta_series
 from .errors import ModLatticeError
 from .lattice import (Catalog, c_n_lattice, density, density_from_parameters,
                       bundled_catalog, integral_dual_scale, level,
                       load_catalog, zn)
-from .modular import (check_extremal, check_extremal_odd, check_modular,
-                      extremal_form)
 from .report import FAIL, INCONCLUSIVE, PASS, jsonable
-from .shadow import shadow_min, shadow_theta
+
+# designs, modular and shadow are imported by the handlers that use them,
+# so that the light verbs (min, theta, density, info) start without them
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -245,6 +243,7 @@ def cmd_min(args):
 
 
 def cmd_extremal_form(args):
+    from .modular import extremal_form
     form = extremal_form(args.level, args.weight, max(args.prec, 1))
     payload = {"level": form.level, "weight": form.weight,
                "jump": form.jump, "series": form.series.to_json()}
@@ -252,6 +251,7 @@ def cmd_extremal_form(args):
 
 
 def cmd_check_modular(args):
+    from .modular import check_modular
     cat = _catalog(args)
     lat = resolve_lattice(args.lattice, cat)
     verdict = check_modular(lat, precision=args.prec, n_level=args.level,
@@ -266,6 +266,7 @@ def cmd_check_modular(args):
 
 
 def cmd_check_extremal(args):
+    from .modular import check_extremal, check_extremal_odd
     cat = _catalog(args)
     lat = resolve_lattice(args.lattice, cat)
     if lat.is_even:
@@ -277,6 +278,7 @@ def cmd_check_extremal(args):
 
 
 def cmd_check_design(args):
+    from .designs import check_design
     cat = _catalog(args)
     lat = resolve_lattice(args.lattice, cat)
     if args.t < 1:
@@ -287,6 +289,7 @@ def cmd_check_design(args):
 
 
 def cmd_check_strongly_perfect(args):
+    from .designs import is_strongly_perfect
     cat = _catalog(args)
     lat = resolve_lattice(args.lattice, cat)
     rep = is_strongly_perfect(lat, threads=args.threads)
@@ -294,6 +297,7 @@ def cmd_check_strongly_perfect(args):
 
 
 def cmd_harmonic_theta(args):
+    from .designs import harmonic_theta_truncation
     cat = _catalog(args)
     lat = resolve_lattice(args.lattice, cat)
     alpha = _parse_alpha(args.alpha, lat.dim)
@@ -305,6 +309,7 @@ def cmd_harmonic_theta(args):
 
 
 def cmd_shadow(args):
+    from .shadow import shadow_min, shadow_theta
     cat = _catalog(args)
     lat = resolve_lattice(args.lattice, cat)
     if args.bound is not None:

@@ -31,19 +31,15 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .enumeration import (VectorLayer, enumerate_vectors, min_layer,
                           minimum, theta_series, window_bound)
 from .errors import ModLatticeError
 from .lattice import Lattice, dual, inner
 from .linalg import (exact_factors, gram_factors, integer_array, inverse,
-                     rank, solve)
+                     load_numpy, rank, solve)
 from .qseries import LevelData, QSeries
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # inner products formed per block of rows: bounds the working memory of
 # the pair histogram (about 8 bytes per entry, a few arrays at a time)
@@ -62,7 +58,7 @@ def design_constant(dim: int, k: int, count: int, norm) -> Fraction:
     return Fraction(num, den)
 
 
-def _layer_data(layer: VectorLayer):
+def _layer_lattice(layer: VectorLayer) -> Lattice:
     if layer.lattice is None:
         raise ModLatticeError("layer carries no lattice reference")
     if not layer.complete:
@@ -70,12 +66,17 @@ def _layer_data(layer: VectorLayer):
     lat = layer.lattice
     if not lat.is_integral:
         raise ModLatticeError("design tests need an integral lattice")
+    return lat
+
+
+def _layer_data(layer: VectorLayer):
+    lat = _layer_lattice(layer)
     return lat, integer_array(layer.vectors).reshape(len(layer), lat.dim)
 
 
-def _half_rows(arr: np.ndarray) -> np.ndarray:
+def _half_rows(arr):
     """One vector out of each antipodal pair {x, -x} (first nonzero > 0)."""
-    import numpy as np
+    np = load_numpy()
     nz = arr != 0
     first = nz.argmax(axis=1)
     lead = arr[np.arange(len(arr)), first]
@@ -85,15 +86,15 @@ def _half_rows(arr: np.ndarray) -> np.ndarray:
     return half
 
 
-def exact_power_sums(dots: np.ndarray, degrees) -> dict:
+def exact_power_sums(dots, degrees) -> dict:
     """sum_i dots[i]^d for each d, exactly (values compressed, then int)."""
-    import numpy as np
+    np = load_numpy()
     values, counts = np.unique(dots, return_counts=True)
     pairs = [(int(v), int(c)) for v, c in zip(values, counts)]
     return {d: sum(c * v ** d for v, c in pairs) for d in degrees}
 
 
-def _pair_histogram(gram, half: np.ndarray, m: int) -> dict:
+def _pair_histogram(gram, half, m: int) -> dict:
     """{v: number of ordered pairs (x, y) in H x H with (x, y) = v}.
 
     Rows of H are taken in blocks of about _BLOCK_ENTRIES products, each
@@ -103,7 +104,7 @@ def _pair_histogram(gram, half: np.ndarray, m: int) -> dict:
     bincount (offset by m) tallies a block while 2m + 1 fits the budget,
     and np.unique beyond, so that a rescaled lattice never allocates O(m).
     """
-    import numpy as np
+    np = load_numpy()
     size = len(half)
     left, right = gram_factors(gram, half, half)
     rows = max(1, _BLOCK_ENTRIES // max(size, 1))
@@ -153,17 +154,21 @@ def _pair_sum_test(layer: VectorLayer, degrees):
     Returns ({degree: PASS or FAIL}, witness), where the witness names a
     direction for the first failed degree and is None when all pass.  A
     pair sum below its bound is impossible and raises ModLatticeError.
-    The histogram is built once per layer object and kept on it.
+    The histogram is built once per layer object and kept on it; the
+    layer's rows are formed only to build it or to find a witness.
     """
-    lat, arr = _layer_data(layer)
-    half = _half_rows(arr)
+    lat = _layer_lattice(layer)
+    arr = None
+    if layer._histogram is None:
+        _, arr = _layer_data(layer)
+        half = _half_rows(arr)
     if not degrees:
         return {}, None
     n, m, size = lat.dim, int(layer.norm), len(layer)
+    if arr is not None:
+        object.__setattr__(layer, "_histogram",
+                           _pair_histogram(lat.gram, half, m))
     hist = layer._histogram
-    if hist is None:
-        hist = _pair_histogram(lat.gram, half, m)
-        object.__setattr__(layer, "_histogram", hist)
     verdicts, witness = {}, None
     for d in degrees:
         k = d // 2
@@ -177,8 +182,10 @@ def _pair_sum_test(layer: VectorLayer, degrees):
                 "fault" % d)
         verdicts[d] = PASS if scaled == bound else FAIL
         if verdicts[d] == FAIL and witness is None:
+            if arr is None:
+                _, arr = _layer_data(layer)
             rhs = design_constant(n, k, size, m) * m ** k
-            witness = _direction_witness(lat, arr, half, d, rhs)
+            witness = _direction_witness(lat, arr, _half_rows(arr), d, rhs)
     return verdicts, witness
 
 
@@ -272,7 +279,7 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
     and screened for positivity.  Only the strong and certificate verdicts
     are proofs; absence of a certificate proves nothing.
     """
-    import numpy as np
+    np = load_numpy()
     t0 = time.time()
     layer = min_layer(lat, threads=threads)
     _, arr = _layer_data(layer)
@@ -491,7 +498,7 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
     integer values, so for degree > 0 the Gram must be integral
     (ValueError otherwise).
     """
-    import numpy as np
+    np = load_numpy()
     if precision_q < 1:
         raise ValueError("precision must be at least 1")
     z = zonal_harmonic(lat.dim, degree)

@@ -54,7 +54,7 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
         return ISOMETRIC, linalg.mat_identity(n), 0
     if n > DEFAULT_DIM_CAP:
         return INCONCLUSIVE, None, 0
-    import numpy as np
+    np = linalg.load_numpy()
 
     ga0, gb0 = _common_integer_grams(a, b)
     ga, ua = linalg.gram_lll(ga0)

@@ -256,28 +256,54 @@ class CatalogEntry:
 
 
 class Catalog:
-    def __init__(self, entries):
-        self.entries = list(entries)
-        self._by_name = {e.name: e for e in self.entries}
+    """Named catalogue entries, parsed up front and validated on first read.
+
+    Each entry's cheap claims (definiteness, determinant, evenness, level)
+    are checked the first time the entry is read, once; later reads return
+    the same CatalogEntry, so work kept on its Lattice is kept.  Iterating
+    validates every entry.
+    """
+
+    def __init__(self, raw_entries):
+        self._raw = {}
+        for raw in raw_entries:
+            if not isinstance(raw, dict) or "name" not in raw:
+                raise CatalogError("catalogue entry missing 'name': %r"
+                                   % (raw,))
+            if raw["name"] in self._raw:
+                raise CatalogError("duplicate lattice names in catalogue")
+            self._raw[raw["name"]] = raw
+        self._entries = {}
 
     def names(self):
-        return [e.name for e in self.entries]
+        return list(self._raw)
 
     def get(self, name) -> CatalogEntry:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise CatalogError("unknown lattice %r; known: %s"
-                               % (name, ", ".join(self.names()))) from None
+        entry = self._entries.get(name)
+        if entry is None:
+            try:
+                raw = self._raw[name]
+            except KeyError:
+                raise CatalogError("unknown lattice %r; known: %s"
+                                   % (name, ", ".join(self.names()))) from None
+            entry = self._entries[name] = _validate_entry(raw)
+        return entry
 
     def lattice(self, name) -> Lattice:
         return self.get(name).lattice
 
+    def with_claim(self, claim, claimed_level):
+        """The entries of the given stated level that make the claim;
+        only those are validated."""
+        return [self.get(name) for name, raw in self._raw.items()
+                if raw.get("level") == claimed_level
+                and raw.get("claims", {}).get(claim)]
+
     def __iter__(self):
-        return iter(self.entries)
+        return (self.get(name) for name in self._raw)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._raw)
 
 
 def _validate_entry(raw) -> CatalogEntry:
@@ -305,33 +331,41 @@ def _validate_entry(raw) -> CatalogEntry:
     return CatalogEntry(name, claimed_level, lat, raw["note"], claims)
 
 
-def load_catalog(path=None) -> Catalog:
-    """Load and validate the lattice catalogue (bundled one by default).
+def _bundled_text():
+    return resources.files("modlattice").joinpath(
+        "data/lattices.json").read_text()
 
-    Cheap claims (definiteness, determinant, evenness, level) are verified
-    here; expensive ones (minimum, kissing, strong modularity) are carried
-    as claims and rechecked by the test suite.
-    """
-    if path is None:
-        text = resources.files("modlattice").joinpath(
-            "data/lattices.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+
+def _parse(text) -> Catalog:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError("catalogue is not valid JSON: %s" % exc) from exc
     if not isinstance(raw, list):
         raise CatalogError("catalogue must be a JSON array of entries")
-    entries = [_validate_entry(e) for e in raw]
-    names = [e.name for e in entries]
-    if len(set(names)) != len(names):
-        raise CatalogError("duplicate lattice names in catalogue")
-    return Catalog(entries)
+    return Catalog(raw)
+
+
+def load_catalog(path=None) -> Catalog:
+    """Load and validate the lattice catalogue (bundled one by default).
+
+    Every entry's cheap claims (definiteness, determinant, evenness,
+    level) are verified here, so a bad file fails at load; expensive ones
+    (minimum, kissing, strong modularity) are carried as claims and
+    rechecked by the test suite.
+    """
+    if path is None:
+        text = _bundled_text()
+    else:
+        with open(path) as fh:
+            text = fh.read()
+    catalog = _parse(text)
+    list(catalog)                   # validates every entry
+    return catalog
 
 
 @functools.cache
 def bundled_catalog() -> Catalog:
-    """The bundled catalogue, loaded and validated once per process."""
-    return load_catalog()
+    """The bundled catalogue, parsed once per process; each entry is
+    validated when it is first read."""
+    return _parse(_bundled_text())

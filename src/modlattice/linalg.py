@@ -13,8 +13,11 @@ and coordinate duals.
 `exact_factors` is the one rule for the dtype of an exact numpy product
 of integer matrices (float64, int64 or Python integers, the narrowest);
 `designs` and `isometry` multiply only through it and `gram_factors`.
+`load_numpy` is the one place numpy is imported.
 """
 
+import functools
+import os
 from fractions import Fraction
 from math import lcm, prod
 
@@ -63,10 +66,24 @@ def clear_denominators(m):
             for row in fm], c
 
 
+@functools.cache
+def load_numpy():
+    """numpy, imported on first use with one BLAS thread.
+
+    Parallelism comes only from the enumeration worker processes
+    (`threads`), so the BLAS pool is pinned to one thread before numpy
+    loads; a thread count already set in the environment is kept.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    import numpy
+    return numpy
+
+
 def integer_array(rows):
     """rows as a numpy array: int64 when every entry fits, else object
     (Python integers)."""
-    import numpy as np
+    np = load_numpy()
     try:
         return np.array(rows, dtype=np.int64)
     except OverflowError:
@@ -83,7 +100,7 @@ def exact_factors(a, b):
     is exact below 2^53, int64 below 2^62, and Python integers (object
     dtype) beyond.  Both results are fresh C-ordered arrays.
     """
-    import numpy as np
+    np = load_numpy()
     a, b = (x if isinstance(x, np.ndarray) else integer_array(x)
             for x in (a, b))
     # max and -min: abs of the least int64 would wrap
@@ -106,7 +123,7 @@ def exact_factors(a, b):
 def gram_factors(gram, rows, cols):
     """(rows @ G, cols^T), cast so that their product, the inner products
     (x, y) of the rows x with the cols y (integer arrays), is exact."""
-    import numpy as np
+    np = load_numpy()
     return exact_factors(np.matmul(*exact_factors(rows, gram)), cols.T)
 
 

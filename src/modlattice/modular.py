@@ -14,7 +14,6 @@ from . import linalg
 from .arith import exact_divisors
 from .enumeration import enumerate_vectors, minimum, theta_series
 from .errors import CatalogError, EmptyBasisError, ModLatticeError
-from .isometry import DEFAULT_BUDGET, ISOMETRIC, NOT_ISOMETRIC, find_isometry
 from .lattice import (
     Lattice, bundled_catalog, integral_dual_scale, level as lattice_level,
     partial_dual, rescale, dual)
@@ -27,9 +26,8 @@ from dataclasses import dataclass
 def base_lattice(n_level: int) -> Lattice:
     """The catalogue lattice whose theta series generates weight d_N."""
     LevelData.for_level(n_level)
-    for entry in bundled_catalog():
-        if entry.level == n_level and entry.claims.get("theta_base"):
-            return entry.lattice
+    for entry in bundled_catalog().with_claim("theta_base", n_level):
+        return entry.lattice
     raise CatalogError("no base lattice for level %d in the catalogue"
                        % n_level)
 
@@ -190,15 +188,20 @@ def _resolve_level(lat: Lattice, n_level):
 
 
 def check_modular(lat: Lattice, precision: int = 20, n_level=None,
-                  isometry_budget: int = DEFAULT_BUDGET,
+                  isometry_budget: int = None,
                   exact: bool = True) -> ModularityVerdict:
     """Strong modularity certificate: for every exact divisor m of the
     level, the rescaled partial dual must have the same theta series on
-    the window (formal) and, within budget, an exact isometry.
+    the window (formal) and, within isometry_budget search nodes
+    (isometry.DEFAULT_BUDGET when None), an exact isometry.
 
     Odd lattices are checked formally the same way; supply n_level when
     the integral scale of the dual differs from the intended level.
     """
+    from .isometry import (DEFAULT_BUDGET, ISOMETRIC, NOT_ISOMETRIC,
+                           find_isometry)
+    if isometry_budget is None:
+        isometry_budget = DEFAULT_BUDGET
     if not lat.is_integral:
         raise ModLatticeError("modularity checks need an integral lattice")
     n_level = _resolve_level(lat, n_level)

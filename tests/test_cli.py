@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, schemas, reproducible output."""
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -167,15 +168,15 @@ def test_identical_runs_are_byte_identical(capsys):
 
 
 def test_bundled_catalogue_is_loaded_once(capsys, monkeypatch):
-    """Verbs and the modular-form code share one validated catalogue."""
+    """Verbs and the modular-form code share one parsed catalogue."""
     calls = []
 
-    def counting_load(path=None):
-        calls.append(path)
-        return real_load(path)
+    def counting_text():
+        calls.append(None)
+        return real_text()
 
-    real_load = lattice.load_catalog
-    monkeypatch.setattr(lattice, "load_catalog", counting_load)
+    real_text = lattice._bundled_text
+    monkeypatch.setattr(lattice, "_bundled_text", counting_text)
     lattice.bundled_catalog.cache_clear()
     assert run(capsys, ["info", "--lattice", "K12"])[0] == 0
     assert base_lattice(3) == lattice.bundled_catalog().lattice("A2")
@@ -195,16 +196,26 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
-def _imported_modules(*args):
-    """Names of every module a fresh interpreter imports to run args."""
+def _python(*args, env=None):
+    """A fresh interpreter running args with this checkout's package."""
     src = os.path.dirname(os.path.dirname(modlattice.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          env=dict(os.environ, PYTHONPATH=path),
+    proc = subprocess.run([sys.executable, *args],
+                          env=dict(env or os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _imported_modules(*args):
+    """Names of every module a fresh interpreter imports to run args."""
+    proc = _python("-X", "importtime", *args)
     return {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
+
+
+HEAVY = {"numpy", "concurrent.futures.process", "modlattice.designs",
+         "modlattice.modular", "modlattice.shadow", "modlattice.isometry"}
 
 
 @pytest.mark.parametrize("args", [
@@ -214,5 +225,51 @@ def _imported_modules(*args):
 def test_start_up_skips_numpy_and_process_pool(args):
     loaded = _imported_modules(*args)
     assert "modlattice" in loaded
-    assert "numpy" not in loaded
-    assert "concurrent.futures.process" not in loaded
+    assert not loaded & HEAVY
+    if args[0] == "-c":         # the bare import loads the package alone
+        assert {m for m in loaded if m.startswith("modlattice")} == {
+            "modlattice"}
+
+
+def test_public_names_resolve():
+    assert len(modlattice.__all__) == len(set(modlattice.__all__)) == 81
+    listed = dir(modlattice)
+    for name in modlattice.__all__:
+        assert getattr(modlattice, name) is not None, name
+        assert name in listed, name
+    assert modlattice.check_design is modlattice.designs.check_design
+    with pytest.raises(AttributeError):
+        modlattice.no_such_name
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_numpy_loads_with_one_blas_thread(preset, want):
+    """The BLAS pool is pinned before numpy loads; a user setting stays."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, sys\n"
+            "from modlattice import check_design, load_catalog, min_layer\n"
+            "assert 'numpy' not in sys.modules\n"
+            "layer = min_layer(load_catalog().lattice('E8'))\n"
+            "assert check_design(layer, 7).verdict == 'pass'\n"
+            "assert 'numpy' in sys.modules\n"
+            "print(*(os.environ[k] for k in %r))\n" % (BLAS_VARS,))
+    out = _python("-c", code, env=env).stdout.split()
+    assert out == [want, "1", "1"]
+
+
+def test_numpy_is_imported_only_by_linalg():
+    pkg = os.path.dirname(modlattice.__file__)
+    importers = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                lines = [line for line in fh
+                         if re.match(r"\s*(import|from)\s+numpy\b", line)]
+            if lines:
+                importers[name] = len(lines)
+    assert importers == {"linalg.py": 1}

@@ -418,6 +418,23 @@ def test_one_histogram_per_layer(catalog, monkeypatch):
     assert len(built) == 2
 
 
+def test_second_strength_forms_no_layer_array(catalog, monkeypatch):
+    """Once the histogram is kept, a passing strength needs no rows."""
+    layer = min_layer(catalog.lattice("E8"))
+    assert check_design(layer, 7).verdict == PASS
+    converted = []
+    integer_array = linalg.integer_array
+
+    def counted(rows):
+        converted.append(rows)
+        return integer_array(rows)
+    monkeypatch.setattr(designs, "integer_array", counted)
+    monkeypatch.setattr(linalg, "integer_array", counted)
+    assert check_design(layer, 7).verdict == PASS
+    assert check_design(layer, 5).verdict == PASS
+    assert converted == []
+
+
 def test_zonal_coefficient_tables():
     tables = {
         2: [(2, -1), (4, -3), (8, -8, 1), (16, -20, 5), (32, -48, 18, -1)],

@@ -1,15 +1,17 @@
 """Lattice constructors, invariants and the bundled catalogue."""
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from modlattice import lattice
 from modlattice.errors import (CatalogError, DefinitenessError, DivisorError,
                                IntegralityError, ParityError, ShapeError)
 from modlattice.lattice import (Lattice, c_n_lattice, density,
                                 density_from_parameters, direct_sum, dual,
                                 even_sublattice, index_in,
-                                integral_dual_scale, level,
+                                integral_dual_scale, level, load_catalog,
                                 partial_dual, rescale, zn)
 
 
@@ -170,3 +172,69 @@ def test_catalog_claimed_levels_recomputed(catalog):
     # load_catalog already revalidates; spot check the stored values
     assert catalog.get("E7").level == 4
     assert catalog.get("N23base").level == 23
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """Names of the catalogue entries validated from here on; the bundled
+    catalogue is parsed afresh before and after the test."""
+    names = []
+    validate = lattice._validate_entry
+
+    def counted(raw):
+        names.append(raw["name"])
+        return validate(raw)
+    monkeypatch.setattr(lattice, "_validate_entry", counted)
+    lattice.bundled_catalog.cache_clear()
+    yield names
+    lattice.bundled_catalog.cache_clear()
+
+
+def _bundled_with(monkeypatch, change):
+    """Feed bundled_catalog a copy of the bundled JSON changed by change."""
+    raw = json.loads(lattice._bundled_text())
+    change(raw)
+    monkeypatch.setattr(lattice, "_bundled_text", lambda: json.dumps(raw))
+
+
+def test_bundled_entries_are_validated_on_first_read(validated):
+    cat = lattice.bundled_catalog()
+    assert validated == [] and len(cat) == 17
+    a2 = cat.lattice("A2")
+    assert cat.lattice("A2") is a2 and cat.get("A2").level == 3
+    assert validated == ["A2"]
+    assert [e.name for e in cat] == cat.names()
+    assert sorted(validated) == sorted(cat.names())
+    assert cat.lattice("A2") is a2
+
+
+def test_corrupted_bundled_entry_fails_when_first_read(validated,
+                                                        monkeypatch):
+    _bundled_with(monkeypatch, lambda raw: raw[3].update(level=5))
+    cat = lattice.bundled_catalog()
+    assert cat.lattice("A2").dim == 2
+    with pytest.raises(CatalogError, match="E7.*level 4 != claimed 5"):
+        cat.lattice("E7")
+    with pytest.raises(CatalogError, match="E7"):
+        list(cat)
+    with pytest.raises(CatalogError, match="E7"):
+        load_catalog()
+
+
+def test_duplicate_names_fail_at_parse(validated, monkeypatch):
+    _bundled_with(monkeypatch, lambda raw: raw.append(dict(raw[0])))
+    with pytest.raises(CatalogError, match="duplicate"):
+        lattice.bundled_catalog()
+    assert validated == []
+
+
+def test_load_catalog_rejects_a_bad_file_at_load(tmp_path):
+    raw = json.loads(lattice._bundled_text())
+    raw[-1]["claims"]["det"] += 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(CatalogError, match="N23base.*det"):
+        load_catalog(str(path))
+    path.write_text(json.dumps(raw[:2] + raw[:1]))
+    with pytest.raises(CatalogError, match="duplicate"):
+        load_catalog(str(path))
