@@ -96,6 +96,19 @@ def _parse_alpha(text, dim):
     return alpha
 
 
+def _threads(text):
+    """--threads and MODLATTICE_THREADS: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer (also when read from "
+            "MODLATTICE_THREADS), not %r" % text)
+    return value
+
+
 def build_parser():
     par = argparse.ArgumentParser(
         prog="modlattice",
@@ -107,8 +120,9 @@ def build_parser():
                         help="machine readable output")
     common.add_argument("--catalog", metavar="PATH",
                         help="alternative catalogue file")
-    common.add_argument("--threads", type=int,
-                        default=int(os.environ.get("MODLATTICE_THREADS", "1")),
+    # a string default goes through _threads too, when --threads is absent
+    common.add_argument("--threads", type=_threads,
+                        default=os.environ.get("MODLATTICE_THREADS", "1"),
                         help="worker processes for enumeration")
     sub = par.add_subparsers(dest="verb", metavar="VERB")
 

@@ -18,19 +18,34 @@ recorded) makes the deep lattices tractable; results are transformed
 back to the original coordinates.
 """
 
+import atexit
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 import math
 from operator import mul
+import os
 from typing import NamedTuple
 
 from . import linalg
 from .arith import int_or_fraction
-from .errors import CapacityError
+from .errors import CapacityError, ModLatticeError
 from .lattice import Lattice
 from .qseries import QSeries
 
 DEFAULT_CAPACITY = 10 ** 7
+
+# A sweep with threads > 1 whose estimated node count (_nodes) is below
+# this runs serially.  A warm pool adds about 0.7 ms to a sweep (dispatch
+# and merge); on 2 cores the catalogue sweeps above 10^4 estimated nodes
+# (2 ms and more serially) took 0.53-0.69 of their serial time, and those
+# below 4,000 took 1.04-10 times it.
+PARALLEL_MIN_NODES = 10 ** 4
+
+# Runs of prefixes per worker: the pool's queue hands them out, so one
+# slow run does not leave the other workers idle.
+RUNS_PER_WORKER = 6
 
 
 @dataclass(frozen=True)
@@ -114,11 +129,15 @@ def _by_norm(counts, scale):
     return {int_or_fraction(Fraction(k, scale)): v for k, v in counts.items()}
 
 
-def _run(form, bound, collect, capacity, outer_range, canonical):
+def _run(form, bound, collect, capacity, outer_range, inner_range,
+         canonical):
     """Core scan.  Returns (counts, reps), keyed by integer keys.
 
-    outer_range, a (lo, hi) pair or None, restricts the outermost
-    coordinate; the parallel split gives each worker one such chunk.
+    outer_range, a (first, last) pair or None, restricts the outermost
+    coordinate x_top.  inner_range, a (lo, hi) pair or None, restricts
+    x_(top-1) at the two ends only: to >= lo where x_top = first and to
+    <= hi where x_top = last.  Together they cut out one run of
+    (x_top, x_(top-1)) prefixes in DFS order, a job of the parallel split.
 
     canonical=True (only without shift) enumerates one of each +-pair and
     applies multiplicity 2, keeping the zero vector single.  When
@@ -138,7 +157,8 @@ def _run(form, bound, collect, capacity, outer_range, canonical):
     x_arr = [0] * n
     y_arr = [0] * n            # Y_k = den * x_k + offsets[k]
     hi_arr = [0] * n
-    zab = [False] * n          # all coordinates above this level are zero
+    zab = [False] * n          # all coordinates above this level are zero,
+                               # or (at top) the ends of a run are clamped
     # sigma[k][j] = sum_(l >= j) B[k][l] Y_l for j > k.  Row k - 1 is
     # refreshed only on entering level k - 1, from stale[k] down to k:
     # stale[k] is the highest level changed since that row was refreshed.
@@ -148,6 +168,9 @@ def _run(form, bound, collect, capacity, outer_range, canonical):
     counts = {}
     reps = {} if collect else None
     collected = 0
+    first = last = None
+    if inner_range is not None:
+        (first, last), (inner_lo, inner_hi) = outer_range, inner_range
 
     def scan(lo, hi, a, r, zflag):
         """Level 0 below fixed x_1..x_(n-1); False on overflow."""
@@ -184,7 +207,7 @@ def _run(form, bound, collect, capacity, outer_range, canonical):
         lvl = 1
     else:
         r_arr[top], a_arr[top], x_arr[top], hi_arr[top] = rtop, a, lo - 1, hi
-        zab[top] = canonical
+        zab[top] = canonical or first is not None
         lvl = top
     while lvl <= top:
         x = x_arr[lvl] + 1
@@ -206,9 +229,16 @@ def _run(form, bound, collect, capacity, outer_range, canonical):
         s = isqrt(r // weights[k])
         step = steps[k]
         lo, hi = -((s + a) // step), (s - a) // step
-        zflag = zab[lvl] and x == 0
-        if zflag and lo < 0:
-            lo = 0
+        zflag = zab[lvl]
+        if zflag:       # on the zero chain, or a top node of a run
+            zflag = canonical and x == 0
+            if zflag and lo < 0:
+                lo = 0
+            if lvl == top:
+                if x == first and lo < inner_lo:
+                    lo = inner_lo
+                if x == last and hi > inner_hi:
+                    hi = inner_hi
         if lo > hi:
             continue
         if k:
@@ -262,10 +292,168 @@ def _basis(lat: Lattice, reduce_first=None):
     return lat._lll
 
 
-def _merge(parts):
-    """Sum the chunks' results in chunk order, taking over their lists."""
-    counts, reps = {}, {}
+def _nodes(form, top, budget):
+    """Gaussian-heuristic count of the nodes of the search over levels
+    top..0 with `budget` left (Gama, Nguyen and Regev, EUROCRYPT 2010).
+
+    Depth d holds about V_d prod_k (budget / c_k)^(1/2) nodes, over the
+    first d of those levels, where V_d is the volume of the unit d-ball
+    and c_k = f_k (e D_(k+1))^2 is the squared Gram-Schmidt length of
+    level k in key units.  A float: it only picks the schedule, never a
+    count or a vector.
+    """
+    total, volume = 0.0, 1.0
+    for d, k in enumerate(range(top, -1, -1), 1):
+        volume *= math.sqrt(budget / (form.weights[k] * form.steps[k] ** 2))
+        total += volume * math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    return total
+
+
+def _prefixes(form, rtop, canonical):
+    """The (x_top, x_(top-1)) prefixes of the search in DFS order, each
+    with the budget left below it; (x_top, None) in dimension <= 2."""
+    rows, weights, steps, heads = (form.rows, form.weights, form.steps,
+                                   form.heads)
+    top = len(rows) - 1
+    lo, hi = _range(rtop, weights[top], steps[top], heads[top])
+    if canonical:
+        lo = max(lo, 0)
+    out = []
+    for x in range(lo, hi + 1):
+        z = steps[top] * x + heads[top]
+        r = rtop - weights[top] * z * z
+        if top < 2:
+            out.append((x, None, r))
+            continue
+        k = top - 1
+        a = rows[k][top] * (form.den * x + form.offsets[top]) + heads[k]
+        lo2, hi2 = _range(r, weights[k], steps[k], a)
+        if canonical and x == 0:
+            lo2 = max(lo2, 0)
+        for y in range(lo2, hi2 + 1):
+            z = steps[k] * y + a
+            out.append((x, y, r - weights[k] * z * z))
+    return out
+
+
+def _cores():
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # not on Linux
+        return os.cpu_count() or 1
+
+
+def _pin(slots):
+    """Pool initializer: bind this worker to a core of its own, taken from
+    `slots`.  Left to the scheduler, the workers of a short sweep can share
+    one core: on a 2-vCPU Linux VM, K12 to norm 8 took 23 ms with two
+    unbound workers and 22 ms serially, and 12-19 ms bound.  The binding
+    only places the worker, so a refusal leaves it unbound."""
+    core = slots.get()
+    try:
+        os.sched_setaffinity(0, {core})
+    except OSError:
+        pass
+
+
+def _pool_size(threads, jobs, cores):
+    """Workers for `jobs` jobs: at most `threads`, the cores and the jobs."""
+    return min(threads, cores, jobs)
+
+
+def _split(form, bound, canonical, threads):
+    """(jobs, workers) of a parallel sweep, or None to sweep serially.
+
+    A sweep whose estimate is below PARALLEL_MIN_NODES, or that would
+    get fewer than 2 workers, is serial.  Otherwise the prefixes, in DFS
+    order, are cut into contiguous runs of about equal estimated cost,
+    RUNS_PER_WORKER per worker; a job is the (outer_range, inner_range)
+    pair of one run (see _run).
+    """
+    rtop = _top(form, bound)
+    top = len(form.rows) - 1
+    cores = _cores()
+    if (min(threads, cores) < 2
+            or _nodes(form, top, rtop) < PARALLEL_MIN_NODES):
+        return None
+    prefixes = _prefixes(form, rtop, canonical)
+    below = top - 2 if top >= 2 else top - 1
+    cost = list(accumulate(1 + _nodes(form, below, r)
+                           for _, _, r in prefixes))
+    nruns = min(RUNS_PER_WORKER * min(threads, cores), len(prefixes))
+    edges = ([0] + [bisect_left(cost, cost[-1] * j / nruns) + 1
+                    for j in range(1, nruns)] + [len(prefixes)])
+    jobs = []
+    for i, j in zip(edges, edges[1:]):
+        if i < j:
+            (x0, y0, _), (x1, y1, _) = prefixes[i], prefixes[j - 1]
+            jobs.append(((x0, x1), None if y0 is None else (y0, y1)))
+    workers = _pool_size(threads, len(jobs), cores)
+    return (jobs, workers) if workers > 1 else None
+
+
+class _Pool:
+    """The worker processes of parallel sweeps, one pool per process.
+
+    Started by the first parallel sweep and kept for later ones; a sweep
+    that needs another size replaces it, a dead worker drops it, and it
+    is shut down at interpreter exit.  On Linux each worker is bound to a
+    core of its own (see _pin).
+    """
+
+    def __init__(self):
+        self.executor, self.size = None, 0
+
+    def get(self, size):
+        if self.executor is not None and self.size != size:
+            self.close()
+        if self.executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+            pin = {}
+            if hasattr(os, "sched_setaffinity"):
+                import multiprocessing
+                slots = multiprocessing.SimpleQueue()
+                cores = sorted(os.sched_getaffinity(0))
+                for i in range(size):
+                    slots.put(cores[i % len(cores)])
+                pin = {"initializer": _pin, "initargs": (slots,)}
+            self.executor = ProcessPoolExecutor(size, **pin)
+            self.size = size
+            atexit.register(self.close)
+        return self.executor
+
+    def close(self):
+        if self.executor is not None:
+            atexit.unregister(self.close)
+            self.executor.shutdown(cancel_futures=True)
+            self.executor = None
+
+
+_POOL = _Pool()
+
+
+def _merge(parts, capacity=None):
+    """Sum the runs' results in DFS order, taking over their lists.
+
+    With a capacity (when collecting), stop where the serial scan stops:
+    at the leaf, in DFS order, that takes the collected count past it.
+    """
+    counts, reps, collected = {}, {}, 0
     for c_part, r_part in parts:
+        if capacity is not None:
+            size = sum(c_part.values())
+            if collected + size > capacity:
+                left = capacity - collected
+                for _, key, m in sorted((x[::-1], key, m)
+                                        for key, xs in r_part.items()
+                                        for x, m in xs):
+                    counts[key] = counts.get(key, 0) + m
+                    left -= m
+                    if left < 0:
+                        break
+                break
+            collected += size
         for k, v in c_part.items():
             counts[k] = counts.get(k, 0) + v
         for k, v in (r_part or {}).items():
@@ -276,6 +464,23 @@ def _merge(parts):
     return counts, reps
 
 
+def _parallel(form, bound, collect, capacity, canonical, jobs, workers):
+    """_run over the jobs on the process pool, merged in job order."""
+    from concurrent.futures.process import BrokenProcessPool
+    n = len(jobs)
+    outer, inner = zip(*jobs)
+    try:
+        parts = _POOL.get(workers).map(
+            _run, [form] * n, [bound] * n, [collect] * n, [capacity] * n,
+            outer, inner, [canonical] * n)
+        return _merge(parts, capacity if collect else None)
+    except BrokenProcessPool as exc:
+        _POOL.close()
+        raise ModLatticeError(
+            "an enumeration worker process died; the next parallel sweep "
+            "starts a fresh pool") from exc
+
+
 def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
                       capacity=DEFAULT_CAPACITY, reduce_first=None,
                       threads=1) -> ThetaCounts:
@@ -284,11 +489,19 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     Exact counts by norm; with collect=True the coordinate rows themselves
     (in the original basis, shift included) are returned in sorted order,
     guarded by `capacity`.  reduce_first toggles LLL preprocessing
-    (default: on for dim >= 10).  threads > 1 splits the range of the
-    outermost coordinate across processes; the merged result is identical
-    to the serial one, and the capacity guard applies to the merged count.
+    (default: on for dim >= 10).
+
+    threads > 1 first estimates the size of the search (_nodes) and
+    sweeps serially below PARALLEL_MIN_NODES.  Above it, the prefixes
+    (x_top, x_(top-1)) of the search tree are cut into runs of about equal
+    estimated cost, which the process pool of this process (see _Pool;
+    min(threads, cores) workers) sweeps and which are merged in DFS
+    order.  Counts, their key order, the collected layers and the
+    partial counts of a CapacityError are the serial ones.
     Every call sweeps afresh; only minimum and theta_series share a memo.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -299,27 +512,13 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     canonical = shift is None
     form = _integer_form(g_red, shift_red)
 
-    ranges = [None]
-    if threads > 1:
-        top = lat.dim - 1
-        lo, hi = _range(_top(form, bound), form.weights[top],
-                        form.steps[top], form.heads[top])
-        if canonical:
-            lo = max(lo, 0)
-        width = hi - lo + 1
-        if width >= 2:
-            nchunks = min(threads, width)
-            edges = [lo + (width * i) // nchunks
-                     for i in range(nchunks)] + [hi + 1]
-            ranges = [(edges[i], edges[i + 1] - 1) for i in range(nchunks)]
-    jobs = [(form, bound, collect, capacity, rng, canonical)
-            for rng in ranges]
-    if len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            counts, reps = _merge(pool.map(_run, *zip(*jobs)))
+    split = _split(form, bound, canonical, threads) if threads > 1 else None
+    if split is None:
+        counts, reps = _run(form, bound, collect, capacity, None, None,
+                            canonical)
     else:
-        counts, reps = _run(*jobs[0])
+        counts, reps = _parallel(form, bound, collect, capacity, canonical,
+                                 *split)
     shift_out = None if shift is None else tuple(map(Fraction, shift))
     if collect and sum(counts.values()) > capacity:
         raise CapacityError(

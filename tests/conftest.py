@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from modlattice import enumeration
 from modlattice.enumeration import min_layer
 from modlattice.lattice import load_catalog
 
@@ -39,3 +40,21 @@ def leech_layer(catalog):
     layer = min_layer(catalog.lattice("Leech"), threads=1)
     TIMINGS["leech_layer"] = time.time() - t0
     return layer
+
+
+@pytest.fixture
+def parallel(monkeypatch):
+    """Sweeps with threads > 1 go to the pool whatever their size, as on a
+    machine with 2 cores.  Yields the worker counts of the parallel sweeps
+    made, and shuts the pool down afterwards."""
+    made = []
+    run = enumeration._parallel
+
+    def counted(*args):
+        made.append(args[-1])
+        return run(*args)
+    monkeypatch.setattr(enumeration, "PARALLEL_MIN_NODES", 0)
+    monkeypatch.setattr(enumeration, "_cores", lambda: 2)
+    monkeypatch.setattr(enumeration, "_parallel", counted)
+    yield made
+    enumeration._POOL.close()

@@ -262,3 +262,37 @@ def moment_tensor_test(layer: VectorLayer, two_k: int,
         details={"proof": True, "dtype": dtype, "entries": compared,
                  "elapsed": round(time.time() - t0, 3)})
 
+
+
+def search_nodes(gram, bound) -> int:
+    """Nodes of a plain recursive Fincke-Pohst search of `gram` to `bound`.
+
+    With gram = L D L^T (L unit lower triangular), the norm of x is
+    sum_k D_k (x_k + sum_(j>k) L_jk x_j)^2.  Counts every partial vector
+    (x_(n-1), ..., x_k), k = n-1 .. 0, whose terms of that sum are at most
+    bound, both signs included.  Exact, in Fractions.
+    """
+    n = len(gram)
+    g = [[Fraction(v) for v in row] for row in gram]
+    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    for j in range(n):
+        d[j] = g[j][j] - sum(low[j][k] ** 2 * d[k] for k in range(j))
+        for i in range(j + 1, n):
+            low[i][j] = (g[i][j] - sum(low[i][k] * low[j][k] * d[k]
+                                       for k in range(j))) / d[j]
+    x = [0] * n
+
+    def visit(k, left):
+        centre = -sum(low[j][k] * x[j] for j in range(k + 1, n))
+        nodes = 0
+        for v, step in ((math.floor(centre), -1), (math.floor(centre) + 1, 1)):
+            while d[k] * (v - centre) ** 2 <= left:
+                nodes += 1
+                if k:
+                    x[k] = v
+                    nodes += visit(k - 1, left - d[k] * (v - centre) ** 2)
+                v += step
+        return nodes
+
+    return visit(n - 1, Fraction(bound))

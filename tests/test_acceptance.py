@@ -236,13 +236,14 @@ def test_criterion_12_coefficient_scan():
     assert (checked, missing) == (25, 25)
 
 
-def test_criterion_13_property_suites(catalog):
+def test_criterion_13_property_suites(catalog, parallel):
     e8 = catalog.lattice("E8")
     k12 = catalog.lattice("K12")
     assert (theta_series(Lattice(e8.gram), 8, threads=2)
             == theta_series(Lattice(e8.gram), 8, threads=1))
     assert (enumerate_vectors(k12, 4, threads=3).counts
             == enumerate_vectors(k12, 4, threads=1).counts)
+    assert parallel == [2, 2]
 
     rng = random.Random(97)
     from test_enumeration import random_gram

@@ -190,6 +190,28 @@ def test_threads_default_from_environment(monkeypatch):
     assert args.threads == 3
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--threads", "0"], None),
+    (["--threads", "-2"], None),
+    ([], "two"),
+    ([], "0"),
+])
+def test_threads_must_be_a_positive_integer(monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv("MODLATTICE_THREADS", env)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["theta", "--lattice", "E8", *argv])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_threads_flag_overrides_a_bad_environment(monkeypatch):
+    monkeypatch.setenv("MODLATTICE_THREADS", "two")
+    args = build_parser().parse_args(["theta", "--lattice", "E8",
+                                      "--threads", "2"])
+    assert args.threads == 2
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["--version"])
@@ -221,6 +243,9 @@ HEAVY = {"numpy", "concurrent.futures.process", "modlattice.designs",
 @pytest.mark.parametrize("args", [
     ("-c", "import modlattice"),
     ("-m", "modlattice", "min", "--lattice", "E7", "--json"),
+    # a sweep this small stays below the cutoff and starts no pool
+    ("-m", "modlattice", "min", "--lattice", "E7", "--threads", "2",
+     "--json"),
 ])
 def test_start_up_skips_numpy_and_process_pool(args):
     loaded = _imported_modules(*args)
@@ -229,6 +254,24 @@ def test_start_up_skips_numpy_and_process_pool(args):
     if args[0] == "-c":         # the bare import loads the package alone
         assert {m for m in loaded if m.startswith("modlattice")} == {
             "modlattice"}
+
+
+def test_parallel_sweep_exits_cleanly():
+    """The pool outlives the sweep and is shut down by an exit handler,
+    before the interpreter tears its modules down, so nothing is printed
+    at exit.  (Exit handlers run last-registered first, so the one
+    registered here runs after the pool's.)"""
+    code = ("import atexit\n"
+            "from modlattice import enumeration, load_catalog\n"
+            "atexit.register(lambda: print(enumeration._POOL.executor))\n"
+            "enumeration.PARALLEL_MIN_NODES = 0\n"
+            "enumeration._cores = lambda: 2\n"
+            "tc = enumeration.enumerate_vectors(\n"
+            "    load_catalog().lattice('E8'), 4, threads=2)\n"
+            "assert enumeration._POOL.executor is not None\n"
+            "print(tc.counts[4])\n")
+    proc = _python("-c", code)
+    assert (proc.stdout, proc.stderr) == ("2160\nNone\n", "")
 
 
 def test_public_names_resolve():

@@ -1,5 +1,10 @@
 """Exact short-vector enumeration against independent oracles."""
+import multiprocessing
+import os
 import random
+import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -7,10 +12,10 @@ import pytest
 from modlattice import enumeration
 from modlattice.enumeration import (_integer_form, enumerate_vectors,
                                     min_layer, minimum, theta_series)
-from modlattice.errors import CapacityError
+from modlattice.errors import CapacityError, ModLatticeError
 from modlattice.lattice import Lattice, dual, inner, rescale, zn
 from modlattice.modular import extremal_form
-from oracles import box_counts
+from oracles import box_counts, search_nodes
 
 
 def random_gram(rng, n, spread=3):
@@ -77,7 +82,7 @@ def test_box_oracle_with_rational_gram():
     assert enumerate_vectors(da, 3).counts == want
 
 
-def test_threads_merge_is_identical(catalog):
+def test_threads_merge_is_identical(catalog, parallel):
     # fresh objects: a second call on one object is served from its memo
     e8 = catalog.lattice("E8")
     assert (theta_series(Lattice(e8.gram), 8, threads=2)
@@ -86,14 +91,71 @@ def test_threads_merge_is_identical(catalog):
     a = enumerate_vectors(k12, 4, threads=3)
     b = enumerate_vectors(k12, 4, threads=1)
     assert a.counts == b.counts
+    assert parallel == [2, 2]
 
 
-def test_threads_collect_same_layers(catalog):
+def test_threads_collect_same_layers(catalog, parallel):
     d4 = catalog.lattice("D4")
     a = enumerate_vectors(d4, 4, collect=True, threads=2)
     b = enumerate_vectors(d4, 4, collect=True, threads=1)
     for k in b.layers:
         assert a.layers[k].vectors == b.layers[k].vectors
+    assert parallel
+
+
+def _same_sweep(lat, bound, shift=None,
+                capacity=enumeration.DEFAULT_CAPACITY):
+    """Serial and 2-worker collected sweeps agree in counts and their key
+    order, in the layers and their order, and in where a CapacityError
+    stops (the partial counts and their key order)."""
+    out = []
+    for threads in (1, 2):
+        try:
+            tc = enumerate_vectors(lat, bound, shift=shift, collect=True,
+                                   capacity=capacity, threads=threads)
+        except CapacityError as exc:
+            out.append(("partial", list(exc.partial_counts.counts.items())))
+        else:
+            out.append((list(tc.counts.items()),
+                        [(k, v.vectors) for k, v in tc.layers.items()]))
+    assert out[0] == out[1]
+    return out[0]
+
+
+def test_parallel_shifted_rational_collect_equals_serial(catalog, parallel):
+    k12 = dual(catalog.lattice("K12"))
+    shift = (Fraction(1, 3), Fraction(1, 2)) + (0,) * 10
+    counts, layers = _same_sweep(k12, Fraction(8, 3), shift)
+    total = sum(v for _, v in counts)
+    assert total > 1000 and layers[0][0] == counts[0][0]
+    for capacity in (1, 7, total // 3, total - 1):
+        assert _same_sweep(k12, Fraction(8, 3), shift, capacity)[0] == (
+            "partial")
+    assert _same_sweep(k12, Fraction(8, 3), shift, total)[0] == counts
+    assert parallel == [2] * 6
+
+
+@pytest.mark.parametrize("lat, bound, shift", [
+    (zn(1), 9, None),
+    (zn(1), 9, (Fraction(1, 3),)),
+    (Lattice([[2, 1], [1, 2]]), 12, None),
+    (Lattice([[2, 1], [1, 2]]), 12, (Fraction(1, 2), Fraction(1, 3))),
+])
+def test_parallel_in_dimensions_one_and_two(parallel, lat, bound, shift):
+    counts, _ = _same_sweep(lat, bound, shift)
+    assert dict(counts) == enumerate_vectors(lat, bound, shift=shift).counts
+    assert parallel == [2]
+
+
+def test_parallel_bound_below_the_minimum(catalog, parallel):
+    # prefixes below which only the origin (or nothing) lies
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert _same_sweep(catalog.lattice("E8"), 1)[0] == [(0, 1)]
+    assert _same_sweep(zn(2), Fraction(1, 4), half) == ([], [])
+    assert parallel == [2, 2]
+    # no prefix at all: |x_top + 1/2| >= 1/2 exceeds the bound's root
+    assert _same_sweep(zn(2), Fraction(1, 8), half) == ([], [])
+    assert parallel == [2, 2]
 
 
 def test_lll_preprocessing_does_not_change_counts():
@@ -140,7 +202,7 @@ def test_collect_capacity_guard(catalog):
     assert partial is not None and partial.counts[0] == 1
 
 
-def test_collect_capacity_is_global_across_workers(catalog):
+def test_collect_capacity_is_global_across_workers(catalog, parallel):
     # E8 has 241 vectors of norm <= 2; each worker alone stays below 200
     e8 = catalog.lattice("E8")
     for threads in (1, 2):
@@ -150,6 +212,100 @@ def test_collect_capacity_is_global_across_workers(catalog):
         tc = enumerate_vectors(e8, 2, collect=True, capacity=241,
                                threads=threads)
         assert sum(len(layer) for layer in tc.layers.values()) == 241
+    assert parallel == [2, 2]
+
+
+def test_threads_must_be_positive(catalog):
+    with pytest.raises(ValueError, match="threads"):
+        enumerate_vectors(catalog.lattice("E8"), 2, threads=0)
+
+
+def test_serial_sweep_estimates_nothing(catalog, monkeypatch):
+    def boom(*args):
+        raise AssertionError("estimate computed at threads=1")
+    monkeypatch.setattr(enumeration, "_nodes", boom)
+    assert enumerate_vectors(catalog.lattice("E8"), 4).counts[4] == 2160
+
+
+def test_small_sweeps_stay_serial(catalog, monkeypatch):
+    monkeypatch.setattr(enumeration, "_cores", lambda: 2)
+    monkeypatch.setattr(enumeration, "_parallel", None)
+    assert enumerate_vectors(catalog.lattice("E7"), 2, threads=2).counts[2] \
+        == 126
+
+
+def test_pool_size_is_capped_by_cores_and_jobs():
+    assert enumeration._pool_size(64, 100, 2) == 2
+    assert enumeration._pool_size(64, 3, 8) == 3
+    assert enumeration._pool_size(3, 100, 8) == 3
+    assert enumeration._pool_size(1, 100, 8) == 1
+
+
+def test_pool_is_started_with_the_capped_size(catalog, parallel,
+                                               monkeypatch):
+    """A stand-in executor records the size asked for, and runs the jobs
+    in threads of this process."""
+    import concurrent.futures
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+    enumeration._POOL.close()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    e8 = catalog.lattice("E8")
+    assert (enumerate_vectors(e8, 4, threads=64).counts
+            == enumerate_vectors(e8, 4).counts)
+    enumerate_vectors(e8, 6, threads=64)
+    assert sizes == [2] and parallel == [2, 2]
+
+
+def _pool_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_pool_is_reused_across_sweeps(catalog, parallel):
+    e8 = catalog.lattice("E8")
+    enumerate_vectors(e8, 4, threads=2)
+    pids = _pool_pids()
+    assert len(pids) == 2
+    enumerate_vectors(e8, 6, threads=2)
+    assert _pool_pids() == pids and parallel == [2, 2]
+
+
+def test_dead_worker_drops_the_pool(catalog, parallel):
+    e8 = catalog.lattice("E8")
+    want = enumerate_vectors(e8, 4).counts
+    assert enumerate_vectors(e8, 4, threads=2).counts == want
+    pids = _pool_pids()
+    os.kill(min(pids), signal.SIGKILL)
+    # the pool notices and stops its other worker
+    deadline = time.monotonic() + 30
+    while _pool_pids() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _pool_pids()
+    with pytest.raises(ModLatticeError, match="worker process died"):
+        enumerate_vectors(e8, 4, threads=2)
+    assert enumerate_vectors(e8, 4, threads=2).counts == want
+    assert len(_pool_pids()) == 2 and _pool_pids().isdisjoint(pids)
+
+
+def test_node_estimate_tracks_the_search(catalog):
+    """The estimate that picks serial or parallel stays within a factor
+    of 4 of the nodes a plain Fincke-Pohst search visits, on every
+    catalogue lattice but Leech, to its minimum-sweep bound."""
+    for name in catalog.names():
+        if name == "Leech":
+            continue
+        lat = catalog.lattice(name)
+        gram = enumeration._basis(lat)[0]
+        bound = enumeration._min_bound(lat)
+        form = _integer_form(gram)
+        est = enumeration._nodes(form, lat.dim - 1,
+                                 enumeration._top(form, Fraction(bound)))
+        nodes = search_nodes(gram, bound)
+        assert nodes / 4 <= est <= 4 * nodes, (name, est, nodes)
 
 
 def test_integer_form_reproduces_scaled_norm(catalog):

@@ -6,12 +6,13 @@ import math
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import pytest
 
-from modlattice import linalg
+from modlattice import enumeration, linalg
 from modlattice.enumeration import enumerate_vectors
 from modlattice.errors import DefinitenessError
 from modlattice.lattice import Lattice, inner
-from oracles import box_counts
+from oracles import box_counts, search_nodes
 
 BOX_LIMIT = 5000
 
@@ -97,7 +98,11 @@ def test_two_workers_equal_one(data, rational, shifted):
     shift = data.draw(shifts(lat.dim)) if shifted else None
     bound = max(lat.gram[i][i] for i in range(lat.dim))
     one = enumerate_vectors(lat, bound, shift=shift, collect=True)
-    two = enumerate_vectors(lat, bound, shift=shift, collect=True, threads=2)
+    with pytest.MonkeyPatch.context() as mp:    # small sweeps to the pool
+        mp.setattr(enumeration, "PARALLEL_MIN_NODES", 0)
+        mp.setattr(enumeration, "_cores", lambda: 2)
+        two = enumerate_vectors(lat, bound, shift=shift, collect=True,
+                                threads=2)
     assert list(two.counts.items()) == list(one.counts.items())
     assert list(two.layers) == list(one.layers)
     base = shift or (0,) * lat.dim
@@ -108,3 +113,17 @@ def test_two_workers_equal_one(data, rational, shifted):
             assert lat.norm(v) == norm
             assert all(Fraction(vi - si).denominator == 1
                        for vi, si in zip(v, base))
+
+
+@cheap
+@given(st.data(), st.booleans(), st.integers(1, 3))
+def test_node_estimate_within_factor_four(data, rational, scale):
+    """The schedule's estimate against the nodes of a plain Fincke-Pohst
+    search, for bounds of 1-3 times the largest diagonal entry."""
+    lat = data.draw(lattices(rational))
+    bound = scale * max(lat.gram[i][i] for i in range(lat.dim))
+    form = enumeration._integer_form(lat.gram)
+    est = enumeration._nodes(form, lat.dim - 1,
+                             enumeration._top(form, bound))
+    nodes = search_nodes(lat.gram, bound)
+    assert nodes / 4 <= est <= 4 * nodes
