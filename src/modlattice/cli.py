@@ -19,8 +19,7 @@ from . import __version__
 from .enumeration import min_layer, minimum, theta_series
 from .errors import ModLatticeError
 from .lattice import (Catalog, c_n_lattice, density, density_from_parameters,
-                      bundled_catalog, integral_dual_scale, level,
-                      load_catalog, zn)
+                      bundled_catalog, default_level, load_catalog, zn)
 from .report import FAIL, INCONCLUSIVE, PASS, jsonable
 
 # designs, modular and shadow are imported by the handlers that use them,
@@ -204,6 +203,11 @@ def _catalog(args):
     return load_catalog(args.catalog) if args.catalog else bundled_catalog()
 
 
+def _lattice(args):
+    """The lattice named by --lattice, in the catalogue or a family."""
+    return resolve_lattice(args.lattice, _catalog(args))
+
+
 def cmd_catalog(args):
     cat = _catalog(args)
     rows = []
@@ -219,14 +223,9 @@ def cmd_catalog(args):
 
 
 def cmd_info(args):
-    cat = _catalog(args)
-    lat = resolve_lattice(args.lattice, cat)
-    if lat.is_even:
-        n_level = level(lat)
-        kind = "even"
-    else:
-        n_level = integral_dual_scale(lat)
-        kind = "odd"
+    lat = _lattice(args)
+    kind = "even" if lat.is_even else "odd"
+    n_level = default_level(lat)
     info = {"lattice": args.lattice, "dim": lat.dim, "det": lat.det,
             "parity": kind, "level": n_level}
     text = ("%s: dim %d, det %s, %s, level %d"
@@ -235,8 +234,7 @@ def cmd_info(args):
 
 
 def cmd_theta(args):
-    cat = _catalog(args)
-    lat = resolve_lattice(args.lattice, cat)
+    lat = _lattice(args)
     if args.bound < 0:
         raise UsageError("--bound must be nonnegative")
     prec = args.bound + (2 if lat.is_even else 1)
@@ -247,8 +245,7 @@ def cmd_theta(args):
 
 
 def cmd_min(args):
-    cat = _catalog(args)
-    lat = resolve_lattice(args.lattice, cat)
+    lat = _lattice(args)
     rep = minimum(lat, threads=args.threads)
     payload = {"lattice": args.lattice, "min": rep.minimum,
                "kissing": rep.kissing}
@@ -266,8 +263,7 @@ def cmd_extremal_form(args):
 
 def cmd_check_modular(args):
     from .modular import check_modular
-    cat = _catalog(args)
-    lat = resolve_lattice(args.lattice, cat)
+    lat = _lattice(args)
     verdict = check_modular(lat, precision=args.prec, n_level=args.level,
                             isometry_budget=args.budget,
                             exact=not args.formal_only)
@@ -281,8 +277,7 @@ def cmd_check_modular(args):
 
 def cmd_check_extremal(args):
     from .modular import check_extremal, check_extremal_odd
-    cat = _catalog(args)
-    lat = resolve_lattice(args.lattice, cat)
+    lat = _lattice(args)
     if lat.is_even:
         rep = check_extremal(lat, n_level=args.level, threads=args.threads)
     else:
@@ -293,8 +288,7 @@ def cmd_check_extremal(args):
 
 def cmd_check_design(args):
     from .designs import check_design
-    cat = _catalog(args)
-    lat = resolve_lattice(args.lattice, cat)
+    lat = _lattice(args)
     if args.t < 1:
         raise UsageError("--t must be positive")
     layer = min_layer(lat, threads=args.threads)
@@ -304,16 +298,14 @@ def cmd_check_design(args):
 
 def cmd_check_strongly_perfect(args):
     from .designs import is_strongly_perfect
-    cat = _catalog(args)
-    lat = resolve_lattice(args.lattice, cat)
+    lat = _lattice(args)
     rep = is_strongly_perfect(lat, threads=args.threads)
     return _emit_report(rep, args.json)
 
 
 def cmd_harmonic_theta(args):
     from .designs import harmonic_theta_truncation
-    cat = _catalog(args)
-    lat = resolve_lattice(args.lattice, cat)
+    lat = _lattice(args)
     alpha = _parse_alpha(args.alpha, lat.dim)
     qs = harmonic_theta_truncation(lat, alpha, args.t, max(args.prec, 1),
                                    threads=args.threads)
@@ -324,8 +316,7 @@ def cmd_harmonic_theta(args):
 
 def cmd_shadow(args):
     from .shadow import shadow_min, shadow_theta
-    cat = _catalog(args)
-    lat = resolve_lattice(args.lattice, cat)
+    lat = _lattice(args)
     if args.bound is not None:
         st = shadow_theta(lat, args.bound, threads=args.threads)
         payload = {"lattice": args.lattice, "theta": st.to_dict()}
@@ -339,8 +330,7 @@ def cmd_shadow(args):
 
 def cmd_density(args):
     if args.lattice is not None:
-        cat = _catalog(args)
-        lat = resolve_lattice(args.lattice, cat)
+        lat = _lattice(args)
         m = args.min_norm
         if m is None:
             m = minimum(lat, threads=args.threads).minimum

@@ -32,8 +32,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import (VectorLayer, enumerate_vectors, min_layer,
-                          minimum, theta_series, window_bound)
+from .enumeration import (VectorLayer, _counts, enumerate_vectors,
+                          min_layer, minimum, theta_series, window_bound)
 from .errors import ModLatticeError
 from .lattice import Lattice, dual, inner
 from .linalg import (exact_factors, gram_factors, integer_array, inverse,
@@ -359,8 +359,7 @@ def even_min_lower_bound(dim: int) -> int:
 
 def coxeter_number(lat: Lattice, threads=1) -> Fraction:
     """|L_2| / dim, an integer for the irreducible root lattices."""
-    tc = enumerate_vectors(lat, 2, threads=threads)
-    return Fraction(tc.count(2), lat.dim)
+    return Fraction(_counts(lat, 2, threads).count(2), lat.dim)
 
 
 def coxeter_identity_check(lat: Lattice, threads=1) -> CertReport:

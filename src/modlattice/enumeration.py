@@ -13,9 +13,9 @@ the search bounds |Z_k| by an integer square root and solves for x_k by
 floor division, and each leaf is keyed by the integer sum_k f_k Z_k^2.
 No float and no Fraction enters the search, so no vector is ever missed
 or double counted; a key becomes a norm once per distinct norm, at the
-end.  Optional LLL preprocessing (exact, with the unimodular transform
-recorded) makes the deep lattices tractable; results are transformed
-back to the original coordinates.
+end.  In dimension >= 10 the search runs on an LLL-reduced basis (exact,
+with the unimodular transform recorded), which makes the deep lattices
+tractable; results are transformed back to the original coordinates.
 """
 
 import atexit
@@ -281,14 +281,16 @@ def _finalize_layers(reps, form, u_rows, lat):
     return layers
 
 
-def _basis(lat: Lattice, reduce_first=None):
-    """(Gram, transform or None) of the search basis, LLL-reduced once."""
-    if reduce_first is None:
-        reduce_first = lat.dim >= 10
-    if not reduce_first:
+def _basis(lat: Lattice):
+    """(Gram, transform or None) of the search basis: in dimension >= 10
+    LLL-reduced once, and kept as it is when LLL leaves it unchanged."""
+    if lat.dim < 10:
         return lat.gram, None
     if lat._lll is None:
-        object.__setattr__(lat, "_lll", linalg.gram_lll(lat.gram))
+        g, u = linalg.gram_lll(lat.gram)
+        if u == linalg.mat_identity(lat.dim):
+            g, u = lat.gram, None
+        object.__setattr__(lat, "_lll", (g, u))
     return lat._lll
 
 
@@ -357,31 +359,26 @@ def _pin(slots):
         pass
 
 
-def _pool_size(threads, jobs, cores):
-    """Workers for `jobs` jobs: at most `threads`, the cores and the jobs."""
-    return min(threads, cores, jobs)
-
-
 def _split(form, bound, canonical, threads):
     """(jobs, workers) of a parallel sweep, or None to sweep serially.
 
-    A sweep whose estimate is below PARALLEL_MIN_NODES, or that would
-    get fewer than 2 workers, is serial.  Otherwise the prefixes, in DFS
-    order, are cut into contiguous runs of about equal estimated cost,
-    RUNS_PER_WORKER per worker; a job is the (outer_range, inner_range)
-    pair of one run (see _run).
+    workers is min(threads, cores), so the pool keeps its size from one
+    sweep to the next.  A sweep with fewer than 2 workers, an estimate
+    below PARALLEL_MIN_NODES or a single job is serial.  Otherwise the
+    prefixes, in DFS order, are cut into contiguous runs of about equal
+    estimated cost, RUNS_PER_WORKER per worker; a job is the
+    (outer_range, inner_range) pair of one run (see _run).
     """
     rtop = _top(form, bound)
     top = len(form.rows) - 1
-    cores = _cores()
-    if (min(threads, cores) < 2
-            or _nodes(form, top, rtop) < PARALLEL_MIN_NODES):
+    workers = min(threads, _cores())
+    if workers < 2 or _nodes(form, top, rtop) < PARALLEL_MIN_NODES:
         return None
     prefixes = _prefixes(form, rtop, canonical)
     below = top - 2 if top >= 2 else top - 1
     cost = list(accumulate(1 + _nodes(form, below, r)
                            for _, _, r in prefixes))
-    nruns = min(RUNS_PER_WORKER * min(threads, cores), len(prefixes))
+    nruns = min(RUNS_PER_WORKER * workers, len(prefixes))
     edges = ([0] + [bisect_left(cost, cost[-1] * j / nruns) + 1
                     for j in range(1, nruns)] + [len(prefixes)])
     jobs = []
@@ -389,17 +386,16 @@ def _split(form, bound, canonical, threads):
         if i < j:
             (x0, y0, _), (x1, y1, _) = prefixes[i], prefixes[j - 1]
             jobs.append(((x0, x1), None if y0 is None else (y0, y1)))
-    workers = _pool_size(threads, len(jobs), cores)
-    return (jobs, workers) if workers > 1 else None
+    return (jobs, workers) if len(jobs) > 1 else None
 
 
 class _Pool:
     """The worker processes of parallel sweeps, one pool per process.
 
-    Started by the first parallel sweep and kept for later ones; a sweep
-    that needs another size replaces it, a dead worker drops it, and it
-    is shut down at interpreter exit.  On Linux each worker is bound to a
-    core of its own (see _pin).
+    Started by the first parallel sweep and kept for later ones; only a
+    sweep with another threads value (so another size) replaces it, a
+    dead worker drops it, and it is shut down at interpreter exit.  On
+    Linux each worker is bound to a core of its own (see _pin).
     """
 
     def __init__(self):
@@ -482,14 +478,14 @@ def _parallel(form, bound, collect, capacity, canonical, jobs, workers):
 
 
 def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
-                      capacity=DEFAULT_CAPACITY, reduce_first=None,
-                      threads=1) -> ThetaCounts:
+                      capacity=DEFAULT_CAPACITY, *, threads=1) -> ThetaCounts:
     """All lattice vectors x (or coset vectors x + shift) with norm <= bound.
 
     Exact counts by norm; with collect=True the coordinate rows themselves
     (in the original basis, shift included) are returned in sorted order,
-    guarded by `capacity`.  reduce_first toggles LLL preprocessing
-    (default: on for dim >= 10).
+    guarded by `capacity`.  In dimension >= 10 the search runs on an
+    LLL-reduced basis (see _basis); a basis already reduced keeps its
+    coordinates.
 
     threads > 1 first estimates the size of the search (_nodes) and
     sweeps serially below PARALLEL_MIN_NODES.  Above it, the prefixes
@@ -498,14 +494,16 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     min(threads, cores) workers) sweeps and which are merged in DFS
     order.  Counts, their key order, the collected layers and the
     partial counts of a CapacityError are the serial ones.
-    Every call sweeps afresh; only minimum and theta_series share a memo.
+    Every call sweeps afresh; the count-only readers (minimum,
+    theta_series, coxeter_number and the transformation check) share a
+    memo through _counts.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    g_red, u_rows = _basis(lat, reduce_first)
+    g_red, u_rows = _basis(lat)
     # the shift in reduced coordinates: shift_red * u = shift
     shift_red = (shift if shift is None or u_rows is None
                  else linalg.solve(u_rows, shift))

@@ -63,8 +63,8 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
 
     bound = max(max(ga[i][i] for i in range(n)),
                 max(gb[i][i] for i in range(n)))
-    ta = enumerate_vectors(a_s, bound, reduce_first=False)
-    tb = enumerate_vectors(b_s, bound, reduce_first=False, collect=True)
+    ta = enumerate_vectors(a_s, bound)
+    tb = enumerate_vectors(b_s, bound, collect=True)
     if ta.counts != tb.counts:
         return NOT_ISOMETRIC, None, 0
 

@@ -22,7 +22,7 @@ from .errors import (CatalogError, DivisorError, IntegralityError,
 class Lattice:
     """Positive definite lattice given by an exact Gram matrix."""
 
-    __slots__ = ("gram", "dim", "det", "_minors", "_level", "_lll", "_sweep")
+    __slots__ = ("gram", "dim", "det", "_level", "_lll", "_sweep")
 
     def __init__(self, gram):
         rows = [tuple(int_or_fraction(x) for x in row) for row in gram]
@@ -30,7 +30,6 @@ class Lattice:
         object.__setattr__(self, "gram", tuple(rows))
         object.__setattr__(self, "dim", len(rows))
         object.__setattr__(self, "det", int_or_fraction(minors[-1]))
-        object.__setattr__(self, "_minors", tuple(minors))
         object.__setattr__(self, "_level", None)
         object.__setattr__(self, "_lll", None)
         object.__setattr__(self, "_sweep", None)
@@ -116,6 +115,12 @@ def integral_dual_scale(lat: Lattice) -> int:
     if not lat.is_integral:
         raise IntegralityError("requires an integral lattice")
     return _dual_scale(lat)[0]
+
+
+def default_level(lat: Lattice) -> int:
+    """The level of an even lattice, the integral dual scale of an odd
+    one: the level assumed when none is given."""
+    return level(lat) if lat.is_even else integral_dual_scale(lat)
 
 
 def _dual_scale(lat: Lattice):
@@ -318,7 +323,7 @@ def _validate_entry(raw) -> CatalogEntry:
     if not lat.is_integral:
         raise CatalogError("entry %r: gram must be integral" % name)
     claimed_level = raw["level"]
-    lvl = level(lat) if lat.is_even else integral_dual_scale(lat)
+    lvl = default_level(lat)
     if lvl != claimed_level:
         raise CatalogError("entry %r: recomputed level %d != claimed %d"
                            % (name, lvl, claimed_level))

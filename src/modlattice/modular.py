@@ -12,11 +12,10 @@ from fractions import Fraction
 
 from . import linalg
 from .arith import exact_divisors
-from .enumeration import enumerate_vectors, minimum, theta_series
+from .enumeration import _counts, minimum, theta_series
 from .errors import CatalogError, EmptyBasisError, ModLatticeError
 from .lattice import (
-    Lattice, bundled_catalog, integral_dual_scale, level as lattice_level,
-    partial_dual, rescale, dual)
+    Lattice, bundled_catalog, default_level, partial_dual, rescale, dual)
 from .qseries import LevelData, QSeries, delta_level
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 
@@ -180,11 +179,7 @@ class ModularityVerdict:
 
 
 def _resolve_level(lat: Lattice, n_level):
-    if n_level is not None:
-        return n_level
-    if lat.is_even:
-        return lattice_level(lat)
-    return integral_dual_scale(lat)
+    return default_level(lat) if n_level is None else n_level
 
 
 def check_modular(lat: Lattice, precision: int = 20, n_level=None,
@@ -382,10 +377,9 @@ def _theta_value(lat: Lattice, t: float, tol: float):
         bound += 1
         if bound > 10000:
             return None, None
-    tc = enumerate_vectors(lat, bound)
-    total = 0.0
-    for norm, count in tc.counts.items():
-        total += count * math.exp(-math.pi * float(norm) * t)
+    # fsum: the memo may hold the counts in another order
+    total = math.fsum(count * math.exp(-math.pi * float(norm) * t)
+                      for norm, count in _counts(lat, bound).counts.items())
     return total, tail
 
 

@@ -35,13 +35,7 @@ def shadow_coset(lat: Lattice):
         raise IntegralityError("shadow needs an integral lattice")
     g = lat.gram
     shift = tuple(Fraction(int(g[i][i]) % 2, 2) for i in range(lat.dim))
-    dl = dual(lat)
-    # verify the characteristic congruence on the basis rows
-    for i in range(lat.dim):
-        lhs = 2 * shift[i]          # (2s, e_i) in dual coordinates
-        if (lhs - g[i][i]) % 2 != 0:
-            raise ModLatticeError("characteristic congruence failed")
-    return dl, shift
+    return dual(lat), shift
 
 
 @dataclass(frozen=True)
@@ -116,6 +110,19 @@ class ShadowReport:
         }
 
 
+def _odd_level_data(n_level: int, dim: int) -> LevelData:
+    """LevelData of N for the odd strongly N-modular lattices of dimension
+    dim: N must be odd and sigma0(N) must divide dim."""
+    if n_level % 2 == 0:
+        raise LevelError("odd strongly modular lattices need odd level")
+    data = LevelData.for_level(n_level)
+    if dim % data.sigma0 != 0:
+        raise ModLatticeError(
+            "dimension %d is not a multiple of sigma0(%d) = %d"
+            % (dim, n_level, data.sigma0))
+    return data
+
+
 def shadow_min(lat: Lattice, n_level: int = 1, threads=1) -> ShadowReport:
     """Shadow minimum, its count, and the defect m for an odd lattice.
 
@@ -124,13 +131,7 @@ def shadow_min(lat: Lattice, n_level: int = 1, threads=1) -> ShadowReport:
     """
     if lat.is_even:
         raise ParityError("shadow minimum is for odd lattices")
-    if n_level % 2 == 0:
-        raise LevelError("odd strongly modular lattices need odd level")
-    data = LevelData.for_level(n_level)
-    if lat.dim % data.sigma0 != 0:
-        raise ModLatticeError(
-            "dimension %d is not a multiple of sigma0(%d) = %d"
-            % (lat.dim, n_level, data.sigma0))
+    data = _odd_level_data(n_level, lat.dim)
     l = lat.dim // data.sigma0
     # the shadow minimum of an n-dim odd lattice is at most n/4 (Z^n case),
     # so sweeping up to that bound always finds it
@@ -153,12 +154,7 @@ def odd_min_bound(n_level: int, dim: int) -> int:
     The bound is 2 + 2*(dim // (2 k_N)) except one dimension short of a
     full weight block, where minimum 3 is attainable instead.
     """
-    data = LevelData.for_level(n_level)
-    if n_level % 2 == 0:
-        raise LevelError("odd strongly modular lattices need odd level")
-    if dim % data.sigma0 != 0:
-        raise ModLatticeError(
-            "dimension %d is not a multiple of sigma0(%d)" % (dim, n_level))
+    data = _odd_level_data(n_level, dim)
     if dim == 2 * data.weight - data.sigma0:
         return 3
     return 2 * (dim // (2 * data.weight)) + 2

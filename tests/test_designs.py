@@ -19,13 +19,15 @@ from modlattice.designs import (DesignTestConfig, EUTACTIC_CERT,
                                 perfection_rank, predicted_design_strength,
                                 zonal_harmonic)
 from modlattice.enumeration import (VectorLayer, enumerate_vectors,
-                                    min_layer, theta_series, window_bound)
+                                    min_layer, minimum, theta_series,
+                                    window_bound)
 from modlattice.errors import (CapacityError, DefinitenessError,
                                ModLatticeError)
 from modlattice.lattice import Lattice, direct_sum, dual, inner, rescale, zn
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
 from oracles import moment_tensor_test
+from test_enumeration import count_sweeps
 
 import numpy as np
 
@@ -357,6 +359,18 @@ def test_coxeter_numbers(catalog):
     assert coxeter_number(catalog.lattice("E8")) == 30
     assert coxeter_number(catalog.lattice("A2")) == 3
     assert coxeter_number(catalog.lattice("D4")) == 6
+
+
+def test_coxeter_number_reads_the_memo(catalog, monkeypatch):
+    from modlattice import enumeration
+    swept = count_sweeps(monkeypatch)
+    monkeypatch.setattr(designs, "enumerate_vectors",
+                        enumeration.enumerate_vectors)
+    e8 = Lattice(catalog.lattice("E8").gram)
+    assert coxeter_number(e8) == 30
+    assert minimum(e8).kissing == 240
+    assert coxeter_number(e8) == 30
+    assert swept == [e8]
 
 
 def test_coxeter_identity(catalog):

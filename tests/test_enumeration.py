@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from modlattice import enumeration
+from modlattice import enumeration, linalg
 from modlattice.enumeration import (_integer_form, enumerate_vectors,
                                     min_layer, minimum, theta_series)
 from modlattice.errors import CapacityError, ModLatticeError
@@ -159,13 +159,31 @@ def test_parallel_bound_below_the_minimum(catalog, parallel):
 
 
 def test_lll_preprocessing_does_not_change_counts():
+    """In dimension >= 10 the sweep runs on an LLL-reduced basis; its
+    counts are those of the kernel on the unreduced form."""
     rng = random.Random(23)
-    base = random_gram(rng, 4)
+    base = random_gram(rng, 10, spread=1)
+    bound = Fraction(6)
     for _ in range(3):
-        lat = transformed(base, unimodular(rng, 4))
-        plain = enumerate_vectors(lat, 6, reduce_first=False)
-        red = enumerate_vectors(lat, 6, reduce_first=True)
-        assert plain.counts == red.counts
+        lat = transformed(base, unimodular(rng, 10))
+        form = _integer_form(lat.gram)
+        plain, _ = enumeration._run(form, bound, False, None, None, None,
+                                    True)
+        assert enumeration._basis(lat)[1] is not None
+        assert (enumerate_vectors(lat, bound).counts
+                == enumeration._by_norm(plain, form.scale))
+
+
+def test_reduced_basis_keeps_its_coordinates(catalog):
+    """A Gram that LLL leaves unchanged is searched as it is, with no
+    transform stored."""
+    rng = random.Random(29)
+    for lat in (catalog.lattice("K12"),
+                transformed(random_gram(rng, 10, spread=1),
+                            unimodular(rng, 10))):
+        reduced = Lattice(linalg.gram_lll(lat.gram)[0])
+        assert enumeration._basis(reduced) == (reduced.gram, None)
+        assert reduced._lll == (reduced.gram, None)
 
 
 def test_unimodular_transform_preserves_theta():
@@ -234,11 +252,19 @@ def test_small_sweeps_stay_serial(catalog, monkeypatch):
         == 126
 
 
-def test_pool_size_is_capped_by_cores_and_jobs():
-    assert enumeration._pool_size(64, 100, 2) == 2
-    assert enumeration._pool_size(64, 3, 8) == 3
-    assert enumeration._pool_size(3, 100, 8) == 3
-    assert enumeration._pool_size(1, 100, 8) == 1
+def test_pool_size_is_capped_by_cores(monkeypatch):
+    """min(threads, cores) workers, however few jobs the sweep has."""
+    monkeypatch.setattr(enumeration, "PARALLEL_MIN_NODES", 0)
+    form = _integer_form(zn(3).gram)
+
+    def split(threads, cores):
+        monkeypatch.setattr(enumeration, "_cores", lambda: cores)
+        return enumeration._split(form, Fraction(2), True, threads)
+    assert split(64, 2)[1] == 2
+    assert split(3, 8)[1] == 3
+    jobs, workers = split(64, 8)
+    assert len(jobs) == 5 and workers == 8
+    assert split(1, 8) is None
 
 
 def test_pool_is_started_with_the_capped_size(catalog, parallel,
@@ -259,6 +285,16 @@ def test_pool_is_started_with_the_capped_size(catalog, parallel,
             == enumerate_vectors(e8, 4).counts)
     enumerate_vectors(e8, 6, threads=64)
     assert sizes == [2] and parallel == [2, 2]
+
+    # on 8 cores, sweeps of 5 and 7 jobs share one pool of 8 workers
+    enumeration._POOL.close()
+    sizes.clear()
+    monkeypatch.setattr(enumeration, "_cores", lambda: 8)
+    z3 = zn(3)
+    for lat, bound in ((z3, 2), (e8, 4), (z3, 2), (e8, 4)):
+        assert (enumerate_vectors(lat, bound, threads=8).counts
+                == enumerate_vectors(lat, bound).counts)
+    assert sizes == [8] and parallel[2:] == [8] * 4
 
 
 def _pool_pids():

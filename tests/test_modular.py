@@ -141,6 +141,14 @@ def test_check_modular_sweeps_only_for_a_theta_comparison(catalog,
     assert calls == [4, 4]
 
 
+def test_check_modular_isometry_node_counts(catalog):
+    # the isometry search sweeps its LLL-reduced forms as they are
+    for name, nodes in (("A2", 2), ("D4", 4), ("K12", 12), ("BW16", 17)):
+        v = check_modular(catalog.lattice(name), precision=6)
+        assert v.verdict == PASS and v.exact_pass, name
+        assert v.results[-1].detail == "%d nodes" % nodes, name
+
+
 def test_check_modular_formal_only(catalog):
     v = check_modular(catalog.lattice("D4"), exact=False)
     assert v.verdict == PASS
@@ -228,6 +236,15 @@ def test_transformation_formula_positives(catalog):
         assert rep.verdict == PASS
         assert rep.details["difference"] <= (rep.details["tail_bounds"]
                                              + rep.details["tolerance"])
+
+
+def test_transformation_formula_reads_the_memo(catalog, monkeypatch):
+    # the lattice's theta sweep serves its sum; the dual is a new object
+    a2 = Lattice(catalog.lattice("A2").gram)
+    theta_series(a2, 40)
+    swept = count_sweeps(monkeypatch)
+    assert transformation_check(a2, 2).verdict == PASS
+    assert len(swept) == 1 and swept[0] is not a2
 
 
 def test_transformation_formula_tail_too_slow_is_inconclusive():
