@@ -32,8 +32,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import (VectorLayer, _counts, enumerate_vectors,
-                          min_layer, minimum, theta_series, window_bound)
+from .enumeration import (VectorLayer, _collected, _counts, min_layer,
+                          minimum, theta_series, window_bound)
 from .errors import ModLatticeError
 from .lattice import Lattice, dual, inner
 from .linalg import (exact_factors, gram_factors, integer_array, inverse,
@@ -44,6 +44,10 @@ from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 # inner products formed per block of rows: bounds the working memory of
 # the pair histogram (about 8 bytes per entry, a few arrays at a time)
 _BLOCK_ENTRIES = 1 << 20
+
+# bins of one pair-histogram tally: the packed keys of _pair_histogram
+# range over base^p <= _PACK_BINS values
+_PACK_BINS = 1 << 14
 
 
 def double_factorial_odd(k: int) -> int:
@@ -94,45 +98,92 @@ def exact_power_sums(dots, degrees) -> dict:
     return {d: sum(c * v ** d for v, c in pairs) for d in degrees}
 
 
+def _packed(cols, base, p):
+    """cols (integer array, k x size) with each run of p columns folded
+    into one, column g = sum_j base^j cols[:, g p + j]; the last run is
+    padded with zero columns.  Exact, through exact_factors."""
+    np = load_numpy()
+    k, size = cols.shape
+    runs = np.zeros((k, -(-size // p) * p), dtype=cols.dtype)
+    runs[:, :size] = cols
+    return np.matmul(*exact_factors(runs.reshape(k, -1, p),
+                                    [base ** j for j in range(p)]))
+
+
 def _pair_histogram(gram, half, m: int) -> dict:
     """{v: number of ordered pairs (x, y) in H x H with (x, y) = v}.
 
-    Rows of H are taken in blocks of about _BLOCK_ENTRIES products, each
-    against the rows from its own first row on, so that every pair above
-    the diagonal is formed once and counted twice; the diagonal adds |H|
-    pairs of value m.  Cauchy-Schwarz puts every value in [-m, m], so
-    bincount (offset by m) tallies a block while 2m + 1 fits the budget,
-    and np.unique beyond, so that a rescaled lattice never allocates O(m).
+    Every value lies in [-m, m] by Cauchy-Schwarz.  Packing: with
+    base = 2m + 1 and p the largest exponent with base^p <= _PACK_BINS
+    (1 when base alone exceeds it), the columns y of the right factor are
+    taken p at a time and folded into one column sum_j base^j y_j
+    (_packed), so that one product entry sum_j base^j (x, y_j) carries p
+    inner products.  Plus m (base^p - 1) / (base - 1) it is the key
+    sum_j base^j ((x, y_j) + m), whose base-`base` digits are the values
+    offset by m: keys lie in [0, base^p), and one bincount of the keys,
+    summed onto each axis of the base^p cube, counts every pair once.
+
+    Exactness: exact_factors bounds every partial sum of a row of H G
+    against a packed column by dim * max|H G| * max|packed column| and
+    casts to a dtype in which all of them are exact; p is lowered until
+    that is the dtype of the unpacked product, so packing never moves the
+    product to a slower dtype.  The zero columns that pad the last run of
+    p have value 0 with every row; they are taken off the count of 0.
+
+    Rows of H go in blocks of _BLOCK_ENTRIES // |H| rows, rounded down to
+    a multiple of p (at least p), each against the columns from its own
+    first row on: the pairs inside a block's square are formed in both
+    orders and counted once, those right of it once and counted twice.
+    When 2m + 1 exceeds _BLOCK_ENTRIES, p is 1 and np.unique tallies the
+    values instead of bincount, so that a rescaled lattice never
+    allocates O(m).
     """
     np = load_numpy()
     size = len(half)
-    left, right = gram_factors(gram, half, half)
-    rows = max(1, _BLOCK_ENTRIES // max(size, 1))
-    dense = 2 * m + 1 <= _BLOCK_ENTRIES
-    tally = np.zeros(2 * m + 1, dtype=np.int64) if dense else {}
-    index = np.empty(rows * size, dtype=np.intp) if dense else None
+    base = 2 * m + 1
+    dense = base <= _BLOCK_ENTRIES
+    p = 1
+    while dense and base ** (p + 1) <= _PACK_BINS:
+        p += 1
+    rows_g = np.matmul(*exact_factors(half, gram))
+    left, right = exact_factors(rows_g, half.T)
+    while p > 1:
+        packed = exact_factors(rows_g, _packed(half.T, base, p))
+        if packed[0].dtype == left.dtype:
+            left, right = packed
+            break
+        p -= 1
+    bins = base ** p
+    offset = m * (bins - 1) // (base - 1)
+    rows = max(p, _BLOCK_ENTRIES // max(size, 1) // p * p)
+    tally = np.zeros(bins, dtype=np.int64) if dense else {}
+    index = np.empty(rows * right.shape[1], dtype=np.intp) if dense else None
 
-    def add(dots):
+    def add(dots, weight):
         if dense:
             idx = index[:dots.size].reshape(dots.shape)
-            np.add(dots, m, out=idx, casting="unsafe")
-            tally[:] += np.bincount(idx.ravel(), minlength=2 * m + 1)
+            np.add(dots, offset, out=idx, casting="unsafe")
+            tally[:] += weight * np.bincount(idx.ravel(), minlength=bins)
             return
         values, counts = np.unique(dots, return_counts=True)
         for v, c in zip(values.tolist(), counts.tolist()):
-            tally[int(v)] = tally.get(int(v), 0) + c
+            tally[int(v)] = tally.get(int(v), 0) + weight * c
 
     for lo in range(0, size, rows):
         hi = min(lo + rows, size)
-        square = left[lo:hi] @ right[:, lo:hi]
-        add(square[np.triu_indices(hi - lo, 1)])
-        add(left[lo:hi] @ right[:, hi:])
-    if dense:
-        hist = {v - m: 2 * int(c) for v, c in enumerate(tally.tolist()) if c}
-    else:
-        hist = {v: 2 * c for v, c in tally.items()}
-    hist[m] = hist.get(m, 0) + size
-    return hist
+        edge = -(-hi // p)
+        add(left[lo:hi] @ right[:, lo // p:edge], 1)
+        add(left[lo:hi] @ right[:, edge:], 2)
+    if not dense:
+        return tally
+    cube = tally.reshape((base,) * p)
+    counts = sum(cube.sum(axis=tuple(a for a in range(p) if a != j))
+                 for j in range(p))
+    # each row of H meets every padding column once: in the square of the
+    # last block (counted once) or right of an earlier one (twice)
+    last = size - (size - 1) // rows * rows
+    counts[m] -= (-size % p) * (2 * size - last)
+    return {v - m: int(c) for v, c in enumerate(counts.tolist()) if c}
 
 
 def _direction_witness(lat, arr, half, degree, rhs):
@@ -366,8 +417,7 @@ def coxeter_identity_check(lat: Lattice, threads=1) -> CertReport:
     """Proof of sum_{x in L_2} (a,x)^2 = 2h (a,a), h = |L_2|/dim, or a
     direction a that breaks it: the degree-2 design identity on L_2."""
     t0 = time.time()
-    tc = enumerate_vectors(lat, 2, collect=True, threads=threads)
-    layer = tc.layers.get(2)
+    layer = _collected(lat, 2, threads).layers.get(2)
     if layer is None or not len(layer):
         return CertReport(
             check="coxeter-identity", verdict=INCONCLUSIVE,
@@ -515,7 +565,7 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
     bound = window_bound(lat, precision_q)
     coeffs = {}
     if bound > 0:
-        tc = enumerate_vectors(lat, bound, collect=True, threads=threads)
+        tc = _collected(lat, bound, threads)
         # (x, a) = x . Ga, with Ga and (a, a) in Python integers
         ga = [sum(g * c for g, c in zip(row, alpha)) for row in lat.gram]
         w_of_a = inner(lat.gram, alpha, alpha)

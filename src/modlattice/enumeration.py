@@ -494,9 +494,12 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     min(threads, cores) workers) sweeps and which are merged in DFS
     order.  Counts, their key order, the collected layers and the
     partial counts of a CapacityError are the serial ones.
-    Every call sweeps afresh; the count-only readers (minimum,
+    Every call sweeps afresh.  The count-only readers (minimum,
     theta_series, coxeter_number and the transformation check) share a
-    memo through _counts.
+    memo through _counts, and the collecting readers (min_layer, and
+    through it perfection_rank, eutaxy_check and is_strongly_perfect;
+    harmonic_theta_truncation and coxeter_identity_check) another
+    through _collected.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -531,15 +534,38 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
 
 def _counts(lat: Lattice, bound, threads=1) -> ThetaCounts:
     """Counts of lat up to bound, cut from lat._sweep, the largest
-    count-only unshifted sweep of this (immutable) object; a larger bound
-    sweeps and replaces it.  Each caller gets its own counts dict."""
+    count-only unshifted sweep of this (immutable) object, or from
+    lat._layers when that reaches the bound; otherwise a count-only sweep
+    to bound replaces lat._sweep.  Each caller gets its own counts dict."""
     bound = Fraction(bound)
     memo = lat._sweep
+    if memo is None or memo.bound < bound:
+        memo = lat._layers
     if memo is None or memo.bound < bound:
         memo = enumerate_vectors(lat, bound, threads=threads)
         object.__setattr__(lat, "_sweep", memo)
     return ThetaCounts(bound, {k: v for k, v in memo.counts.items()
                                if k <= bound})
+
+
+def _collected(lat: Lattice, bound, threads=1) -> ThetaCounts:
+    """Counts and collected layers of lat up to bound, cut from
+    lat._layers, the largest collected unshifted sweep that a reader asked
+    for on this object; a larger bound collects to that bound (under
+    DEFAULT_CAPACITY) and replaces it, keeping the layers already handed
+    out.  So a norm's layer is one VectorLayer object for the life of lat,
+    and what is kept on it (its pair histogram) serves every reader."""
+    bound = Fraction(bound)
+    memo = lat._layers
+    if memo is None or memo.bound < bound:
+        tc = enumerate_vectors(lat, bound, collect=True, threads=threads)
+        if memo is not None:
+            tc.layers.update(memo.layers)
+        memo = tc
+        object.__setattr__(lat, "_layers", memo)
+    return ThetaCounts(
+        bound, {k: v for k, v in memo.counts.items() if k <= bound},
+        layers={k: v for k, v in memo.layers.items() if k <= bound})
 
 
 @dataclass(frozen=True)
@@ -566,10 +592,10 @@ def minimum(lat: Lattice, threads=1) -> MinimumReport:
 def min_layer(lat: Lattice, threads=1) -> VectorLayer:
     """The layer Min(L) of minimal vectors, collected.
 
-    Collects in a single sweep up to _min_bound, not stored on lat.
+    Read through _collected up to _min_bound: the first call collects,
+    later calls on the same object return the same layer.
     """
-    tc = enumerate_vectors(lat, _min_bound(lat), collect=True,
-                           threads=threads)
+    tc = _collected(lat, _min_bound(lat), threads)
     m = min(k for k, layer in tc.layers.items() if k > 0 and len(layer))
     return tc.layers[m]
 

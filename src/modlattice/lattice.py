@@ -22,7 +22,8 @@ from .errors import (CatalogError, DivisorError, IntegralityError,
 class Lattice:
     """Positive definite lattice given by an exact Gram matrix."""
 
-    __slots__ = ("gram", "dim", "det", "_level", "_lll", "_sweep")
+    __slots__ = ("gram", "dim", "det", "_level", "_lll", "_sweep",
+                 "_layers")
 
     def __init__(self, gram):
         rows = [tuple(int_or_fraction(x) for x in row) for row in gram]
@@ -33,6 +34,7 @@ class Lattice:
         object.__setattr__(self, "_level", None)
         object.__setattr__(self, "_lll", None)
         object.__setattr__(self, "_sweep", None)
+        object.__setattr__(self, "_layers", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")

@@ -263,6 +263,17 @@ def moment_tensor_test(layer: VectorLayer, two_k: int,
                  "elapsed": round(time.time() - t0, 3)})
 
 
+def pair_histogram(gram, rows) -> dict:
+    """{v: number of ordered pairs (x, y) of rows with x G y^T = v}, by a
+    plain double loop in Python integers."""
+    hist = {}
+    for x in rows:
+        gx = [sum(a * g for a, g in zip(x, col)) for col in zip(*gram)]
+        for y in rows:
+            v = sum(a * b for a, b in zip(gx, y))
+            hist[v] = hist.get(v, 0) + 1
+    return hist
+
 
 def search_nodes(gram, bound) -> int:
     """Nodes of a plain recursive Fincke-Pohst search of `gram` to `bound`.

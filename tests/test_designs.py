@@ -2,12 +2,13 @@
 from fractions import Fraction
 import math
 import random
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from modlattice import designs, linalg
+from modlattice import designs, enumeration, linalg
 from modlattice.designs import (DesignTestConfig, EUTACTIC_CERT,
                                 NOT_EUTACTIC, STRONGLY_EUTACTIC,
                                 check_design, coxeter_identity_check,
@@ -26,7 +27,7 @@ from modlattice.errors import (CapacityError, DefinitenessError,
 from modlattice.lattice import Lattice, direct_sum, dual, inner, rescale, zn
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
-from oracles import moment_tensor_test
+from oracles import moment_tensor_test, pair_histogram
 from test_enumeration import count_sweeps
 
 import numpy as np
@@ -184,11 +185,10 @@ def test_pair_sums_equal_a_double_loop(layer):
     lat, arr = designs._layer_data(layer)
     m, n, size = int(layer.norm), lat.dim, len(layer)
     hist = designs._pair_histogram(lat.gram, designs._half_rows(arr), m)
-    dots = [inner(lat.gram, x, y) for x in layer.vectors
-            for y in layer.vectors]
+    full = pair_histogram(lat.gram, layer.vectors)
     verdicts, _ = designs._pair_sum_test(layer, (2, 4, 6, 8))
     for d in (2, 4, 6, 8):
-        pair_sum = sum(v ** d for v in dots)
+        pair_sum = sum(c * v ** d for v, c in full.items())
         assert 4 * sum(c * v ** d for v, c in hist.items()) == pair_sum
         bound = Fraction(size * size * m ** d * double_factorial_odd(d // 2),
                          math.prod(n + 2 * i for i in range(d // 2)))
@@ -226,6 +226,82 @@ def test_histogram_does_not_depend_on_the_block_size(catalog, monkeypatch):
         assert left.dtype.name == "object"
         assert designs._pair_histogram(lat.gram, half, m) == want
         monkeypatch.undo()
+
+
+# Norms on both sides of each step of the packing exponent p at the
+# default _PACK_BINS = 2^14 (base = 2m + 1, base^p <= 2^14): p = 8 at
+# m = 1, 6 at 2, 4 at 3-5, 3 at 6-12, 2 at 13-63, 1 from 64, and the
+# np.unique path once 2m + 1 > _BLOCK_ENTRIES = 2^20.
+PACKING_NORMS = (1, 2, 3, 5, 6, 12, 13, 63, 64, 2 ** 19 - 1, 2 ** 19)
+
+
+def test_packed_histogram_on_scaled_z_n():
+    """The layer {+-e_i} of c Z^n, n = 1-9, has |H| = n (a multiple of p
+    only for n = 8 at m = 1) and norm c at every packing step."""
+    for c in PACKING_NORMS:
+        for n in range(1, 10):
+            gram = [[c * int(i == j) for j in range(n)] for i in range(n)]
+            half = np.eye(n, dtype=np.int64)
+            want = pair_histogram(gram, half.tolist())
+            assert designs._pair_histogram(gram, half, c) == want, (c, n)
+
+
+@st.composite
+def zn_layers(draw):
+    """A layer of Z^n, n = 1-8, of norm 1-5."""
+    tc = enumerate_vectors(zn(draw(st.integers(1, 8))), 5, collect=True)
+    return draw(st.sampled_from([v for k, v in tc.layers.items() if k]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(integral_layers(), zn_layers()),
+       st.sampled_from(PACKING_NORMS[:9]), st.data())
+def test_packed_histogram_equals_a_double_loop(layer, scale, data):
+    """A layer of c G (norm c m) against the oracle's double loop, with
+    the bin budget at its default or on either side of base^p, and
+    _BLOCK_ENTRIES at its default, at base (blocks of a few rows) or at 1
+    (the np.unique path)."""
+    lat, arr = designs._layer_data(layer)
+    half = designs._half_rows(arr)
+    m = scale * int(layer.norm)
+    gram = [[scale * g for g in row] for row in lat.gram]
+    base = 2 * m + 1
+    bins = data.draw(st.sampled_from(
+        [designs._PACK_BINS] + [base ** p + d for p in (1, 2, 3, 4)
+                                for d in (-1, 0) if base ** p <= 1 << 16]))
+    block = data.draw(st.sampled_from([designs._BLOCK_ENTRIES, base, 1]))
+    with mock.patch.object(designs, "_PACK_BINS", bins), \
+            mock.patch.object(designs, "_BLOCK_ENTRIES", block):
+        got = designs._pair_histogram(gram, half, m)
+    assert got == pair_histogram(gram, half.tolist())
+
+
+def test_packing_keeps_the_dtype_of_the_unpacked_product(catalog,
+                                                         monkeypatch):
+    """With the float64 limit just above the unpacked product's bound,
+    every packing (p = 4, 3, 2) would leave float64, so p drops to 1 and
+    the products stay float64."""
+    layer = enumerate_vectors(catalog.lattice("E8"), 4,
+                              collect=True).layers[4]
+    lat, arr = designs._layer_data(layer)
+    half = designs._half_rows(arr)
+    want = designs._pair_histogram(lat.gram, half, 4)
+    left, right = linalg.gram_factors(lat.gram, half, half)
+    limit = 8 * int(abs(left).max()) * int(abs(right).max()) + 1
+    monkeypatch.setattr(linalg, "FLOAT_EXACT_LIMIT", limit)
+    made = []
+    factors = designs.exact_factors
+
+    def counted(a, b):
+        made.append(factors(a, b))
+        return made[-1]
+    monkeypatch.setattr(designs, "exact_factors", counted)
+    assert designs._pair_histogram(lat.gram, half, 4) == want
+    # the factors of H G itself come first
+    products = [(r.dtype.name, r.shape[1]) for a, r in made[1:]
+                if a.shape == (len(half), 8)]
+    assert products == [("float64", 1080), ("int64", 270), ("int64", 360),
+                        ("int64", 540)]
 
 
 def _skewed(gram, steps, seed):
@@ -362,10 +438,7 @@ def test_coxeter_numbers(catalog):
 
 
 def test_coxeter_number_reads_the_memo(catalog, monkeypatch):
-    from modlattice import enumeration
     swept = count_sweeps(monkeypatch)
-    monkeypatch.setattr(designs, "enumerate_vectors",
-                        enumeration.enumerate_vectors)
     e8 = Lattice(catalog.lattice("E8").gram)
     assert coxeter_number(e8) == 30
     assert minimum(e8).kissing == 240
@@ -430,6 +503,44 @@ def test_one_histogram_per_layer(catalog, monkeypatch):
     assert check_design(fresh.layers[6], 11).to_dict()["witnesses"] == (
         eleven.to_dict()["witnesses"])
     assert len(built) == 2
+
+
+def test_layer_certificates_share_one_collected_sweep(catalog, monkeypatch):
+    """One collected sweep per new, larger bound serves every collecting
+    reader of a lattice object, and a norm's layer (with its histogram)
+    is one object throughout; enumerate_vectors itself always sweeps."""
+    swept = count_sweeps(monkeypatch)
+    built = []
+    histogram = designs._pair_histogram
+
+    def counted(*args):
+        built.append(args)
+        return histogram(*args)
+    monkeypatch.setattr(designs, "_pair_histogram", counted)
+    e8 = Lattice(catalog.lattice("E8").gram)
+    axis = [1, 2, 0, 0, 0, 0, 0, -1]
+    layer = min_layer(e8)
+    assert check_design(layer, 7).verdict == PASS
+    assert perfection_rank(e8) == 36
+    assert eutaxy_check(e8).details["kind"] == STRONGLY_EUTACTIC
+    assert is_strongly_perfect(e8).verdict == PASS
+    assert coxeter_identity_check(e8).verdict == PASS
+    assert harmonic_theta_truncation(e8, axis, 8, 4).coeffs != {}
+    assert swept == [e8] and len(built) == 1
+    # a larger window collects once more, to its own bound, and keeps the
+    # layer already handed out
+    six = harmonic_theta_truncation(e8, axis, 8, 6)
+    assert harmonic_theta_truncation(e8, axis, 8, 5).coeffs == six.coeffs
+    assert swept == [e8, e8] and e8._layers.bound == 4
+    assert six == harmonic_theta_truncation(Lattice(e8.gram), axis, 8, 6)
+    swept.clear()
+    assert min_layer(e8) is layer and e8._layers.layers[2] is layer
+    assert is_strongly_perfect(e8).verdict == PASS and len(built) == 1
+    # counts up to the collected bound need no count-only sweep
+    assert minimum(e8).kissing == 240 and swept == []
+    for _ in range(2):
+        enumeration.enumerate_vectors(e8, 2, collect=True)
+    assert swept == [e8, e8]
 
 
 def test_second_strength_forms_no_layer_array(catalog, monkeypatch):
