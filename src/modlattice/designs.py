@@ -36,14 +36,22 @@ from .enumeration import (VectorLayer, _collected, _counts, min_layer,
                           minimum, theta_series, window_bound)
 from .errors import ModLatticeError
 from .lattice import Lattice, dual, inner
-from .linalg import (exact_factors, gram_factors, integer_array, inverse,
-                     load_numpy, rank, solve)
+from .linalg import (INT64_LIMIT, exact_factors, gram_factors,
+                     integer_array, inverse, load_numpy, max_abs, rank,
+                     rank_mod_p, solve)
 from .qseries import LevelData, QSeries
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 
 # inner products formed per block of rows: bounds the working memory of
 # the pair histogram (about 8 bytes per entry, a few arrays at a time)
 _BLOCK_ENTRIES = 1 << 20
+
+# the rank witness of perfection_rank: a prime below 2^31, so that a
+# product of two residues stays below 2^62; the rows of R beyond the
+# projector space; and the seed of R's entries
+_WITNESS_PRIME = 2147483629
+_WITNESS_EXTRA = 8
+_WITNESS_SEED = 0x6D6F646C
 
 # bins of one pair-histogram tally: the packed keys of _pair_histogram
 # range over base^p <= _PACK_BINS values
@@ -74,7 +82,11 @@ def _layer_lattice(layer: VectorLayer) -> Lattice:
 
 
 def _layer_data(layer: VectorLayer):
+    """(lattice, rows): the rows a sweep kept on the layer, or for a
+    layer built by hand its vectors as an integer array."""
     lat = _layer_lattice(layer)
+    if layer._rows is not None:
+        return lat, layer._rows
     return lat, integer_array(layer.vectors).reshape(len(layer), lat.dim)
 
 
@@ -291,23 +303,75 @@ def is_strongly_perfect(lat: Lattice, threads=1) -> CertReport:
         elapsed=time.time() - t0)
 
 
-def _sym_vec(row, n):
-    """Upper triangle of x^T x as a flat tuple, i <= j."""
-    return tuple(row[i] * row[j] for i in range(n) for j in range(i, n))
+def _projector_rows(rows):
+    """The upper triangles (x_i x_j, i <= j) of the projectors x^T x of
+    the rows x (an integer array): int64, or Python integers past 2^62."""
+    np = load_numpy()
+    i, j = np.triu_indices(rows.shape[1])
+    big = max_abs(rows) ** 2 >= INT64_LIMIT
+    rows = rows.astype(object if big else np.int64)
+    out = rows[:, i]
+    out *= rows[:, j]
+    return out
+
+
+def _witness_block(size, lo, hi):
+    """Columns lo..hi-1 of the fixed matrix R of the rank witness: size
+    rows, entries in {-1, 0, 1}, each a splitmix64 hash of its (row,
+    column) position and _WITNESS_SEED, so R is the same for any blocking
+    and draws on no random state."""
+    np = load_numpy()
+    u64 = np.uint64
+    z = np.arange(size, dtype=u64)[:, None] << u64(32)
+    z = z + (np.arange(lo, hi, dtype=u64) + u64(_WITNESS_SEED))
+    z ^= z >> u64(30)
+    z *= u64(0xBF58476D1CE4E5B9)
+    z ^= z >> u64(27)
+    z *= u64(0x94D049BB133111EB)
+    z ^= z >> u64(31)
+    z %= u64(3)
+    out = z.astype(np.int8)
+    out -= 1
+    return out
 
 
 def perfection_rank(lat: Lattice, threads=1) -> int:
     """Rank of the span of the projectors x x^T over minimal vectors x.
 
-    L is perfect when this reaches dim(dim+1)/2; the rank is invariant
+    L is perfect when this reaches N = dim(dim+1)/2; the rank is invariant
     under base change, so coordinate rows are used directly.
+
+    Rank witness: with M the integer matrix of projector rows
+    (_projector_rows), one per antipodal pair, and R the fixed integer
+    matrix of _witness_block with N + _WITNESS_EXTRA rows, R M is formed
+    exactly (exact_factors) and reduced mod the prime p = _WITNESS_PRIME.
+    Since rank_p(R M) <= rank_Q(R M) <= rank_Q(M) <= N, a rank of N mod p
+    proves that L is perfect, whatever R is.  A lower rank proves nothing:
+    then, as for a layer with fewer than N pairs, the exact rank of M
+    (linalg.rank) is returned.  R M is summed over blocks of rows of M
+    small enough that a block of R or of M holds about _BLOCK_ENTRIES / 4
+    entries, so the Leech lattice's 98,280 x 300 matrix M is never formed
+    whole.
     """
+    np = load_numpy()
     layer = min_layer(lat, threads=threads)
     _, arr = _layer_data(layer)
     half = _half_rows(arr)
     n = lat.dim
-    rows = [_sym_vec([int(c) for c in row], n) for row in half]
-    return rank(rows)
+    full = n * (n + 1) // 2
+    if len(half) >= full:
+        size = full + _WITNESS_EXTRA
+        acc = np.zeros((size, full), dtype=np.int64)
+        step = max(1, _BLOCK_ENTRIES // 4 // size)
+        for lo in range(0, len(half), step):
+            hi = min(lo + step, len(half))
+            part = np.matmul(*exact_factors(
+                _witness_block(size, lo, hi), _projector_rows(half[lo:hi])))
+            acc += (part % _WITNESS_PRIME).astype(np.int64)
+            acc %= _WITNESS_PRIME
+        if rank_mod_p(acc, _WITNESS_PRIME) == full:
+            return full
+    return rank(_projector_rows(half).tolist())
 
 
 def is_perfect(lat: Lattice, threads=1) -> bool:
@@ -358,8 +422,7 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
             "reason": "system too large for exact solve"})
     # one projector per antipodal pair; a pair coefficient mu splits into
     # lambda = mu/2 on each of x and -x
-    rows = [_sym_vec([int(x) for x in row], n) for row in half]
-    sol = solve(rows, list(_upper_of(ginv, n)))
+    sol = solve(_projector_rows(half).tolist(), list(_upper_of(ginv, n)))
     if sol is None:
         return report(FAIL, {
             "kind": NOT_EUTACTIC, "proof": True,
@@ -573,7 +636,7 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
         for norm, layer in tc.layers.items():
             if norm == 0:
                 continue
-            dots = np.matmul(*exact_factors(layer.vectors, ga))
+            dots = np.matmul(*exact_factors(layer._rows, ga))
             sums = exact_power_sums(dots, degrees)
             w = int(norm) * w_of_a
             total = sum(c * (w ** j) * sums[degree - 2 * j]

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 import math
-from operator import mul
 import os
 from typing import NamedTuple
 
@@ -47,15 +46,31 @@ PARALLEL_MIN_NODES = 10 ** 4
 # slow run does not leave the other workers idle.
 RUNS_PER_WORKER = 6
 
+# Rows of a collected layer finalised at a time (see _finalize_layers):
+# bounds the arrays and lists made next to the scan's lists and the
+# layer's own tuples.
+_CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class VectorLayer:
-    """All lattice vectors of one norm, in deterministic (sorted) order."""
+    """All lattice vectors of one norm, in deterministic (sorted) order.
+
+    vectors is a tuple of coordinate tuples.  A layer that a sweep
+    collected (see _finalize_layers) also keeps them as one read-only
+    integer array, _rows, in the narrowest signed dtype that holds them
+    (int8 for the catalogue: 1 byte per coordinate); the certificates and
+    the isometry search read that array.  _rows is None for a coset layer
+    with fractional entries and for a layer built by hand.  _histogram is
+    the pair histogram, kept once a design test has built it.
+    """
 
     norm: object
     vectors: tuple
     complete: bool
     lattice: object = None
+    _rows: object = field(default=None, init=False, repr=False,
+                          compare=False)
     _histogram: dict = field(default=None, init=False, repr=False,
                              compare=False)
 
@@ -256,29 +271,77 @@ def _run(form, bound, collect, capacity, outer_range, inner_range,
     return counts, reps
 
 
+def _narrow(arr):
+    """arr (int64 or object) in the narrowest signed integer dtype that
+    holds its entries and their negatives: int8 for every layer of the
+    catalogue."""
+    np = linalg.load_numpy()
+    top = linalg.max_abs(arr)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if top <= np.iinfo(dtype).max:
+            return arr.astype(dtype)
+    return arr
+
+
 def _finalize_layers(reps, form, u_rows, lat):
-    """Expand +- pairs, apply shift and basis transform, sort."""
-    layers = {}
-    cols = None if u_rows is None else list(zip(*u_rows))
+    """The collected layers: +- pairs expanded, shift and basis transform
+    applied, rows sorted, each layer built as one integer array.
+
+    A layer's rows are y = (e x + t) u in integers, x the scan's
+    coordinates and u the LLL transform (if any), formed by one exact
+    product (linalg.exact_factors) of [x | 1] with [[e u], [t u]]; a
+    vector is y / e.  Sorting the rows of y lexicographically (np.lexsort)
+    gives the order of the tuples y / e, since e > 0.  When e = 1 each
+    layer keeps its rows, read-only, in the narrowest signed dtype that
+    holds them and their negatives (_rows; see _narrow).  Its vectors are
+    tuples of Python integers, or when e > 1 of integers and Fractions
+    (the entries that e does not divide), as exact division gives them.
+
+    The scan's lists are taken _CHUNK rows at a time from their end and
+    dropped as they are read, and the tuples are made _CHUNK rows at a
+    time, so that the peak memory stays near that of the scan's lists or
+    of the result, whichever is larger.
+    """
+    np = linalg.load_numpy()
     e, t = form.den, form.offsets
-    shifted = any(t)
+    u = u_rows if u_rows is not None else linalg.mat_identity(len(t))
+    affine = linalg.integer_array([[e * v for v in row] for row in u]
+                                  + linalg.mat_mul([list(t)], u))
+    layers = {}
     for key in list(reps):
-        out = []
-        for x, m in reps.pop(key):
-            if shifted:
-                x = tuple(e * xi + ti for xi, ti in zip(x, t))
-            if cols is not None:
-                x = tuple(sum(map(mul, x, col)) for col in cols)
-            if e != 1:
-                x = tuple(v // e if v % e == 0 else Fraction(v, e)
-                          for v in x)
-            out.append(x)
-            if m == 2:
-                out.append(tuple(-v for v in x))
-        out.sort()
+        group = reps.pop(key)
+        parts = []
+        while group:
+            xs, mults = zip(*group[-_CHUNK:])
+            del group[-_CHUNK:]
+            x = linalg.integer_array([v + (1,) for v in xs])
+            # entries below 2^62 (or Python integers): -y cannot wrap
+            y = np.matmul(*linalg.exact_factors(x, affine))
+            y = _narrow(y.astype(np.int64) if y.dtype.kind == "f" else y)
+            parts += [y, -y[np.array(mults) == 2]]
+        rows = np.concatenate(parts)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows.flags.writeable = False
         norm = int_or_fraction(Fraction(key, form.scale))
-        layers[norm] = VectorLayer(norm, tuple(out), True, lat)
+        layer = VectorLayer(norm, _tuples(rows, e), True, lat)
+        if e == 1:
+            object.__setattr__(layer, "_rows", rows)
+        layers[norm] = layer
     return layers
+
+
+def _tuples(rows, e):
+    """The rows of an integer array, divided by e, as tuples of Python
+    integers (Fractions where e does not divide), _CHUNK rows at a time."""
+    out = []
+    for lo in range(0, len(rows), _CHUNK):
+        chunk = rows[lo:lo + _CHUNK].tolist()
+        if e == 1:
+            out.extend(map(tuple, chunk))
+        else:
+            out.extend(tuple(v // e if v % e == 0 else Fraction(v, e)
+                             for v in row) for row in chunk)
+    return tuple(out)
 
 
 def _basis(lat: Lattice):

@@ -70,8 +70,7 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
 
     # every layer in one array, so that one cast covers the products of
     # any layer's dots with vectors chosen from any other
-    flat = linalg.integer_array(
-        [v for layer in tb.layers.values() for v in layer.vectors])
+    flat = np.concatenate([layer._rows for layer in tb.layers.values()])
     flat_dots, flat_t = linalg.gram_factors(gb, flat, flat)
     flat = flat_t.T
     cuts = np.cumsum([len(layer) for layer in tb.layers.values()])[:-1]

@@ -8,18 +8,20 @@ forward sweep that yields the leading principal minors.  `gram_lll` is
 integral LLL on a Gram matrix (Cohen, A Course in Computational
 Algebraic Number Theory, Alg. 2.6.7; de Weger 1987) with the unimodular
 transform recorded.  Also here: Hermite normal form over the integers
-and coordinate duals.
+and coordinate duals.  `rank_mod_p` is the rank over a prime field, in
+numpy int64, for rank witnesses.
 
 `exact_factors` is the one rule for the dtype of an exact numpy product
 of integer matrices (float64, int64 or Python integers, the narrowest);
-`designs` and `isometry` multiply only through it and `gram_factors`.
+`enumeration`, `designs` and `isometry` multiply only through it and
+`gram_factors`.
 `load_numpy` is the one place numpy is imported.
 """
 
 import functools
 import os
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from .errors import DefinitenessError, ShapeError
 
@@ -90,6 +92,12 @@ def integer_array(rows):
         return np.array(rows, dtype=object)
 
 
+def max_abs(x):
+    """max |x| over an integer array as a Python integer, 0 when empty
+    (max and -min: abs of the least int64 would wrap)."""
+    return max(int(x.max()), -int(x.min())) if x.size else 0
+
+
 def exact_factors(a, b):
     """(a, b) cast to the narrowest dtype in which a @ b is exact.
 
@@ -103,9 +111,7 @@ def exact_factors(a, b):
     np = load_numpy()
     a, b = (x if isinstance(x, np.ndarray) else integer_array(x)
             for x in (a, b))
-    # max and -min: abs of the least int64 would wrap
-    bound = a.shape[-1] * prod(max(int(x.max()), -int(x.min()))
-                               if x.size else 0 for x in (a, b))
+    bound = a.shape[-1] * max_abs(a) * max_abs(b)
     if bound < FLOAT_EXACT_LIMIT:
         dtype = np.float64
     elif bound < INT64_LIMIT:
@@ -273,6 +279,29 @@ def rank(rows):
     if len(mi) > len(mi[0]):
         mi = mat_transpose(mi)
     return len(_gauss_jordan(mi)[1])
+
+
+def rank_mod_p(a, p):
+    """Rank over GF(p) of an integer array with entries in [0, p).
+
+    p is a prime below 2^31, so that the product of two residues stays
+    below 2^62 and forward elimination runs in int64 without wrapping.
+    """
+    np = load_numpy()
+    a = np.array(a, dtype=np.int64)
+    r = 0
+    for c in range(a.shape[1]):
+        if r == len(a):
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        f = a[r + 1:, c, None]
+        a[r + 1:, c:] = (a[r + 1:, c:] - f * a[r, c:]) % p
+        r += 1
+    return r
 
 
 def solve(a_rows, b):

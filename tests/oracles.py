@@ -307,3 +307,39 @@ def search_nodes(gram, bound) -> int:
         return nodes
 
     return visit(n - 1, Fraction(bound))
+
+
+def finalize_layers(reps, form, u_rows, lat) -> dict:
+    """The collected layers of a scan's reps, one Python integer at a time.
+
+    Each rep x (with multiplicity 2 standing for x and -x) becomes
+    (e x + t) u / e, u the transform's rows, entries divided exactly
+    (Fractions where e does not divide); each layer's tuples are sorted.
+    """
+    layers = {}
+    cols = None if u_rows is None else list(zip(*u_rows))
+    e, t = form.den, form.offsets
+    for key, group in reps.items():
+        out = []
+        for x, m in group:
+            x = tuple(e * xi + ti for xi, ti in zip(x, t))
+            if cols is not None:
+                x = tuple(sum(a * b for a, b in zip(x, col)) for col in cols)
+            x = tuple(v // e if v % e == 0 else Fraction(v, e) for v in x)
+            out.append(x)
+            if m == 2:
+                out.append(tuple(-v for v in x))
+        out.sort()
+        norm = int_or_fraction(Fraction(key, form.scale))
+        layers[norm] = VectorLayer(norm, tuple(out), True, lat)
+    return layers
+
+
+def projector_rank(layer) -> int:
+    """Exact rank over Q of the projectors x x^T of a layer's nonzero
+    vectors (one of each +-pair), by fraction-free elimination of their
+    upper triangles."""
+    n = len(layer.vectors[0])
+    half = [x for x in layer.vectors if next(v for v in x if v) > 0]
+    return linalg.rank([[x[i] * x[j] for i in range(n) for j in range(i, n)]
+                        for x in half])

@@ -24,11 +24,12 @@ from modlattice.enumeration import (VectorLayer, enumerate_vectors,
                                     window_bound)
 from modlattice.errors import (CapacityError, DefinitenessError,
                                ModLatticeError)
-from modlattice.lattice import Lattice, direct_sum, dual, inner, rescale, zn
+from modlattice.lattice import (Lattice, bundled_catalog, direct_sum, dual,
+                                inner, rescale, zn)
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
-from oracles import moment_tensor_test, pair_histogram
-from test_enumeration import count_sweeps
+from oracles import moment_tensor_test, pair_histogram, projector_rank
+from test_enumeration import count_sweeps, transformed, unimodular
 
 import numpy as np
 
@@ -362,6 +363,131 @@ def test_is_perfect(catalog):
     assert is_perfect(catalog.lattice("D4"))
     assert not is_perfect(zn(2))
     assert not is_perfect(zn(3))
+
+
+@pytest.fixture
+def exact_ranks(monkeypatch):
+    """Records the row counts of the exact ranks that perfection_rank
+    falls back to."""
+    made = []
+
+    def counted(rows):
+        made.append(len(rows))
+        return linalg.rank(rows)
+    monkeypatch.setattr(designs, "rank", counted)
+    return made
+
+
+def test_rank_witness_equals_the_exact_rank_on_the_catalogue(
+        catalog, exact_ranks):
+    """Every entry up to dimension 16; the exact rank runs only where the
+    rank is deficient."""
+    for entry in catalog:
+        lat = entry.lattice
+        if lat.dim > 16:
+            continue
+        full = lat.dim * (lat.dim + 1) // 2
+        want = projector_rank(min_layer(lat))
+        exact_ranks.clear()
+        assert perfection_rank(lat) == want, entry.name
+        assert bool(exact_ranks) == (want < full), entry.name
+
+
+# the rank of the projectors of each root lattice's norm-2 vectors: they
+# are perfect (2Z^k, whose norm-2 vectors are +-2e_i, has rank k)
+ROOT_BLOCKS = {"A2": 3, "D4": 10, "E6": 21, "E7": 28, "E8": 36}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_rank_witness_on_rebased_sums(data):
+    """Seeded rebasings of one or two blocks of minimum 2; a sum of
+    blocks has the sum of their ranks, so only a single root lattice is
+    perfect, and a deficient rank falls back to the exact one."""
+    catalog = bundled_catalog()
+    names = data.draw(st.lists(st.sampled_from(
+        sorted(ROOT_BLOCKS) + ["Z1", "Z2", "Z3", "Z5"]), min_size=1,
+        max_size=2))
+    blocks = [catalog.lattice(name) if name in ROOT_BLOCKS
+              else rescale(zn(int(name[1:])), 2) for name in names]
+    assume(sum(b.dim for b in blocks) <= 12)
+    lat = blocks[0] if len(blocks) == 1 else direct_sum(*blocks)
+    u = unimodular(data.draw(st.randoms(use_true_random=False)), lat.dim)
+    lat = transformed(lat, u)
+    want = sum(ROOT_BLOCKS.get(name, b.dim) for name, b in zip(names, blocks))
+    assert perfection_rank(lat) == want == projector_rank(min_layer(lat))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rank_of_zn_is_n(n, exact_ranks):
+    assert perfection_rank(zn(n)) == n
+    assert exact_ranks == ([] if n == 1 else [n])
+
+
+def test_degenerate_witness_falls_back(catalog, exact_ranks, monkeypatch):
+    """R = 0 proves nothing, so the exact rank decides."""
+    e8 = catalog.lattice("E8")
+    assert perfection_rank(e8) == 36 and exact_ranks == []
+    monkeypatch.setattr(designs, "_witness_block",
+                        lambda size, lo, hi: np.zeros((size, hi - lo),
+                                                      dtype=np.int8))
+    assert perfection_rank(e8) == 36 and exact_ranks == [120]
+    exact_ranks.clear()
+    assert perfection_rank(catalog.lattice("E6")) == 21
+    assert exact_ranks == [36]
+
+
+def test_witness_matrix_does_not_depend_on_the_blocking():
+    whole = designs._witness_block(44, 0, 100)
+    assert set(np.unique(whole).tolist()) == {-1, 0, 1}
+    parts = [designs._witness_block(44, lo, min(lo + 7, 100))
+             for lo in range(0, 100, 7)]
+    assert np.array_equal(np.hstack(parts), whole)
+
+
+def test_leech_is_perfect_by_the_witness(catalog, leech_layer, exact_ranks,
+                                         monkeypatch):
+    """Rank 300 on the shared Leech layer fixture: nothing is collected again
+    and no exact rank runs."""
+    monkeypatch.setattr(enumeration, "enumerate_vectors", None)
+    leech = catalog.lattice("Leech")
+    assert min_layer(leech) is leech_layer
+    assert perfection_rank(leech) == 300 and exact_ranks == []
+    rows = leech_layer._rows
+    assert rows.dtype == np.int8 and rows.nbytes == 196560 * 24
+
+
+def test_mod_p_rank_on_small_matrices():
+    p = designs._WITNESS_PRIME
+    assert linalg.rank_mod_p(np.zeros((3, 4), dtype=np.int64), p) == 0
+    assert linalg.rank_mod_p([[1, 2], [2, 4], [0, 0]], p) == 1
+    assert linalg.rank_mod_p([[0, 1], [1, 0]], p) == 2
+    # rank 2 over Q, rank 1 mod 7: the witness may only ever undercount
+    assert linalg.rank_mod_p([[1, 3], [2, 13]], 7) == 1
+    big = [[p - 1, p - 2, 5], [p - 3, 1, p - 1], [2, 2, 2]]
+    assert linalg.rank_mod_p(big, p) == linalg.rank(
+        [[v if v < p // 2 else v - p for v in row] for row in big])
+
+
+def test_layer_readers_take_the_kept_rows(catalog, monkeypatch):
+    """Once a sweep has kept a layer's rows, no certificate converts the
+    layer's tuples again."""
+    k12 = Lattice(catalog.lattice("K12").gram)
+    layer = min_layer(k12)
+    harmonic_theta_truncation(k12, [1] + [0] * 11, 4, 5)
+    sizes = []
+    integer_array = linalg.integer_array
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return integer_array(rows)
+    monkeypatch.setattr(designs, "integer_array", counted)
+    monkeypatch.setattr(linalg, "integer_array", counted)
+    assert check_design(layer, 5).verdict == PASS
+    assert perfection_rank(k12) == 78
+    assert eutaxy_check(k12).verdict == PASS
+    harmonic_theta_truncation(k12, [1] + [0] * 11, 4, 5)
+    assert max(sizes, default=0) <= k12.dim < len(layer)
 
 
 def test_eutaxy_strong_cases(catalog):

@@ -10,9 +10,10 @@ import pytest
 
 from modlattice import enumeration, linalg
 from modlattice.enumeration import enumerate_vectors
-from modlattice.errors import DefinitenessError
-from modlattice.lattice import Lattice, inner
-from oracles import box_counts, search_nodes
+from modlattice.errors import CapacityError, DefinitenessError
+from modlattice.lattice import Lattice, inner, rescale
+from oracles import box_counts, finalize_layers, search_nodes
+from test_enumeration import transformed, unimodular
 
 BOX_LIMIT = 5000
 
@@ -127,3 +128,78 @@ def test_node_estimate_within_factor_four(data, rational, scale):
                              enumeration._top(form, bound))
     nodes = search_nodes(lat.gram, bound)
     assert nodes / 4 <= est <= 4 * nodes
+
+
+@st.composite
+def rebased(draw):
+    """A seeded unimodular rebasing of A_n, D_n or Z^n (n = 10-12), scaled
+    by 1, 1/2 or 1/3, that LLL does not leave as it is."""
+    n = draw(st.integers(10, 12))
+    kind = draw(st.sampled_from("ADZ"))
+    off = {"A": -1, "D": -1, "Z": 0}[kind]
+    gram = [[1 + (kind != "Z") if i == j else off * (abs(i - j) == 1)
+             for j in range(n)] for i in range(n)]
+    if kind == "D":         # the fork of D_n at its first node
+        gram[0][1] = gram[1][0] = 0
+        gram[0][2] = gram[2][0] = -1
+    rng = draw(st.randoms(use_true_random=False))
+    lat = rescale(transformed(Lattice(gram), unimodular(rng, n, 30)),
+                  Fraction(1, draw(st.sampled_from((1, 2, 3)))))
+    assume(enumeration._basis(lat)[1] is not None)
+    return lat
+
+
+def _same_layers(got, want):
+    """The same norms in the same order, the same vectors in the same
+    order with the same entry types, and the kept rows equal to them."""
+    np = linalg.load_numpy()
+    assert list(got) == list(want)
+    for norm, layer in want.items():
+        mine = got[norm]
+        assert mine.norm == norm and mine.complete
+        assert repr(mine.vectors) == repr(layer.vectors)
+        rows = mine._rows
+        if any(type(v) is Fraction for x in layer.vectors for v in x):
+            assert rows is None
+            continue
+        assert rows.tolist() == [list(x) for x in layer.vectors]
+        assert not rows.flags.writeable
+        top = max((abs(v) for x in layer.vectors for v in x), default=0)
+        narrow = [t for t in (np.int8, np.int16, np.int32, np.int64)
+                  if top <= np.iinfo(t).max][0]
+        assert rows.dtype == narrow
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(("integral", "rational", "rebased")),
+       st.booleans())
+def test_finalized_layers_equal_the_tuple_oracle(data, kind, shifted):
+    """The array finalisation against one Python integer at a time, on
+    small integral and rational Grams and on LLL-transformed forms of
+    dimension 10-12, with and without shifts of denominator 2, 3 or 6;
+    threads 2 gives the same layers."""
+    lat = data.draw(rebased() if kind == "rebased"
+                    else lattices(kind == "rational"))
+    shift = data.draw(shifts(lat.dim)) if shifted else None
+    bound = max(lat.gram[i][i] for i in range(lat.dim))
+    bound = data.draw(st.sampled_from((bound, bound / 2, 2 * bound)))
+    seen = []
+    real = enumeration._finalize_layers
+
+    def both(reps, form, u_rows, lat):
+        seen.append(finalize_layers({k: list(v) for k, v in reps.items()},
+                                    form, u_rows, lat))
+        return real(reps, form, u_rows, lat)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_finalize_layers", both)
+        try:
+            one = enumerate_vectors(lat, bound, shift=shift, collect=True,
+                                    capacity=3000)
+        except CapacityError:
+            assume(False)
+        mp.setattr(enumeration, "PARALLEL_MIN_NODES", 0)
+        mp.setattr(enumeration, "_cores", lambda: 2)
+        two = enumerate_vectors(lat, bound, shift=shift, collect=True,
+                                threads=2)
+    _same_layers(one.layers, seen[0])
+    _same_layers(two.layers, seen[0])
