@@ -46,9 +46,7 @@ PARALLEL_MIN_NODES = 10 ** 4
 # slow run does not leave the other workers idle.
 RUNS_PER_WORKER = 6
 
-# Rows of a collected layer finalised at a time (see _finalize_layers):
-# bounds the arrays and lists made next to the scan's lists and the
-# layer's own tuples.
+# Rows of a collected layer made into tuples at a time (see _tuples).
 _CHUNK = 2048
 
 
@@ -57,12 +55,15 @@ class VectorLayer:
     """All lattice vectors of one norm, in deterministic (sorted) order.
 
     vectors is a tuple of coordinate tuples.  A layer that a sweep
-    collected (see _finalize_layers) also keeps them as one read-only
-    integer array, _rows, in the narrowest signed dtype that holds them
-    (int8 for the catalogue: 1 byte per coordinate); the certificates and
-    the isometry search read that array.  _rows is None for a coset layer
-    with fractional entries and for a layer built by hand.  _histogram is
-    the pair histogram, kept once a design test has built it.
+    collected (see _finalize_layers) holds its vectors as one read-only
+    integer array _num of numerators over the den _den, in the narrowest
+    signed dtype that holds them (int8 for the catalogue: 1 byte per
+    coordinate), and makes the tuples from it the first time vectors is
+    read, then keeps them; len() does not make them.  When _den is 1 that
+    array is also _rows, which the certificates and the isometry search
+    read; _rows is None for a coset layer (fractional entries) and for a
+    layer built by hand.  _histogram is the pair histogram, kept once a
+    design test has built it.
     """
 
     norm: object
@@ -71,11 +72,23 @@ class VectorLayer:
     lattice: object = None
     _rows: object = field(default=None, init=False, repr=False,
                           compare=False)
+    _num: object = field(default=None, init=False, repr=False,
+                         compare=False)
+    _den: int = field(default=1, init=False, repr=False, compare=False)
     _histogram: dict = field(default=None, init=False, repr=False,
                              compare=False)
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.vectors if self._num is None else self._num)
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the vectors of
+        # a collected layer before their first read
+        if name != "vectors" or self._num is None:
+            raise AttributeError(name)
+        vectors = _tuples(self._num, self._den)
+        object.__setattr__(self, "vectors", vectors)
+        return vectors
 
 
 @dataclass(frozen=True)
@@ -146,7 +159,7 @@ def _by_norm(counts, scale):
 
 def _run(form, bound, collect, capacity, outer_range, inner_range,
          canonical):
-    """Core scan.  Returns (counts, reps), keyed by integer keys.
+    """Core scan.  Returns (counts, leaves), counts keyed by integer keys.
 
     outer_range, a (first, last) pair or None, restricts the outermost
     coordinate x_top.  inner_range, a (lo, hi) pair or None, restricts
@@ -155,9 +168,11 @@ def _run(form, bound, collect, capacity, outer_range, inner_range,
     (x_top, x_(top-1)) prefixes in DFS order, a job of the parallel split.
 
     canonical=True (only without shift) enumerates one of each +-pair and
-    applies multiplicity 2, keeping the zero vector single.  When
-    collecting, the scan stops at the first leaf that takes the collected
-    count past `capacity`.
+    applies multiplicity 2, keeping the zero vector single.  leaves is
+    None, or when collecting the pair (ids, coords) of arrays holding each
+    leaf in DFS order: ids[i] the position of its key in counts, coords[i]
+    its coordinates (see _finalize_layers).  Then the scan stops at the
+    first leaf that takes the collected count past `capacity`.
     """
     rows, weights, steps, heads = (form.rows, form.weights, form.steps,
                                    form.heads)
@@ -180,9 +195,10 @@ def _run(form, bound, collect, capacity, outer_range, inner_range,
     sigma = [[0] * (n + 1) for _ in range(n)]
     stale = [top] * n
 
-    counts = {}
-    reps = {} if collect else None
+    counts = {}     # collecting: key -> its position, in first-seen order
+    ids, coords = [], []
     collected = 0
+    mult = 2 if canonical else 1
     first = last = None
     if inner_range is not None:
         (first, last), (inner_lo, inner_hi) = outer_range, inner_range
@@ -197,17 +213,19 @@ def _run(form, bound, collect, capacity, outer_range, inner_range,
                 key = done + w * z * z
                 counts[key] = counts.get(key, 0) + 1
             return True
+        # zflag: x = 0 here is the origin, the one leaf that is not a pair
+        origin = zflag and lo == 0
+        size = mult * (hi - lo + 1) - origin
+        over = collected + size > capacity
+        if over:        # stop at the leaf that takes the count past it
+            hi = lo + (capacity - collected + origin) // mult
+        collected += size
         for x in range(lo, hi + 1):
             z = step * x + a
-            key = done + w * z * z
-            mult = 1 if not canonical or (zflag and x == 0) else 2
-            counts[key] = counts.get(key, 0) + mult
-            collected += mult
+            ids.append(counts.setdefault(done + w * z * z, len(counts)))
             x_arr[0] = x
-            reps.setdefault(key, []).append((tuple(x_arr), mult))
-            if collected > capacity:
-                return False
-        return True
+            coords.extend(x_arr)
+        return not over
 
     a = heads[top]
     lo, hi = _range(rtop, weights[top], steps[top], a)
@@ -262,19 +280,35 @@ def _run(form, bound, collect, capacity, outer_range, inner_range,
             lvl = k
         elif not scan(lo, hi, a, r, zflag):
             break
-    if canonical and not collect:
-        # each leaf stood for +-x; the zero vector (key 0) is its own pair
-        for key in counts:
-            counts[key] *= 2
+    if not collect:
+        return _pairs(counts, canonical), None
+    np = linalg.load_numpy()
+    ids = np.array(ids, dtype=np.intp)
+    coords = _narrow(linalg.integer_array(coords).reshape(len(ids), n))
+    return _tally(list(counts), ids, canonical), (ids, coords)
+
+
+def _pairs(counts, canonical):
+    """Counts of a canonical scan's leaves as counts of vectors: each leaf
+    stood for +-x, and the zero vector (key 0) is its own pair."""
+    if canonical:
+        counts = {key: 2 * v for key, v in counts.items()}
         if 0 in counts:
             counts[0] = 1
-    return counts, reps
+    return counts
+
+
+def _tally(keys, ids, canonical):
+    """Counts by key of the leaves ids (positions in keys), in key order."""
+    np = linalg.load_numpy()
+    tally = np.bincount(ids, minlength=len(keys)).tolist()
+    return _pairs(dict(zip(keys, tally)), canonical)
 
 
 def _narrow(arr):
-    """arr (int64 or object) in the narrowest signed integer dtype that
-    holds its entries and their negatives: int8 for every layer of the
-    catalogue."""
+    """arr (an integer or object array) in the narrowest signed integer
+    dtype that holds its entries and their negatives: int8 for every
+    layer of the catalogue."""
     np = linalg.load_numpy()
     top = linalg.max_abs(arr)
     for dtype in (np.int8, np.int16, np.int32, np.int64):
@@ -283,56 +317,66 @@ def _narrow(arr):
     return arr
 
 
-def _finalize_layers(reps, form, u_rows, lat):
-    """The collected layers: +- pairs expanded, shift and basis transform
-    applied, rows sorted, each layer built as one integer array.
+def _finalize_layers(counts, leaves, form, u_rows, lat, canonical):
+    """The collected layers of a scan, in the key order of its counts:
+    +- pairs expanded, shift and basis transform applied, rows sorted,
+    each layer one integer array.
 
-    A layer's rows are y = (e x + t) u in integers, x the scan's
-    coordinates and u the LLL transform (if any), formed by one exact
-    product (linalg.exact_factors) of [x | 1] with [[e u], [t u]]; a
-    vector is y / e.  Sorting the rows of y lexicographically (np.lexsort)
-    gives the order of the tuples y / e, since e > 0.  When e = 1 each
-    layer keeps its rows, read-only, in the narrowest signed dtype that
-    holds them and their negatives (_rows; see _narrow).  Its vectors are
-    tuples of Python integers, or when e > 1 of integers and Fractions
-    (the entries that e does not divide), as exact division gives them.
-
-    The scan's lists are taken _CHUNK rows at a time from their end and
-    dropped as they are read, and the tuples are made _CHUNK rows at a
-    time, so that the peak memory stays near that of the scan's lists or
-    of the result, whichever is larger.
+    leaves is the pair (ids, coords) of _run: leaf i has the key at
+    position ids[i] of counts and the scan's coordinates x = coords[i].
+    Its row is y = (e x + t) u in integers, u the LLL transform (if any),
+    formed for every leaf by one exact product (linalg.exact_factors) of
+    [x | 1] with [[e u], [t u]]; its vector is y / e.  A canonical leaf
+    other than the origin also stands for -y.  One np.lexsort orders the
+    rows by key position, then lexicographically, which within a layer is
+    the order of the tuples y / e, since e > 0.  Each layer keeps its
+    rows, read-only, in the narrowest signed dtype that holds them and
+    their negatives (see _narrow), and makes its vectors from them on
+    first read (see VectorLayer): tuples of Python integers, or when
+    e > 1 of integers and Fractions (the entries that e does not divide),
+    as exact division gives them.
     """
     np = linalg.load_numpy()
+    ids, coords = leaves
+    keys = list(counts)
     e, t = form.den, form.offsets
     u = u_rows if u_rows is not None else linalg.mat_identity(len(t))
     affine = linalg.integer_array([[e * v for v in row] for row in u]
                                   + linalg.mat_mul([list(t)], u))
+    x = np.hstack([coords, np.ones((len(coords), 1), coords.dtype)])
+    y = np.matmul(*linalg.exact_factors(x, affine))
+    # entries below 2^62 (or Python integers), and then a dtype that
+    # holds their negatives: -y cannot wrap
+    y = _narrow(y.astype(np.int64) if y.dtype.kind == "f" else y)
+    if canonical:       # a canonical sweep always reaches the origin
+        pair = ids != keys.index(0)
+        y = np.concatenate([y, -y[pair]])
+        ids = np.concatenate([ids, ids[pair]])
+    order = np.lexsort((*y.T[::-1], ids))
+    cuts = np.cumsum(np.bincount(ids, minlength=len(keys)))[:-1]
     layers = {}
-    for key in list(reps):
-        group = reps.pop(key)
-        parts = []
-        while group:
-            xs, mults = zip(*group[-_CHUNK:])
-            del group[-_CHUNK:]
-            x = linalg.integer_array([v + (1,) for v in xs])
-            # entries below 2^62 (or Python integers): -y cannot wrap
-            y = np.matmul(*linalg.exact_factors(x, affine))
-            y = _narrow(y.astype(np.int64) if y.dtype.kind == "f" else y)
-            parts += [y, -y[np.array(mults) == 2]]
-        rows = np.concatenate(parts)
-        rows = rows[np.lexsort(rows.T[::-1])]
+    for key, rows in zip(keys, np.split(y[order], cuts)):
+        rows = _narrow(rows)
         rows.flags.writeable = False
         norm = int_or_fraction(Fraction(key, form.scale))
-        layer = VectorLayer(norm, _tuples(rows, e), True, lat)
-        if e == 1:
-            object.__setattr__(layer, "_rows", rows)
+        layer = object.__new__(VectorLayer)     # vectors made on first read
+        layer.__dict__.update(norm=norm, complete=True, lattice=lat,
+                              _num=rows, _den=e,
+                              _rows=rows if e == 1 else None)
         layers[norm] = layer
     return layers
 
 
 def _tuples(rows, e):
     """The rows of an integer array, divided by e, as tuples of Python
-    integers (Fractions where e does not divide), _CHUNK rows at a time."""
+    integers (Fractions where e does not divide).
+
+    The rows are listed _CHUNK at a time, so the lists that tolist makes
+    next to the tuples stay small: for 196,560 rows of 24 int8 entries
+    (the size of the Leech minimal layer) on a 2-vCPU Linux VM, listing
+    them whole took 0.40-0.44 s and peaked 97 MB above the array, and
+    chunked 0.26-0.28 s and 49 MB.
+    """
     out = []
     for lo in range(0, len(rows), _CHUNK):
         chunk = rows[lo:lo + _CHUNK].tolist()
@@ -492,35 +536,46 @@ class _Pool:
 _POOL = _Pool()
 
 
-def _merge(parts, capacity=None):
-    """Sum the runs' results in DFS order, taking over their lists.
+def _merge(parts, capacity, canonical):
+    """Sum the runs' results in DFS order, and join their leaves when
+    collecting: each run's leaf ids renumbered to the positions of its
+    keys in the merged counts.
 
-    With a capacity (when collecting), stop where the serial scan stops:
-    at the leaf, in DFS order, that takes the collected count past it.
+    With leaves, stop where the serial scan stops: at the leaf, in DFS
+    order, that takes the collected count past `capacity`.  The counts
+    then run to that leaf, and no leaves are returned.
     """
-    counts, reps, collected = {}, {}, 0
-    for c_part, r_part in parts:
-        if capacity is not None:
-            size = sum(c_part.values())
-            if collected + size > capacity:
-                left = capacity - collected
-                for _, key, m in sorted((x[::-1], key, m)
-                                        for key, xs in r_part.items()
-                                        for x, m in xs):
-                    counts[key] = counts.get(key, 0) + m
-                    left -= m
-                    if left < 0:
-                        break
-                break
-            collected += size
+    counts, ids, coords = {}, [], []
+    for c_part, leaves in parts:
+        left = None if leaves is None else capacity - sum(counts.values())
+        cut = left is not None and sum(c_part.values()) > left
+        if cut:
+            c_part = _cut(c_part, leaves[0], left, canonical)
         for k, v in c_part.items():
             counts[k] = counts.get(k, 0) + v
-        for k, v in (r_part or {}).items():
-            if k in reps:
-                reps[k].extend(v)
-            else:
-                reps[k] = v
-    return counts, reps
+        if cut:
+            return counts, None
+        if leaves is not None:
+            np = linalg.load_numpy()
+            at = {k: i for i, k in enumerate(counts)}
+            renumber = np.array([at[k] for k in c_part], dtype=np.intp)
+            ids.append(renumber[leaves[0]])
+            coords.append(leaves[1])
+    if not ids:
+        return counts, None
+    return counts, (np.concatenate(ids), np.concatenate(coords))
+
+
+def _cut(counts, ids, left, canonical):
+    """The counts of a run's leaves ids up to the one, in DFS order, that
+    takes their count past `left`."""
+    np = linalg.load_numpy()
+    keys = list(counts)
+    mults = np.full(len(ids), 2 if canonical else 1)
+    if canonical and 0 in counts:
+        mults[ids == keys.index(0)] = 1
+    ids = ids[:np.searchsorted(np.cumsum(mults), left, side="right") + 1]
+    return _tally(keys[:ids.max() + 1], ids, canonical)
 
 
 def _parallel(form, bound, collect, capacity, canonical, jobs, workers):
@@ -532,7 +587,7 @@ def _parallel(form, bound, collect, capacity, canonical, jobs, workers):
         parts = _POOL.get(workers).map(
             _run, [form] * n, [bound] * n, [collect] * n, [capacity] * n,
             outer, inner, [canonical] * n)
-        return _merge(parts, capacity if collect else None)
+        return _merge(parts, capacity, canonical)
     except BrokenProcessPool as exc:
         _POOL.close()
         raise ModLatticeError(
@@ -557,12 +612,15 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     min(threads, cores) workers) sweeps and which are merged in DFS
     order.  Counts, their key order, the collected layers and the
     partial counts of a CapacityError are the serial ones.
-    Every call sweeps afresh.  The count-only readers (minimum,
-    theta_series, coxeter_number and the transformation check) share a
-    memo through _counts, and the collecting readers (min_layer, and
-    through it perfection_rank, eutaxy_check and is_strongly_perfect;
-    harmonic_theta_truncation and coxeter_identity_check) another
-    through _collected.
+    Every call sweeps.  An unshifted collecting call that reaches further
+    than lat._layers, the collected sweep of this (immutable) object,
+    replaces it and keeps the layers already handed out, which it returns
+    in place of its own.  The collecting readers (min_layer, and through
+    it perfection_rank, eutaxy_check and is_strongly_perfect;
+    harmonic_theta_truncation and coxeter_identity_check) read lat._layers
+    through _collected, and the count-only readers (minimum, theta_series,
+    coxeter_number and the transformation check) read it, or a count-only
+    memo, through _counts.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -578,21 +636,28 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
 
     split = _split(form, bound, canonical, threads) if threads > 1 else None
     if split is None:
-        counts, reps = _run(form, bound, collect, capacity, None, None,
-                            canonical)
+        counts, leaves = _run(form, bound, collect, capacity, None, None,
+                              canonical)
     else:
-        counts, reps = _parallel(form, bound, collect, capacity, canonical,
-                                 *split)
+        counts, leaves = _parallel(form, bound, collect, capacity, canonical,
+                                   *split)
     shift_out = None if shift is None else tuple(map(Fraction, shift))
     if collect and sum(counts.values()) > capacity:
         raise CapacityError(
             "collection capacity %d exceeded" % capacity,
             partial_counts=ThetaCounts(
                 bound, _by_norm(counts, form.scale), shift_out))
-    layers = (_finalize_layers(reps, form, u_rows, lat)
-              if collect else None)
-    return ThetaCounts(bound, _by_norm(counts, form.scale), shift_out,
-                       layers)
+    if not collect:
+        return ThetaCounts(bound, _by_norm(counts, form.scale), shift_out)
+    layers = _finalize_layers(counts, leaves, form, u_rows, lat, canonical)
+    tc = ThetaCounts(bound, _by_norm(counts, form.scale), shift_out, layers)
+    memo = lat._layers
+    if canonical and (memo is None or memo.bound < bound):
+        if memo is not None:
+            layers.update(memo.layers)
+        object.__setattr__(lat, "_layers", ThetaCounts(
+            bound, dict(tc.counts), layers=dict(layers)))
+    return tc
 
 
 def _counts(lat: Lattice, bound, threads=1) -> ThetaCounts:
@@ -613,19 +678,15 @@ def _counts(lat: Lattice, bound, threads=1) -> ThetaCounts:
 
 def _collected(lat: Lattice, bound, threads=1) -> ThetaCounts:
     """Counts and collected layers of lat up to bound, cut from
-    lat._layers, the largest collected unshifted sweep that a reader asked
-    for on this object; a larger bound collects to that bound (under
-    DEFAULT_CAPACITY) and replaces it, keeping the layers already handed
-    out.  So a norm's layer is one VectorLayer object for the life of lat,
-    and what is kept on it (its pair histogram) serves every reader."""
+    lat._layers, the largest unshifted collected sweep made on this
+    object; a larger bound first collects to that bound (under
+    DEFAULT_CAPACITY), which replaces it (see enumerate_vectors).  So a
+    norm's layer is one VectorLayer object for the life of lat, and what
+    is kept on it (its pair histogram, its tuples) serves every reader."""
     bound = Fraction(bound)
+    if lat._layers is None or lat._layers.bound < bound:
+        enumerate_vectors(lat, bound, collect=True, threads=threads)
     memo = lat._layers
-    if memo is None or memo.bound < bound:
-        tc = enumerate_vectors(lat, bound, collect=True, threads=threads)
-        if memo is not None:
-            tc.layers.update(memo.layers)
-        memo = tc
-        object.__setattr__(lat, "_layers", memo)
     return ThetaCounts(
         bound, {k: v for k, v in memo.counts.items() if k <= bound},
         layers={k: v for k, v in memo.layers.items() if k <= bound})

@@ -309,29 +309,31 @@ def search_nodes(gram, bound) -> int:
     return visit(n - 1, Fraction(bound))
 
 
-def finalize_layers(reps, form, u_rows, lat) -> dict:
-    """The collected layers of a scan's reps, one Python integer at a time.
+def finalize_layers(counts, leaves, form, u_rows, lat, canonical) -> dict:
+    """The collected layers of a scan's leaves, one Python integer at a time.
 
-    Each rep x (with multiplicity 2 standing for x and -x) becomes
-    (e x + t) u / e, u the transform's rows, entries divided exactly
-    (Fractions where e does not divide); each layer's tuples are sorted.
+    Leaf i of leaves = (ids, coords), with the key at position ids[i] of
+    counts and coordinates x = coords[i], becomes (e x + t) u / e, u the
+    transform's rows, entries divided exactly (Fractions where e does not
+    divide); a canonical leaf other than the origin (key 0) stands for x
+    and -x.  Each layer's tuples are sorted.
     """
-    layers = {}
+    keys = list(counts)
+    groups = {key: [] for key in keys}
     cols = None if u_rows is None else list(zip(*u_rows))
     e, t = form.den, form.offsets
-    for key, group in reps.items():
-        out = []
-        for x, m in group:
-            x = tuple(e * xi + ti for xi, ti in zip(x, t))
-            if cols is not None:
-                x = tuple(sum(a * b for a, b in zip(x, col)) for col in cols)
-            x = tuple(v // e if v % e == 0 else Fraction(v, e) for v in x)
-            out.append(x)
-            if m == 2:
-                out.append(tuple(-v for v in x))
-        out.sort()
+    for i, x in zip(leaves[0].tolist(), leaves[1].tolist()):
+        x = tuple(e * xi + ti for xi, ti in zip(x, t))
+        if cols is not None:
+            x = tuple(sum(a * b for a, b in zip(x, col)) for col in cols)
+        x = tuple(v // e if v % e == 0 else Fraction(v, e) for v in x)
+        groups[keys[i]].append(x)
+        if canonical and keys[i] != 0:
+            groups[keys[i]].append(tuple(-v for v in x))
+    layers = {}
+    for key, out in groups.items():
         norm = int_or_fraction(Fraction(key, form.scale))
-        layers[norm] = VectorLayer(norm, tuple(out), True, lat)
+        layers[norm] = VectorLayer(norm, tuple(sorted(out)), True, lat)
     return layers
 
 

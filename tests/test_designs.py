@@ -24,11 +24,13 @@ from modlattice.enumeration import (VectorLayer, enumerate_vectors,
                                     window_bound)
 from modlattice.errors import (CapacityError, DefinitenessError,
                                ModLatticeError)
+from modlattice.isometry import ISOMETRIC, find_isometry
 from modlattice.lattice import (Lattice, bundled_catalog, direct_sum, dual,
                                 inner, rescale, zn)
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
-from oracles import moment_tensor_test, pair_histogram, projector_rank
+from oracles import (finalize_layers, moment_tensor_test, pair_histogram,
+                     projector_rank)
 from test_enumeration import count_sweeps, transformed, unimodular
 
 import numpy as np
@@ -667,6 +669,81 @@ def test_layer_certificates_share_one_collected_sweep(catalog, monkeypatch):
     for _ in range(2):
         enumeration.enumerate_vectors(e8, 2, collect=True)
     assert swept == [e8, e8]
+
+
+def test_a_collecting_call_serves_the_later_readers(catalog, monkeypatch):
+    """enumerate_vectors(collect=True) keeps its unshifted sweep on the
+    lattice object: min_layer, harmonic theta within its bound,
+    theta_series and minimum then scan no more and read its layers."""
+    e8 = Lattice(catalog.lattice("E8").gram)
+    axis = [1, 2, 0, 0, 0, 0, 0, -1]
+    fresh = Lattice(e8.gram)
+    want = (harmonic_theta_truncation(fresh, axis, 8, 5),
+            theta_series(fresh, 5), minimum(fresh))
+    scans = []
+    run = enumeration._run
+
+    def counted(*args):
+        scans.append(args)
+        return run(*args)
+    monkeypatch.setattr(enumeration, "_run", counted)
+    tc = enumerate_vectors(e8, 4, collect=True)
+    layers = dict(tc.layers)
+    tc.counts.clear()       # the caller's own dicts
+    tc.layers.clear()
+    assert min_layer(e8) is layers[2]
+    assert (harmonic_theta_truncation(e8, axis, 8, 5), theta_series(e8, 5),
+            minimum(e8)) == want
+    kept = enumeration._collected(e8, 4).layers
+    assert list(kept) == list(layers)
+    assert all(kept[norm] is layer for norm, layer in layers.items())
+    assert len(scans) == 1
+
+
+def test_swept_layers_make_their_tuples_only_when_read(catalog,
+                                                       monkeypatch):
+    """The certificates read a swept layer's rows: no tuple is made until
+    .vectors is read, and then the tuples are those of the one-integer-
+    at-a-time oracle, entry types included (Fractions on a coset)."""
+    made, seen = [], []
+    tuples, finalize = enumeration._tuples, enumeration._finalize_layers
+
+    def counted(rows, e):
+        made.append(len(rows))
+        return tuples(rows, e)
+
+    def both(*args):
+        seen.append(finalize_layers(*args))
+        return finalize(*args)
+    monkeypatch.setattr(enumeration, "_tuples", counted)
+    monkeypatch.setattr(enumeration, "_finalize_layers", both)
+    e8 = Lattice(catalog.lattice("E8").gram)
+    layer = min_layer(e8)
+    assert len(layer) == 240
+    assert check_design(layer, 7).verdict == PASS
+    assert check_design(layer, 11).verdict == FAIL
+    assert is_strongly_perfect(e8).verdict == PASS
+    assert perfection_rank(e8) == 36
+    assert eutaxy_check(e8).details["kind"] == STRONGLY_EUTACTIC
+    assert harmonic_theta_truncation(e8, [1] + [0] * 7, 8, 6).coeffs
+    other = transformed(e8, unimodular(random.Random(3), 8))
+    assert find_isometry(e8, other)[0] == ISOMETRIC
+    assert made == []
+    vectors = layer.vectors
+    assert made == [240] and layer.vectors is vectors
+    assert repr(vectors) == repr(seen[0][2].vectors)
+
+    shift = (Fraction(1, 3), Fraction(1, 2)) + (0,) * 10
+    tc = enumerate_vectors(dual(catalog.lattice("K12")), Fraction(8, 3),
+                           shift=shift, collect=True)
+    assert sum(map(len, tc.layers.values())) == sum(tc.counts.values())
+    assert len(made) == 1
+    for norm, want in seen[-1].items():
+        got = tc.layers[norm]
+        assert got._rows is None
+        assert repr(got.vectors) == repr(want.vectors)
+        assert any(type(v) is Fraction for v in got.vectors[0])
+    assert len(made) == 1 + len(tc.layers)
 
 
 def test_second_strength_forms_no_layer_array(catalog, monkeypatch):

@@ -135,6 +135,25 @@ def test_parallel_shifted_rational_collect_equals_serial(catalog, parallel):
     assert parallel == [2] * 6
 
 
+@pytest.mark.parametrize("name, bound", [("K12", 8), ("E8", 4)])
+def test_parallel_unshifted_collect_equals_serial(catalog, parallel, name,
+                                                  bound):
+    """In a canonical collection the origin is the one leaf that is not a
+    +-pair, so a CapacityError stops at capacity + 1 vectors for an even
+    capacity and at capacity + 2 for an odd one, serially and on 2
+    workers alike."""
+    lat = catalog.lattice(name)
+    counts, layers = _same_sweep(lat, bound)
+    assert counts[0] == (0, 1) and all(v % 2 == 0 for _, v in counts[1:])
+    total = sum(v for _, v in counts)
+    for capacity in (1, 2, 7, total - 1):
+        stop, partial = _same_sweep(lat, bound, capacity=capacity)
+        assert stop == "partial"
+        assert sum(v for _, v in partial) == capacity + 1 + capacity % 2
+    assert _same_sweep(lat, bound, capacity=total) == (counts, layers)
+    assert parallel == [2] * 6
+
+
 @pytest.mark.parametrize("lat, bound, shift", [
     (zn(1), 9, None),
     (zn(1), 9, (Fraction(1, 3),)),
@@ -457,3 +476,17 @@ def test_a_larger_bound_sweeps_again_and_replaces(monkeypatch):
     assert theta_series(lat, 4) == theta_series(zn(3), 4)
     assert sum(s is lat for s in swept) == 2
     assert lat._sweep.bound == 5
+    # a collecting call that reaches further than the kept collection
+    # replaces it, and keeps (and returns) the layers already handed out
+    small = enumeration.enumerate_vectors(lat, 2, collect=True)
+    assert min_layer(lat) is small.layers[1]
+    big = enumeration.enumerate_vectors(lat, 3, collect=True)
+    assert sum(s is lat for s in swept) == 4 and lat._layers.bound == 3
+    assert big.layers[1] is small.layers[1] is min_layer(lat)
+    assert list(big.layers) == list(enumerate_vectors(zn(3), 3,
+                                                      collect=True).layers)
+    assert lat._layers.layers[3] is big.layers[3]
+    # a call that does not reach further sweeps too, and keeps nothing
+    again = enumeration.enumerate_vectors(lat, 2, collect=True)
+    assert again.layers[1] == big.layers[1]
+    assert sum(s is lat for s in swept) == 5 and lat._layers.bound == 3

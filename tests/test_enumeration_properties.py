@@ -186,10 +186,9 @@ def test_finalized_layers_equal_the_tuple_oracle(data, kind, shifted):
     seen = []
     real = enumeration._finalize_layers
 
-    def both(reps, form, u_rows, lat):
-        seen.append(finalize_layers({k: list(v) for k, v in reps.items()},
-                                    form, u_rows, lat))
-        return real(reps, form, u_rows, lat)
+    def both(*args):
+        seen.append(finalize_layers(*args))
+        return real(*args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_finalize_layers", both)
         try:
