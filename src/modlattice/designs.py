@@ -37,8 +37,7 @@ from .enumeration import (VectorLayer, _collected, _counts, min_layer,
 from .errors import ModLatticeError
 from .lattice import Lattice, dual, inner
 from .linalg import (INT64_LIMIT, exact_factors, gram_factors,
-                     integer_array, inverse, load_numpy, max_abs, rank,
-                     rank_mod_p, solve)
+                     inverse, load_numpy, max_abs, rank, rank_mod_p, solve)
 from .qseries import LevelData, QSeries
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 
@@ -78,16 +77,11 @@ def _layer_lattice(layer: VectorLayer) -> Lattice:
     lat = layer.lattice
     if not lat.is_integral:
         raise ModLatticeError("design tests need an integral lattice")
+    if layer.den != 1:
+        raise ModLatticeError(
+            "layer lies in a coset of the lattice (entries over %d); design "
+            "tests need lattice vectors" % layer.den)
     return lat
-
-
-def _layer_data(layer: VectorLayer):
-    """(lattice, rows): the rows a sweep kept on the layer, or for a
-    layer built by hand its vectors as an integer array."""
-    lat = _layer_lattice(layer)
-    if layer._rows is not None:
-        return lat, layer._rows
-    return lat, integer_array(layer.vectors).reshape(len(layer), lat.dim)
 
 
 def _half_rows(arr):
@@ -217,18 +211,15 @@ def _pair_sum_test(layer: VectorLayer, degrees):
     Returns ({degree: PASS or FAIL}, witness), where the witness names a
     direction for the first failed degree and is None when all pass.  A
     pair sum below its bound is impossible and raises ModLatticeError.
-    The histogram is built once per layer object and kept on it; the
-    layer's rows are formed only to build it or to find a witness.
+    The histogram is built once per layer object and kept on it.
     """
     lat = _layer_lattice(layer)
-    arr = None
-    if layer._histogram is None:
-        _, arr = _layer_data(layer)
-        half = _half_rows(arr)
-    if not degrees:
-        return {}, None
+    arr = layer.rows
     n, m, size = lat.dim, int(layer.norm), len(layer)
-    if arr is not None:
+    if layer._histogram is None:
+        half = _half_rows(arr)
+        if not degrees:
+            return {}, None
         object.__setattr__(layer, "_histogram",
                            _pair_histogram(lat.gram, half, m))
     hist = layer._histogram
@@ -245,8 +236,6 @@ def _pair_sum_test(layer: VectorLayer, degrees):
                 "fault" % d)
         verdicts[d] = PASS if scaled == bound else FAIL
         if verdicts[d] == FAIL and witness is None:
-            if arr is None:
-                _, arr = _layer_data(layer)
             rhs = design_constant(n, k, size, m) * m ** k
             witness = _direction_witness(lat, arr, _half_rows(arr), d, rhs)
     return verdicts, witness
@@ -355,8 +344,8 @@ def perfection_rank(lat: Lattice, threads=1) -> int:
     """
     np = load_numpy()
     layer = min_layer(lat, threads=threads)
-    _, arr = _layer_data(layer)
-    half = _half_rows(arr)
+    _layer_lattice(layer)
+    half = _half_rows(layer.rows)
     n = lat.dim
     full = n * (n + 1) // 2
     if len(half) >= full:
@@ -397,8 +386,8 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
     np = load_numpy()
     t0 = time.time()
     layer = min_layer(lat, threads=threads)
-    _, arr = _layer_data(layer)
-    half = _half_rows(arr)
+    _layer_lattice(layer)
+    half = _half_rows(layer.rows)
     n = lat.dim
     m = layer.norm
     ginv = inverse(lat.gram)
@@ -636,7 +625,7 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
         for norm, layer in tc.layers.items():
             if norm == 0:
                 continue
-            dots = np.matmul(*exact_factors(layer._rows, ga))
+            dots = np.matmul(*exact_factors(layer.rows, ga))
             sums = exact_power_sums(dots, degrees)
             w = int(norm) * w_of_a
             total = sum(c * (w ** j) * sums[degree - 2 * j]

@@ -22,6 +22,7 @@ import atexit
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+import functools
 from itertools import accumulate
 import math
 import os
@@ -50,45 +51,60 @@ RUNS_PER_WORKER = 6
 _CHUNK = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class VectorLayer:
-    """All lattice vectors of one norm, in deterministic (sorted) order.
+    """All lattice (or coset) vectors of one norm, in deterministic order.
 
-    vectors is a tuple of coordinate tuples.  A layer that a sweep
-    collected (see _finalize_layers) holds its vectors as one read-only
-    integer array _num of numerators over the den _den, in the narrowest
-    signed dtype that holds them (int8 for the catalogue: 1 byte per
-    coordinate), and makes the tuples from it the first time vectors is
-    read, then keeps them; len() does not make them.  When _den is 1 that
-    array is also _rows, which the certificates and the isometry search
-    read; _rows is None for a coset layer (fractional entries) and for a
-    layer built by hand.  _histogram is the pair histogram, kept once a
-    design test has built it.
+    The vectors are rows / den: rows is one read-only integer array, in
+    the narrowest signed dtype that holds its entries and their negatives
+    (_narrow; int8 for the catalogue, 1 byte per coordinate), and den is
+    1 for lattice vectors and the denominator of a coset's entries.  The
+    certificates and the isometry search read rows; vectors, a tuple of
+    coordinate tuples (Python integers, Fractions where den does not
+    divide), is made from them on first read and kept, and len() does
+    not make it.  Layers compare and hash on (norm, vectors, complete,
+    lattice).  _histogram is the pair histogram, kept once a design test
+    has built it.
     """
 
     norm: object
-    vectors: tuple
+    rows: object
+    den: int
     complete: bool
     lattice: object = None
-    _rows: object = field(default=None, init=False, repr=False,
-                          compare=False)
-    _num: object = field(default=None, init=False, repr=False,
-                         compare=False)
-    _den: int = field(default=1, init=False, repr=False, compare=False)
-    _histogram: dict = field(default=None, init=False, repr=False,
-                             compare=False)
+    _histogram: dict = field(default=None, repr=False)
+
+    def __init__(self, norm, vectors, complete, lattice=None, den=1):
+        """vectors: coordinate tuples of integers and Fractions, whose
+        den becomes the lcm of their denominators (nothing is truncated),
+        or, as a sweep gives them, one integer array of the vectors times
+        den."""
+        if not isinstance(vectors, linalg.load_numpy().ndarray):
+            den = math.lcm(*{Fraction(v).denominator
+                             for x in vectors for v in x})
+            rows = [[int(v * den) for v in x] for x in vectors]
+            dim = len(rows[0]) if rows else getattr(lattice, "dim", 0)
+            vectors = linalg.integer_array(rows).reshape(len(rows), dim)
+        rows = _narrow(vectors)
+        rows.flags.writeable = False
+        self.__dict__.update(norm=norm, rows=rows, den=den,
+                             complete=complete, lattice=lattice)
+
+    @functools.cached_property
+    def vectors(self):
+        return _tuples(self.rows, self.den)
 
     def __len__(self):
-        return len(self.vectors if self._num is None else self._num)
+        return len(self.rows)
 
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the vectors of
-        # a collected layer before their first read
-        if name != "vectors" or self._num is None:
-            raise AttributeError(name)
-        vectors = _tuples(self._num, self._den)
-        object.__setattr__(self, "vectors", vectors)
-        return vectors
+    def _key(self):
+        return self.norm, self.vectors, self.complete, self.lattice
+
+    def __eq__(self, other):
+        return type(other) is VectorLayer and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -329,12 +345,10 @@ def _finalize_layers(counts, leaves, form, u_rows, lat, canonical):
     [x | 1] with [[e u], [t u]]; its vector is y / e.  A canonical leaf
     other than the origin also stands for -y.  One np.lexsort orders the
     rows by key position, then lexicographically, which within a layer is
-    the order of the tuples y / e, since e > 0.  Each layer keeps its
-    rows, read-only, in the narrowest signed dtype that holds them and
-    their negatives (see _narrow), and makes its vectors from them on
-    first read (see VectorLayer): tuples of Python integers, or when
-    e > 1 of integers and Fractions (the entries that e does not divide),
-    as exact division gives them.
+    the order of the tuples y / e, since e > 0.  Each layer is the
+    VectorLayer of its rows over den e, as one built by hand from its
+    vectors would be: e, the order of the shift modulo Z^n, which the
+    unimodular u keeps, is the lcm of the denominators of every vector.
     """
     np = linalg.load_numpy()
     ids, coords = leaves
@@ -356,14 +370,8 @@ def _finalize_layers(counts, leaves, form, u_rows, lat, canonical):
     cuts = np.cumsum(np.bincount(ids, minlength=len(keys)))[:-1]
     layers = {}
     for key, rows in zip(keys, np.split(y[order], cuts)):
-        rows = _narrow(rows)
-        rows.flags.writeable = False
         norm = int_or_fraction(Fraction(key, form.scale))
-        layer = object.__new__(VectorLayer)     # vectors made on first read
-        layer.__dict__.update(norm=norm, complete=True, lattice=lat,
-                              _num=rows, _den=e,
-                              _rows=rows if e == 1 else None)
-        layers[norm] = layer
+        layers[norm] = VectorLayer(norm, rows, True, lat, e)
     return layers
 
 

@@ -5,10 +5,8 @@ be a vector of the right norm with the right inner products against the
 images already chosen.  Both forms are LLL reduced first so the needed
 layers stay small.  Candidate filtering runs on numpy arrays in the
 dtype that linalg.exact_factors makes exact; any isometry found is
-re-verified in exact rational arithmetic before it is reported.
+re-verified in exact integer arithmetic before it is reported.
 """
-
-from fractions import Fraction
 
 from . import linalg
 from .enumeration import enumerate_vectors
@@ -32,11 +30,10 @@ def _common_integer_grams(a: Lattice, b: Lattice):
     return ga, gb
 
 
-def _check(u_rows, ga, gb):
-    u = [[Fraction(x) for x in row] for row in u_rows]
-    g = linalg.mat_mul(u, linalg.mat_mul(
-        [[Fraction(x) for x in row] for row in gb], linalg.mat_transpose(u)))
-    return linalg.mat_eq(g, [[Fraction(x) for x in row] for row in ga])
+def _check(u, ga, gb):
+    """U G_b U^T = G_a, in integers."""
+    g = linalg.mat_mul(u, linalg.mat_mul(gb, linalg.mat_transpose(u)))
+    return linalg.mat_eq(g, ga)
 
 
 def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
@@ -70,7 +67,7 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
 
     # every layer in one array, so that one cast covers the products of
     # any layer's dots with vectors chosen from any other
-    flat = np.concatenate([layer._rows for layer in tb.layers.values()])
+    flat = np.concatenate([layer.rows for layer in tb.layers.values()])
     flat_dots, flat_t = linalg.gram_factors(gb, flat, flat)
     flat = flat_t.T
     cuts = np.cumsum([len(layer) for layer in tb.layers.values()])[:-1]

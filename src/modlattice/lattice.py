@@ -161,11 +161,10 @@ def partial_dual(lat: Lattice, m: int, lat_level=None) -> Lattice:
 def index_in(sub_basis_gram_det, lat_det):
     """[L : M] from determinants: sqrt(det M / det L) for M <= L."""
     q = Fraction(sub_basis_gram_det) / Fraction(lat_det)
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
+    root = _sqrt_fraction(q)
+    if root is None:
         raise ValueError("index is not rational: det ratio %s not a square" % q)
-    return Fraction(rn, rd)
+    return root
 
 
 def even_sublattice(lat: Lattice) -> Lattice:

@@ -129,10 +129,6 @@ class DivisorResult:
     exact: str
     detail: str = ""
 
-    @property
-    def ok(self):
-        return self.formal == PASS and self.exact in (PASS, "skipped")
-
 
 @dataclass(frozen=True)
 class ModularityVerdict:

@@ -7,7 +7,7 @@ import time
 
 from modlattice import linalg
 from modlattice.arith import int_or_fraction
-from modlattice.designs import _half_rows, _layer_data
+from modlattice.designs import _half_rows, _layer_lattice
 from modlattice.enumeration import VectorLayer
 from modlattice.errors import (CapacityError, DefinitenessError,
                                ModLatticeError)
@@ -182,10 +182,10 @@ def moment_tensor_test(layer: VectorLayer, two_k: int,
         raise ValueError("tensor strategy supports even degrees 2..%d"
                          % TENSOR_MAX_DEGREE)
     k = two_k // 2
-    lat, arr = _layer_data(layer)
+    lat = _layer_lattice(layer)
     n = lat.dim
     m = int(layer.norm)
-    half = _half_rows(arr)
+    half = _half_rows(layer.rows)
     gram_rows = [[int(x) for x in row] for row in lat.gram]
     gram = np.array(gram_rows, dtype=np.int64)
     y = half @ gram
@@ -310,7 +310,8 @@ def search_nodes(gram, bound) -> int:
 
 
 def finalize_layers(counts, leaves, form, u_rows, lat, canonical) -> dict:
-    """The collected layers of a scan's leaves, one Python integer at a time.
+    """The vectors of the collected layers of a scan's leaves, by norm,
+    one Python integer at a time.
 
     Leaf i of leaves = (ids, coords), with the key at position ids[i] of
     counts and coordinates x = coords[i], becomes (e x + t) u / e, u the
@@ -333,7 +334,7 @@ def finalize_layers(counts, leaves, form, u_rows, lat, canonical) -> dict:
     layers = {}
     for key, out in groups.items():
         norm = int_or_fraction(Fraction(key, form.scale))
-        layers[norm] = VectorLayer(norm, tuple(sorted(out)), True, lat)
+        layers[norm] = tuple(sorted(out))
     return layers
 
 

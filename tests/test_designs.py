@@ -29,6 +29,7 @@ from modlattice.lattice import (Lattice, bundled_catalog, direct_sum, dual,
                                 inner, rescale, zn)
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
+from modlattice.shadow import shadow_coset
 from oracles import (finalize_layers, moment_tensor_test, pair_histogram,
                      projector_rank)
 from test_enumeration import count_sweeps, transformed, unimodular
@@ -92,6 +93,28 @@ def test_layer_guards():
         check_design(VectorLayer(lay.norm, lay.vectors, False, lay.lattice), 2)
     with pytest.raises(ModLatticeError):
         check_design(VectorLayer(1, ((1, 0), (0, 1)), True, zn(2)), 2)
+    # an empty layer is a design of every strength, vacuously
+    assert check_design(VectorLayer(2, (), True, zn(3)), 3).verdict == PASS
+
+
+def test_design_tests_refuse_a_coset_layer():
+    """A coset layer (entries over 2), swept or built by hand, is refused
+    by name instead of being read with its entries truncated: the norm-3
+    layer of Z^4 + (1/2, 1/2, 1/2, 1/2) and the norm-3/4 layer of the
+    shadow of Z^3."""
+    half = Fraction(1, 2)
+    four = enumerate_vectors(dual(zn(4)), 3, shift=(half,) * 4,
+                             collect=True).layers[3]
+    dl, shift = shadow_coset(zn(3))
+    three = enumerate_vectors(dl, Fraction(3, 4), shift=shift,
+                              collect=True).layers[Fraction(3, 4)]
+    assert (len(four), len(three)) == (64, 8)
+    for layer in (four, three):
+        assert layer.den == 2
+        hand = VectorLayer(layer.norm, layer.vectors, True, layer.lattice)
+        for lay in (layer, hand):
+            with pytest.raises(ModLatticeError, match="coset"):
+                check_design(lay, 2)
 
 
 def test_moment_tensor_e8_roots(catalog):
@@ -185,7 +208,7 @@ def integral_layers(draw):
 @settings(max_examples=150, deadline=None)
 @given(integral_layers())
 def test_pair_sums_equal_a_double_loop(layer):
-    lat, arr = designs._layer_data(layer)
+    lat, arr = designs._layer_lattice(layer), layer.rows
     m, n, size = int(layer.norm), lat.dim, len(layer)
     hist = designs._pair_histogram(lat.gram, designs._half_rows(arr), m)
     full = pair_histogram(lat.gram, layer.vectors)
@@ -208,7 +231,7 @@ def test_histogram_does_not_depend_on_the_block_size(catalog, monkeypatch):
               enumerate_vectors(catalog.lattice("E8"), 4,
                                 collect=True).layers[4]]
     for layer in layers:
-        lat, arr = designs._layer_data(layer)
+        lat, arr = designs._layer_lattice(layer), layer.rows
         half = designs._half_rows(arr)
         m = int(layer.norm)
         want = designs._pair_histogram(lat.gram, half, m)
@@ -264,7 +287,7 @@ def test_packed_histogram_equals_a_double_loop(layer, scale, data):
     the bin budget at its default or on either side of base^p, and
     _BLOCK_ENTRIES at its default, at base (blocks of a few rows) or at 1
     (the np.unique path)."""
-    lat, arr = designs._layer_data(layer)
+    lat, arr = designs._layer_lattice(layer), layer.rows
     half = designs._half_rows(arr)
     m = scale * int(layer.norm)
     gram = [[scale * g for g in row] for row in lat.gram]
@@ -286,7 +309,7 @@ def test_packing_keeps_the_dtype_of_the_unpacked_product(catalog,
     the products stay float64."""
     layer = enumerate_vectors(catalog.lattice("E8"), 4,
                               collect=True).layers[4]
-    lat, arr = designs._layer_data(layer)
+    lat, arr = designs._layer_lattice(layer), layer.rows
     half = designs._half_rows(arr)
     want = designs._pair_histogram(lat.gram, half, 4)
     left, right = linalg.gram_factors(lat.gram, half, half)
@@ -329,8 +352,7 @@ def test_verdicts_survive_rescaling_on_every_dtype_path(catalog):
     for shift, dtype in ((20, "float64"), (40, "int64"), (60, "object")):
         lat = rescale(lay.lattice, 2 ** shift)
         big = VectorLayer(lay.norm * 2 ** shift, lay.vectors, True, lat)
-        _, arr = designs._layer_data(big)
-        half = designs._half_rows(arr)
+        half = designs._half_rows(big.rows)
         left, right = linalg.gram_factors(lat.gram, half, half)
         assert left.dtype.name == right.dtype.name == dtype
         rep = check_design(big, 8)
@@ -455,7 +477,7 @@ def test_leech_is_perfect_by_the_witness(catalog, leech_layer, exact_ranks,
     leech = catalog.lattice("Leech")
     assert min_layer(leech) is leech_layer
     assert perfection_rank(leech) == 300 and exact_ranks == []
-    rows = leech_layer._rows
+    rows = leech_layer.rows
     assert rows.dtype == np.int8 and rows.nbytes == 196560 * 24
 
 
@@ -483,7 +505,6 @@ def test_layer_readers_take_the_kept_rows(catalog, monkeypatch):
     def counted(rows):
         sizes.append(len(rows))
         return integer_array(rows)
-    monkeypatch.setattr(designs, "integer_array", counted)
     monkeypatch.setattr(linalg, "integer_array", counted)
     assert check_design(layer, 5).verdict == PASS
     assert perfection_rank(k12) == 78
@@ -731,7 +752,7 @@ def test_swept_layers_make_their_tuples_only_when_read(catalog,
     assert made == []
     vectors = layer.vectors
     assert made == [240] and layer.vectors is vectors
-    assert repr(vectors) == repr(seen[0][2].vectors)
+    assert repr(vectors) == repr(seen[0][2])
 
     shift = (Fraction(1, 3), Fraction(1, 2)) + (0,) * 10
     tc = enumerate_vectors(dual(catalog.lattice("K12")), Fraction(8, 3),
@@ -740,8 +761,9 @@ def test_swept_layers_make_their_tuples_only_when_read(catalog,
     assert len(made) == 1
     for norm, want in seen[-1].items():
         got = tc.layers[norm]
-        assert got._rows is None
-        assert repr(got.vectors) == repr(want.vectors)
+        assert got.den == 6 and not got.rows.flags.writeable
+        assert got.rows.tolist() == [[6 * v for v in x] for x in want]
+        assert repr(got.vectors) == repr(want)
         assert any(type(v) is Fraction for v in got.vectors[0])
     assert len(made) == 1 + len(tc.layers)
 
@@ -756,7 +778,6 @@ def test_second_strength_forms_no_layer_array(catalog, monkeypatch):
     def counted(rows):
         converted.append(rows)
         return integer_array(rows)
-    monkeypatch.setattr(designs, "integer_array", counted)
     monkeypatch.setattr(linalg, "integer_array", counted)
     assert check_design(layer, 7).verdict == PASS
     assert check_design(layer, 5).verdict == PASS

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 from modlattice import enumeration, linalg
-from modlattice.enumeration import (_integer_form, enumerate_vectors,
-                                    min_layer, minimum, theta_series)
+from modlattice.enumeration import (VectorLayer, _integer_form,
+                                    enumerate_vectors, min_layer, minimum,
+                                    theta_series)
 from modlattice.errors import CapacityError, ModLatticeError
 from modlattice.lattice import Lattice, dual, inner, rescale, zn
 from modlattice.modular import extremal_form
@@ -416,6 +417,28 @@ def test_min_layer_is_sorted_and_complete(catalog):
         assert tuple(-x for x in v) in vset
     assert layer.lattice is not None
     assert all(layer.lattice.norm(v) == 2 for v in layer.vectors)
+
+
+def test_a_hand_built_rational_layer_round_trips():
+    """The constructor keeps Fractions whole: rows are the vectors times
+    den, the lcm of their entries' denominators, and .vectors gives back
+    the given vectors with their entry types (integers, and Fractions
+    where not integral, as a sweep gives them)."""
+    vectors = ((Fraction(-3, 2), Fraction(1, 3), 0),
+               (Fraction(1, 2), 2, Fraction(-1, 6)), (1, -1, 0))
+    layer = VectorLayer(Fraction(5, 2), vectors, True, zn(3))
+    assert layer.den == 6 and len(layer) == 3
+    assert layer.rows.tolist() == [[-9, 2, 0], [3, 12, -1], [6, -6, 0]]
+    assert layer.rows.dtype.name == "int8"
+    assert not layer.rows.flags.writeable
+    assert repr(layer.vectors) == repr(vectors)
+    again = VectorLayer(layer.norm, layer.vectors, True, zn(3))
+    assert again == layer and hash(again) == hash(layer)
+    assert again != VectorLayer(layer.norm, vectors[:2], True, zn(3))
+    ints = VectorLayer(2, ((1, -1), (-1, 1)), True, zn(2))
+    assert ints.den == 1 and repr(ints.vectors) == "((1, -1), (-1, 1))"
+    empty = VectorLayer(2, (), True, zn(3))
+    assert empty.rows.shape == (0, 3) and empty.vectors == ()
 
 
 def test_min_layer_after_reduction_is_in_original_coordinates(catalog):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 import pytest
 
 from modlattice import enumeration, linalg
-from modlattice.enumeration import enumerate_vectors
-from modlattice.errors import CapacityError, DefinitenessError
+from modlattice.designs import check_design
+from modlattice.enumeration import VectorLayer, enumerate_vectors
+from modlattice.errors import (CapacityError, DefinitenessError,
+                               ModLatticeError)
 from modlattice.lattice import Lattice, inner, rescale
 from oracles import box_counts, finalize_layers, search_nodes
 from test_enumeration import transformed, unimodular
@@ -150,21 +152,22 @@ def rebased(draw):
 
 
 def _same_layers(got, want):
-    """The same norms in the same order, the same vectors in the same
-    order with the same entry types, and the kept rows equal to them."""
+    """The same norms in the same order as the oracle's vectors, the same
+    vectors in the same order with the same entry types, and the kept
+    rows equal to them times den, the lcm of their entries'
+    denominators."""
     np = linalg.load_numpy()
     assert list(got) == list(want)
-    for norm, layer in want.items():
+    for norm, vectors in want.items():
         mine = got[norm]
         assert mine.norm == norm and mine.complete
-        assert repr(mine.vectors) == repr(layer.vectors)
-        rows = mine._rows
-        if any(type(v) is Fraction for x in layer.vectors for v in x):
-            assert rows is None
-            continue
-        assert rows.tolist() == [list(x) for x in layer.vectors]
+        assert repr(mine.vectors) == repr(vectors)
+        den = math.lcm(*(Fraction(v).denominator for x in vectors for v in x))
+        rows = mine.rows
+        assert mine.den == den
+        assert rows.tolist() == [[v * den for v in x] for x in vectors]
         assert not rows.flags.writeable
-        top = max((abs(v) for x in layer.vectors for v in x), default=0)
+        top = max((abs(v) * den for x in vectors for v in x), default=0)
         narrow = [t for t in (np.int8, np.int16, np.int32, np.int64)
                   if top <= np.iinfo(t).max][0]
         assert rows.dtype == narrow
@@ -202,3 +205,36 @@ def test_finalized_layers_equal_the_tuple_oracle(data, kind, shifted):
                                 threads=2)
     _same_layers(one.layers, seen[0])
     _same_layers(two.layers, seen[0])
+
+
+def _design(layer):
+    """check_design at strength 4 without its time, or the refusal."""
+    try:
+        report = check_design(layer, 4).to_dict()
+    except ModLatticeError as exc:
+        return str(exc)
+    del report["elapsed"]
+    return report
+
+
+@cheap
+@given(st.data(), st.booleans(), st.booleans())
+def test_hand_built_layers_equal_swept_ones(data, rational, shifted):
+    """A layer built by hand from a swept layer's vectors has the same
+    rows (values and dtype) and den, equals it, and gets the same design
+    report or the same refusal (a rational Gram, a coset, the origin)."""
+    lat = data.draw(lattices(rational))
+    shift = data.draw(shifts(lat.dim)) if shifted else None
+    bound = max(lat.gram[i][i] for i in range(lat.dim))
+    try:
+        tc = enumerate_vectors(lat, bound, shift=shift, collect=True,
+                               capacity=3000)
+    except CapacityError:
+        assume(False)
+    for norm, swept in tc.layers.items():
+        hand = VectorLayer(norm, swept.vectors, True, lat)
+        assert hand.den == swept.den
+        assert hand.rows.dtype == swept.rows.dtype
+        assert hand.rows.tolist() == swept.rows.tolist()
+        assert hand == swept and hash(hand) == hash(swept)
+        assert _design(hand) == _design(swept)
