@@ -13,9 +13,10 @@ the search bounds |Z_k| by an integer square root and solves for x_k by
 floor division, and each leaf is keyed by the integer sum_k f_k Z_k^2.
 No float and no Fraction enters the search, so no vector is ever missed
 or double counted; a key becomes a norm once per distinct norm, at the
-end.  In dimension >= 10 the search runs on an LLL-reduced basis (exact,
-with the unimodular transform recorded), which makes the deep lattices
-tractable; results are transformed back to the original coordinates.
+end.  The search runs on an LLL-reduced basis in every dimension (exact,
+with the unimodular transform recorded; see _basis), which keeps skewed
+and deep lattices tractable; results are transformed back to the
+original coordinates.
 """
 
 import atexit
@@ -62,9 +63,10 @@ class VectorLayer:
     certificates and the isometry search read rows; vectors, a tuple of
     coordinate tuples (Python integers, Fractions where den does not
     divide), is made from them on first read and kept, and len() does
-    not make it.  Layers compare and hash on (norm, vectors, complete,
-    lattice).  _histogram is the pair histogram, kept once a design test
-    has built it.
+    not make it.  Layers compare on (norm, den, complete, lattice) and
+    the values of rows, which with den determine the vectors, and hash on
+    those fields and len(); neither makes tuples.  _histogram is the pair
+    histogram, kept once a design test has built it.
     """
 
     norm: object
@@ -98,13 +100,14 @@ class VectorLayer:
         return len(self.rows)
 
     def _key(self):
-        return self.norm, self.vectors, self.complete, self.lattice
+        return self.norm, self.den, self.complete, self.lattice
 
     def __eq__(self, other):
-        return type(other) is VectorLayer and self._key() == other._key()
+        return (type(other) is VectorLayer and self._key() == other._key()
+                and linalg.load_numpy().array_equal(self.rows, other.rows))
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((*self._key(), len(self)))
 
 
 @dataclass(frozen=True)
@@ -397,10 +400,10 @@ def _tuples(rows, e):
 
 
 def _basis(lat: Lattice):
-    """(Gram, transform or None) of the search basis: in dimension >= 10
-    LLL-reduced once, and kept as it is when LLL leaves it unchanged."""
-    if lat.dim < 10:
-        return lat.gram, None
+    """(Gram, transform or None) of the search basis, the one reduction
+    rule of every sweep and of the isometry search: LLL-reduced once per
+    object, in every dimension, and kept as it is, with no transform,
+    when LLL leaves it unchanged."""
     if lat._lll is None:
         g, u = linalg.gram_lll(lat.gram)
         if u == linalg.mat_identity(lat.dim):
@@ -609,9 +612,8 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
 
     Exact counts by norm; with collect=True the coordinate rows themselves
     (in the original basis, shift included) are returned in sorted order,
-    guarded by `capacity`.  In dimension >= 10 the search runs on an
-    LLL-reduced basis (see _basis); a basis already reduced keeps its
-    coordinates.
+    guarded by `capacity`.  The search runs on the LLL-reduced basis of
+    lat (see _basis); a basis already reduced keeps its coordinates.
 
     threads > 1 first estimates the size of the search (_nodes) and
     sweeps serially below PARALLEL_MIN_NODES.  Above it, the prefixes

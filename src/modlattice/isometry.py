@@ -2,14 +2,16 @@
 
 Backtracking over short vectors: the image of the i-th basis vector must
 be a vector of the right norm with the right inner products against the
-images already chosen.  Both forms are LLL reduced first so the needed
-layers stay small.  Candidate filtering runs on numpy arrays in the
+images already chosen.  The search runs on the LLL-reduced bases that
+every sweep of the two lattices uses (enumeration._basis), so the needed
+layers stay small and the counts of a are those already kept on it
+(enumeration._counts).  Candidate filtering runs on numpy arrays in the
 dtype that linalg.exact_factors makes exact; any isometry found is
 re-verified in exact integer arithmetic before it is reported.
 """
 
 from . import linalg
-from .enumeration import enumerate_vectors
+from .enumeration import _basis, _counts, enumerate_vectors
 from .lattice import Lattice
 
 DEFAULT_BUDGET = 10 ** 6
@@ -20,10 +22,10 @@ NOT_ISOMETRIC = "not-isometric"
 INCONCLUSIVE = "inconclusive"
 
 
-def _common_integer_grams(a: Lattice, b: Lattice):
+def _common_integer_grams(ga, gb):
     """Scale both grams by one factor so they become integer matrices."""
-    ga, ca = linalg.clear_denominators(a.gram)
-    gb, cb = linalg.clear_denominators(b.gram)
+    ga, ca = linalg.clear_denominators(ga)
+    gb, cb = linalg.clear_denominators(gb)
     if ca != cb:
         ga = [[x * cb for x in row] for row in ga]
         gb = [[x * ca for x in row] for row in gb]
@@ -31,7 +33,7 @@ def _common_integer_grams(a: Lattice, b: Lattice):
 
 
 def _check(u, ga, gb):
-    """U G_b U^T = G_a, in integers."""
+    """U G_b U^T = G_a, exactly."""
     g = linalg.mat_mul(u, linalg.mat_mul(gb, linalg.mat_transpose(u)))
     return linalg.mat_eq(g, ga)
 
@@ -53,17 +55,14 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
         return INCONCLUSIVE, None, 0
     np = linalg.load_numpy()
 
-    ga0, gb0 = _common_integer_grams(a, b)
-    ga, ua = linalg.gram_lll(ga0)
-    gb, ub = linalg.gram_lll(gb0)
-    a_s, b_s = Lattice(ga), Lattice(gb)
-
-    bound = max(max(ga[i][i] for i in range(n)),
-                max(gb[i][i] for i in range(n)))
-    ta = enumerate_vectors(a_s, bound)
-    tb = enumerate_vectors(b_s, bound, collect=True)
+    (ga_r, ua), (gb_r, ub) = _basis(a), _basis(b)
+    need = [ga_r[i][i] for i in range(n)]
+    bound = max(need + [gb_r[i][i] for i in range(n)])
+    ta = _counts(a, bound)
+    tb = enumerate_vectors(Lattice(gb_r), bound, collect=True)
     if ta.counts != tb.counts:
         return NOT_ISOMETRIC, None, 0
+    ga, gb = _common_integer_grams(ga_r, gb_r)
 
     # every layer in one array, so that one cast covers the products of
     # any layer's dots with vectors chosen from any other
@@ -74,7 +73,6 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
     layers = dict(zip(tb.layers, np.split(flat, cuts)))
     dots = dict(zip(tb.layers, np.split(flat_dots, cuts)))
 
-    need = [ga[i][i] for i in range(n)]
     chosen = np.zeros((n, n), dtype=flat.dtype)
     nodes = 0
 
@@ -108,9 +106,11 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
             v = [[int(x) for x in row] for row in chosen]
             if _check(v, ga, gb):
                 # compose back to the original bases: u = ua^-1 v ub
-                ua_inv = [[int(x) for x in row] for row in linalg.inverse(ua)]
-                u = linalg.mat_mul(linalg.mat_mul(ua_inv, v), ub)
-                assert _check(u, ga0, gb0)
+                one = linalg.mat_identity(n)
+                ua_inv = [[int(x) for x in row]
+                          for row in linalg.inverse(ua or one)]
+                u = linalg.mat_mul(linalg.mat_mul(ua_inv, v), ub or one)
+                assert _check(u, a.gram, b.gram)
                 return ISOMETRIC, u, nodes
             pos[i] += 1
             continue

@@ -338,24 +338,16 @@ def gram_lll(gram):
     dn, dd = LLL_DELTA.as_integer_ratio()
     u = mat_identity(n)
 
-    # Gram-Schmidt data of every row before the first step, so that a form
-    # that is not positive definite fails at its first non-positive minor
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for k in range(n):
-        lk = lam[k]
-        for j in range(k + 1):
-            lj = lam[j]
-            x = g[k][j]
-            for i in range(j):
-                x = (d[i + 1] * x - lk[i] * lj[i]) // d[i]
-            if j < k:
-                lk[j] = x
-            elif x <= 0:
-                raise DefinitenessError("form is not positive definite",
-                                        minor_index=k + 1)
-            else:
-                d[k + 1] = x
+    # Gram-Schmidt data of every row before the first step, read off the
+    # Bareiss rows (d[k + 1] = B[k][k], lam[k][j] = B[j][k]), so that a
+    # form that is not positive definite fails at its first non-positive
+    # minor
+    rows = bareiss_rows(g)
+    if len(rows) < n or rows[-1][-1] <= 0:
+        raise DefinitenessError("form is not positive definite",
+                                minor_index=len(rows))
+    d = [1] + [rows[k][k] for k in range(n)]
+    lam = [[rows[j][k] for j in range(k)] for k in range(n)]
 
     def red(k, l):
         # q = round(mu[k][l]), ties to even as round() on a Fraction

@@ -723,9 +723,10 @@ def test_a_collecting_call_serves_the_later_readers(catalog, monkeypatch):
 
 def test_swept_layers_make_their_tuples_only_when_read(catalog,
                                                        monkeypatch):
-    """The certificates read a swept layer's rows: no tuple is made until
-    .vectors is read, and then the tuples are those of the one-integer-
-    at-a-time oracle, entry types included (Fractions on a coset)."""
+    """The certificates, == and hash read a swept layer's rows: no tuple
+    is made until .vectors is read, and then the tuples are those of the
+    one-integer-at-a-time oracle, entry types included (Fractions on a
+    coset)."""
     made, seen = [], []
     tuples, finalize = enumeration._tuples, enumeration._finalize_layers
 
@@ -749,6 +750,8 @@ def test_swept_layers_make_their_tuples_only_when_read(catalog,
     assert harmonic_theta_truncation(e8, [1] + [0] * 7, 8, 6).coeffs
     other = transformed(e8, unimodular(random.Random(3), 8))
     assert find_isometry(e8, other)[0] == ISOMETRIC
+    again = min_layer(Lattice(e8.gram))
+    assert again == layer and hash(again) == hash(layer)
     assert made == []
     vectors = layer.vectors
     assert made == [240] and layer.vectors is vectors

@@ -179,8 +179,8 @@ def test_parallel_bound_below_the_minimum(catalog, parallel):
 
 
 def test_lll_preprocessing_does_not_change_counts():
-    """In dimension >= 10 the sweep runs on an LLL-reduced basis; its
-    counts are those of the kernel on the unreduced form."""
+    """The sweep runs on an LLL-reduced basis; its counts are those of the
+    kernel on the unreduced form."""
     rng = random.Random(23)
     base = random_gram(rng, 10, spread=1)
     bound = Fraction(6)
@@ -196,14 +196,23 @@ def test_lll_preprocessing_does_not_change_counts():
 
 def test_reduced_basis_keeps_its_coordinates(catalog):
     """A Gram that LLL leaves unchanged is searched as it is, with no
-    transform stored."""
+    transform stored, in every dimension."""
     rng = random.Random(29)
-    for lat in (catalog.lattice("K12"),
+    for lat in (catalog.lattice("A2"), zn(5), catalog.lattice("D4"),
+                catalog.lattice("E8"), catalog.lattice("K12"),
                 transformed(random_gram(rng, 10, spread=1),
                             unimodular(rng, 10))):
         reduced = Lattice(linalg.gram_lll(lat.gram)[0])
         assert enumeration._basis(reduced) == (reduced.gram, None)
         assert reduced._lll == (reduced.gram, None)
+
+
+def test_skewed_small_basis_is_reduced(catalog):
+    """Below dimension 10 too, a skewed basis is searched on its reduced
+    form, and the counts are those of the lattice."""
+    skewed = Lattice([[2, 3], [3, 6]])
+    assert enumeration._basis(skewed)[1] is not None
+    assert theta_series(skewed, 6) == theta_series(catalog.lattice("A2"), 6)
 
 
 def test_unimodular_transform_preserves_theta():
@@ -442,7 +451,8 @@ def test_a_hand_built_rational_layer_round_trips():
 
 
 def test_min_layer_after_reduction_is_in_original_coordinates(catalog):
-    # dim >= 10 triggers LLL; returned rows must still have the right norms
+    # the search runs on the LLL-reduced basis; the returned rows must
+    # still have the right norms in the original one
     k12 = catalog.lattice("K12")
     layer = min_layer(k12)
     assert layer.norm == 4 and len(layer) == 756

@@ -149,6 +149,32 @@ def test_check_modular_isometry_node_counts(catalog):
         assert v.results[-1].detail == "%d nodes" % nodes, name
 
 
+def test_check_modular_reduces_and_sweeps_each_form_once(catalog,
+                                                         monkeypatch):
+    """The isometry search reads the reduced bases and the theta sweep
+    kept on the lattice: one LLL and one sweep for each of L and its
+    partial dual, and one of each for the collected form it searches."""
+    from modlattice import enumeration, linalg
+    lll, sweeps = [], []
+    gram_lll, run = linalg.gram_lll, enumeration._run
+
+    def counted_lll(gram):
+        lll.append(len(gram))
+        return gram_lll(gram)
+
+    def counted_run(*args):
+        sweeps.append(len(args[0].rows))
+        return run(*args)
+    monkeypatch.setattr(linalg, "gram_lll", counted_lll)
+    monkeypatch.setattr(enumeration, "_run", counted_run)
+    for name in ("K12", "BW16"):
+        lll.clear()
+        sweeps.clear()
+        v = check_modular(Lattice(catalog.lattice(name).gram), precision=6)
+        assert v.verdict == PASS and v.exact_pass, name
+        assert len(lll) == 3 and len(sweeps) == 3, name
+
+
 def test_check_modular_formal_only(catalog):
     v = check_modular(catalog.lattice("D4"), exact=False)
     assert v.verdict == PASS
