@@ -152,7 +152,7 @@ def build_parser():
                        help="strong modularity certificate")
     p.add_argument("--lattice", required=True)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--prec", type=int, default=20)
+    p.add_argument("--prec", type=int, help="widens the Sturm window")
     p.add_argument("--budget", type=int, default=10 ** 6,
                    help="isometry search node budget")
     p.add_argument("--formal-only", action="store_true",

@@ -59,7 +59,9 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
     need = [ga_r[i][i] for i in range(n)]
     bound = max(need + [gb_r[i][i] for i in range(n)])
     ta = _counts(a, bound)
-    tb = enumerate_vectors(Lattice(gb_r), bound, collect=True)
+    lb = Lattice(gb_r)      # its own search basis: LLL leaves it as it is
+    object.__setattr__(lb, "_lll", (lb.gram, None))
+    tb = enumerate_vectors(lb, bound, collect=True)
     if ta.counts != tb.counts:
         return NOT_ISOMETRIC, None, 0
     ga, gb = _common_integer_grams(ga_r, gb_r)

@@ -11,11 +11,12 @@ import time
 from fractions import Fraction
 
 from . import linalg
-from .arith import exact_divisors
+from .arith import divisors, exact_divisors, sigma0
 from .enumeration import _counts, minimum, theta_series
 from .errors import CatalogError, EmptyBasisError, ModLatticeError
 from .lattice import (
-    Lattice, bundled_catalog, default_level, partial_dual, rescale, dual)
+    Lattice, bundled_catalog, default_level, dual, level, partial_dual,
+    rescale)
 from .qseries import LevelData, QSeries, delta_level
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 
@@ -76,8 +77,7 @@ class ExtremalForm:
     @property
     def jump(self):
         """Exponent 2l + 2 of the first forced nonzero coefficient."""
-        data = LevelData.for_level(self.level)
-        return 2 * (self.weight // data.weight) + 2
+        return extremal_min_bound(self.level, self.weight)
 
 
 def extremal_form(n_level: int, weight: int, precision: int) -> ExtremalForm:
@@ -88,30 +88,28 @@ def extremal_form(n_level: int, weight: int, precision: int) -> ExtremalForm:
     """
     if weight <= 0:
         raise ValueError("weight must be positive")
-    data = LevelData.for_level(n_level)
-    l = weight // data.weight
-    if precision <= 2 * l + 2:
-        raise ValueError("precision must exceed 2l+2 = %d" % (2 * l + 2))
+    jump = extremal_min_bound(n_level, weight)
+    if precision <= jump:
+        raise ValueError("precision must exceed 2l+2 = %d" % jump)
     basis = modform_basis(n_level, weight, precision)
     if not basis:
         raise EmptyBasisError("weight %d is not represented at level %d"
                               % (weight, n_level))
     coeffs = [Fraction(1)]
     acc = basis[0]
-    for r in range(1, l + 1):
+    for r in range(1, jump // 2):
         c = -acc.coefficient_q(2 * r)
         coeffs.append(c)
         if c:
             acc = acc + c * basis[r]
-    for r in range(1, l + 1):
+    for r in range(1, jump // 2):
         if acc.coefficient_q(2 * r) != 0:
             raise ModLatticeError("extremal window not cleared at q^%d"
                                   % (2 * r))
     if acc.coefficient_q(0) != 1:
         raise ModLatticeError("extremal form constant term is not 1")
-    if acc.coefficient_q(2 * l + 2) <= 0:
-        raise ModLatticeError("coefficient a_%d is not positive"
-                              % (2 * l + 2))
+    if acc.coefficient_q(jump) <= 0:
+        raise ModLatticeError("coefficient a_%d is not positive" % jump)
     return ExtremalForm(n_level, weight, precision, acc, tuple(coeffs))
 
 
@@ -137,13 +135,9 @@ class ModularityVerdict:
     results: tuple
 
     @property
-    def formal_pass(self):
-        return all(r.formal == PASS for r in self.results)
-
-    @property
     def exact_pass(self):
-        return self.formal_pass and all(
-            r.exact in (PASS, "skipped") for r in self.results)
+        return all(r.formal == PASS and r.exact in (PASS, "skipped")
+                   for r in self.results)
 
     @property
     def verdict(self):
@@ -174,31 +168,48 @@ class ModularityVerdict:
         return "\n".join(lines)
 
 
-def _resolve_level(lat: Lattice, n_level):
-    return default_level(lat) if n_level is None else n_level
+def sturm_norm(lats, n_level=1) -> int:
+    """Norm up to which the theta series of lats (one dimension n, one
+    determinant, so one character) and a form of level n_level with that
+    character must agree to be equal.  Sturm: a form of weight k on
+    Gamma0(M) vanishing at infinity to an order above k psi(M) / 12,
+    psi(M) = M prod_(p | M) (1 + 1/p), is zero (for half-integral k, take
+    the 4th power).  Even lattices: 2 floor(n psi(M) / 24), the order
+    being half the norm, M the lcm of n_level and the levels; odd L
+    through sqrt(2)L: floor(n psi(M) / 24), M from the sqrt(2)L."""
+    even = all(lat.is_even for lat in lats)
+    m = math.lcm(n_level, *(level(lat if even else rescale(lat, 2))
+                            for lat in lats))
+    primes = [p for p in divisors(m) if sigma0(p) == 2]
+    top = lats[0].dim * m * math.prod(p + 1 for p in primes) \
+        // math.prod(primes) // 24
+    return 2 * top if even else top
 
 
-def check_modular(lat: Lattice, precision: int = 20, n_level=None,
+def check_modular(lat: Lattice, precision: int = None, n_level=None,
                   isometry_budget: int = None,
                   exact: bool = True) -> ModularityVerdict:
     """Strong modularity certificate: for every exact divisor m of the
-    level, the rescaled partial dual must have the same theta series on
-    the window (formal) and, within isometry_budget search nodes
-    (isometry.DEFAULT_BUDGET when None), an exact isometry.
-
-    Odd lattices are checked formally the same way; supply n_level when
-    the integral scale of the dual differs from the intended level.
-    """
+    level, the rescaled partial dual L_m must have the theta series of L
+    (formal) and, within isometry_budget search nodes
+    (isometry.DEFAULT_BUDGET when None), an exact isometry.  L_m has L's
+    dimension and determinant, so its character, and by Sturm's theorem
+    formal is proved on the window q^(s + 2), s the sturm_norm of L and
+    its partial duals (`precision` q-units where wider).  Supply n_level
+    when an odd lattice's dual scale differs from the intended level."""
     from .isometry import (DEFAULT_BUDGET, ISOMETRIC, NOT_ISOMETRIC,
                            find_isometry)
     if isometry_budget is None:
         isometry_budget = DEFAULT_BUDGET
     if not lat.is_integral:
         raise ModLatticeError("modularity checks need an integral lattice")
-    n_level = _resolve_level(lat, n_level)
+    n_level = default_level(lat) if n_level is None else n_level
+    duals = {m: rescale(partial_dual(lat, m, lat_level=n_level), m)
+             for m in exact_divisors(n_level)}
+    window = max(precision or 0, 2 + sturm_norm(
+        [lat] + [pd for pd in duals.values() if pd.is_integral]))
     results = []
-    for m in exact_divisors(n_level):
-        pd = rescale(partial_dual(lat, m, lat_level=n_level), m)
+    for m, pd in duals.items():
         if pd.det != lat.det:
             results.append(DivisorResult(
                 m, FAIL, "skipped",
@@ -211,8 +222,8 @@ def check_modular(lat: Lattice, precision: int = 20, n_level=None,
         if linalg.mat_eq(pd.gram, lat.gram):
             results.append(DivisorResult(m, PASS, PASS, "identical gram"))
             continue
-        equal, window, diff = theta_series(lat, precision).agree(
-            theta_series(pd, precision))
+        equal, _, diff = theta_series(lat, window).agree(
+            theta_series(pd, window))
         if not equal:
             results.append(DivisorResult(
                 m, FAIL, "skipped",
@@ -232,76 +243,63 @@ def check_modular(lat: Lattice, precision: int = 20, n_level=None,
             results.append(DivisorResult(
                 m, PASS, INCONCLUSIVE,
                 "budget %d exhausted" % isometry_budget))
-    return ModularityVerdict(n_level, precision, tuple(results))
-
-
-def _det_power_check(lat, n_level):
-    n = lat.dim
-    if n % 2:
-        return False
-    return lat.det == Fraction(n_level) ** (n // 2)
+    return ModularityVerdict(n_level, window, tuple(results))
 
 
 def check_extremal(lat: Lattice, n_level=None,
                    threads: int = 1) -> CertReport:
     """Extremality certificate for an even strongly modular lattice.
 
-    Pass means minimum(L) equals 2 + 2 floor(k / k_N) for weight
-    k = dim/2 and the theta series matches the extremal form on the
-    computed window of 2l + 4 q-units.
-    """
+    det L = N^k (k = dim/2) gives theta_L the character ((-1)^k N^k / .)
+    of the level-N ring, so theta_L and the extremal form F lie in
+    M_k(Gamma0(lcm(N, level L)), chi) and, by Sturm's theorem, are equal
+    once they agree up to sturm_norm, the furthest L is swept.  Pass
+    proves theta_L = F: minimum (the bound), kissing number and theta are
+    F's, and every rescaled partial dual has theta F | W_m = F.  Fail
+    names the first norm that differs: below the bound, min(L)."""
     t0 = time.time()
     inputs = {"dim": lat.dim, "det": lat.det}
     if not lat.is_even:
         return CertReport("check-extremal", FAIL, inputs,
                           {"reason": "lattice is not even"},
                           witnesses=[{"parity": "odd"}])
-    n_level = _resolve_level(lat, n_level)
+    n_level = default_level(lat) if n_level is None else n_level
     inputs["level"] = n_level
-    data = LevelData.for_level(n_level)
-    if not _det_power_check(lat, n_level):
-        expected = (Fraction(n_level) ** (lat.dim // 2)
-                    if lat.dim % 2 == 0 else "n/a (odd dimension)")
+    weight, odd = divmod(lat.dim, 2)
+    bound = extremal_min_bound(n_level, weight)
+    expected = "n/a (odd dimension)" if odd else Fraction(n_level) ** weight
+    if lat.det != expected:
         return CertReport(
             "check-extremal", FAIL, inputs,
             {"reason": "determinant is not N^(dim/2)"},
             witnesses=[{"det": lat.det, "expected": expected}])
-    weight = lat.dim // 2
-    l = weight // data.weight
-    window = 2 * l + 4
-    verdict = check_modular(lat, precision=window, n_level=n_level,
-                            exact=False)
-    if not verdict.formal_pass:
-        bad = [r for r in verdict.results if r.formal != PASS]
+    s = sturm_norm([lat], n_level)
+    form = extremal_form(n_level, weight, 2 + max(bound, s))
+    for top in sorted({min(bound, s), s}):  # a minimum below the bound first
+        theta = theta_series(lat, top + 1, threads=threads)
+        equal, _, diff = theta.agree(form.series)
+        if not equal:
+            break
+    if equal:
         return CertReport(
-            "check-extremal", FAIL, inputs,
-            {"reason": "not formally strongly modular"},
-            witnesses=[{"m": r.m, "detail": r.detail} for r in bad])
-    bound = extremal_min_bound(n_level, weight)
-    rep = minimum(lat, threads=threads)
-    if rep.minimum != bound:
-        return CertReport(
-            "check-extremal", FAIL, inputs,
-            {"reason": "minimum %s below extremal bound %d"
-             % (rep.minimum, bound) if rep.minimum < bound
-             else "minimum %s exceeds extremal bound %d (impossible for "
-             "a modular lattice; check inputs)" % (rep.minimum, bound),
-             "kissing": rep.kissing},
-            witnesses=[{"minimum": rep.minimum, "bound": bound}],
+            "check-extremal", PASS, inputs,
+            {"minimum": bound, "bound": bound,
+             "kissing": int(form.series.coefficient_q(bound)),
+             "theta": str(form.series.truncate(12 * (bound + 2))),
+             "window_q": bound + 2},
             elapsed=time.time() - t0)
-    form = extremal_form(n_level, weight, window)
-    theta = theta_series(lat, window, threads=threads)
-    equal, cmp_window, diff = theta.agree(form.series)
-    if not equal:
+    if diff < 12 * bound:
+        norm = diff // 12
         return CertReport(
             "check-extremal", FAIL, inputs,
-            {"reason": "theta does not match the extremal form"},
-            witnesses=[{"first_difference_u_exponent": diff}],
+            {"reason": "minimum %s below extremal bound %d" % (norm, bound),
+             "kissing": int(theta.coefficient_q(norm))},
+            witnesses=[{"minimum": norm, "bound": bound}],
             elapsed=time.time() - t0)
     return CertReport(
-        "check-extremal", PASS, inputs,
-        {"minimum": rep.minimum, "bound": bound, "kissing": rep.kissing,
-         "theta": str(theta), "window_q": window},
+        "check-extremal", FAIL, inputs,
+        {"reason": "theta does not match the extremal form"},
+        witnesses=[{"first_difference_u_exponent": diff}],
         elapsed=time.time() - t0)
 
 
@@ -319,7 +317,7 @@ def check_extremal_odd(lat: Lattice, n_level=None,
     if lat.is_even:
         return CertReport("check-extremal-odd", FAIL, inputs,
                           {"reason": "lattice is even; use check_extremal"})
-    n_level = _resolve_level(lat, n_level)
+    n_level = default_level(lat) if n_level is None else n_level
     inputs["level"] = n_level
     data = LevelData.for_level(n_level)
     if lat.dim % data.sigma0 != 0:

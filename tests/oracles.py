@@ -8,11 +8,12 @@ import time
 from modlattice import linalg
 from modlattice.arith import int_or_fraction
 from modlattice.designs import _half_rows, _layer_lattice
-from modlattice.enumeration import VectorLayer
+from modlattice.enumeration import VectorLayer, minimum, theta_series
 from modlattice.errors import (CapacityError, DefinitenessError,
                                ModLatticeError)
 from modlattice.lattice import Lattice, inner
 from modlattice.linalg import FLOAT_EXACT_LIMIT, INT64_LIMIT
+from modlattice.modular import extremal_form, extremal_min_bound
 from modlattice.qseries import QSeries
 from modlattice.report import FAIL, PASS, CertReport
 
@@ -346,3 +347,19 @@ def projector_rank(layer) -> int:
     half = [x for x in layer.vectors if next(v for v in x if v) > 0]
     return linalg.rank([[x[i] * x[j] for i in range(n) for j in range(i, n)]
                         for x in half])
+
+
+def swept_extremal(lat: Lattice, n_level):
+    """(verdict, minimum, kissing) of extremality by sweeping: the minimum
+    of lat against 2 + 2 floor(k / k_N), and theta_L against the extremal
+    form on 2l + 4 q-units, a window with no proof behind it.  lat is even
+    with det N^(dim/2)."""
+    weight = lat.dim // 2
+    bound = extremal_min_bound(n_level, weight)
+    rep = minimum(lat)
+    if rep.minimum != bound:
+        return FAIL, rep.minimum, rep.kissing
+    window = bound + 2
+    form = extremal_form(n_level, weight, window)
+    equal = theta_series(lat, window).agree(form.series)[0]
+    return (PASS if equal else FAIL), rep.minimum, rep.kissing

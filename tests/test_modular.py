@@ -1,19 +1,21 @@
 """Modular form spaces, extremal forms, modularity and extremality checks."""
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from modlattice.enumeration import theta_series
 from modlattice.errors import EmptyBasisError, LevelError
-from modlattice.lattice import (Lattice, bundled_catalog, direct_sum, rescale,
-                                zn)
+from modlattice.lattice import (Lattice, bundled_catalog, c_n_lattice,
+                                direct_sum, rescale, zn)
 from modlattice.modular import (ModularityVerdict, base_lattice,
                                 check_extremal, check_extremal_odd,
                                 check_modular, extremal_form,
-                                extremal_min_bound, modform_basis, theta_base,
-                                transformation_check)
-from modlattice.qseries import ADMISSIBLE_LEVELS
+                                extremal_min_bound, modform_basis,
+                                sturm_norm, theta_base, transformation_check)
+from modlattice.qseries import ADMISSIBLE_LEVELS, QSeries
 from modlattice.report import FAIL, INCONCLUSIVE, PASS
+from oracles import swept_extremal
 from test_enumeration import count_sweeps
 
 
@@ -30,9 +32,8 @@ def test_theta_base_matches_enumeration(catalog):
 
 
 def test_check_extremal_sweeps_the_lattice_once(monkeypatch):
-    # check_modular's theta, minimum, the window theta and (for A2, its own
-    # base lattice) theta_base all read one sweep of the object; the
-    # partial duals are other objects and are swept on their own
+    # the Sturm window theta and (for A2, its own base lattice) theta_base
+    # read one sweep of the object; no partial dual is swept
     bundled_catalog.cache_clear()
     cat = bundled_catalog()
     swept = count_sweeps(monkeypatch)
@@ -41,9 +42,81 @@ def test_check_extremal_sweeps_the_lattice_once(monkeypatch):
         swept.clear()
         assert check_extremal(lat).verdict == PASS
         assert sum(s is lat for s in swept) == 1, name
-        # the one nontrivial divisor's partial dual, a lattice of its own
-        assert sum(s is not lat and s.dim == lat.dim for s in swept) == 1
+        assert sum(s is not lat and s.dim == lat.dim for s in swept) == 0
     assert base_lattice(3) is cat.lattice("A2")
+
+
+def test_sturm_norms():
+    cat = bundled_catalog()
+    want = {"A2": 0, "D4": 0, "E8": 0, "D16plus": 0, "N7base": 0,
+            "N5base": 2, "N11base": 2, "Leech": 2, "K12": 4, "BW16": 4,
+            "N6base": 4, "N23base": 4, "N14base": 8, "N15base": 8}
+    assert {name: sturm_norm([cat.lattice(name)]) for name in want} == want
+    # odd lattices through the even sqrt(2)L: level 24, 60, 4 and 4
+    odd = {"C6": (c_n_lattice(6), 8), "C15": (c_n_lattice(15), 24),
+           "Z12": (zn(12), 3), "D12plus": (cat.lattice("D12plus"), 3)}
+    for name, (lat, norm) in odd.items():
+        assert not lat.is_even and sturm_norm([lat]) == norm, name
+    # a level given with the lattices widens M: lcm(2, 3) = 6, psi = 12
+    assert sturm_norm([cat.lattice("D4")], 3) == 4
+
+
+def test_check_extremal_matches_the_swept_path(catalog):
+    """Verdict, minimum and kissing number equal those of sweeping to the
+    minimum and comparing on 2l + 4 q-units (oracles.swept_extremal)."""
+    e8 = catalog.lattice("E8")
+    lats = {e.name: e.lattice for e in catalog
+            if e.lattice.is_even and e.level in ADMISSIBLE_LEVELS}
+    lats.update({"E8^3": direct_sum(direct_sum(e8, e8), e8),
+                 "D16plus+E8": direct_sum(catalog.lattice("D16plus"), e8)})
+    # powers of the base lattices up to dimension 16 (E8^2, D4^4, ...),
+    # many with a Sturm norm past the bound
+    for e in catalog:
+        power = e.lattice
+        for r in range(2, 16 // e.lattice.dim + 1):
+            power = direct_sum(power, e.lattice)
+            if e.claims.get("theta_base"):
+                lats["%s^%d" % (e.name, r)] = power
+    checked = []
+    for name, lat in lats.items():
+        rep = check_extremal(lat)
+        if "determinant" in rep.details.get("reason", ""):
+            continue
+        minimum = (rep.details["minimum"] if rep.verdict == PASS
+                   else rep.witnesses[0]["minimum"])
+        assert (rep.verdict, minimum, rep.details["kissing"]) == \
+            swept_extremal(lat, rep.inputs["level"]), name
+        checked.append(name)
+    assert len(checked) == len(lats) - 1    # E6: det 3, not 3^3
+
+
+def test_check_extremal_e8_cubed_fails_at_its_roots(catalog):
+    """theta(E8^3) differs from the Leech form only by its 720 roots, at
+    norm 2, its Sturm norm: the one norm that decides it."""
+    e8 = catalog.lattice("E8")
+    rep = check_extremal(direct_sum(direct_sum(e8, e8), e8))
+    assert rep.verdict == FAIL
+    assert rep.details["reason"] == "minimum 2 below extremal bound 4"
+    assert rep.witnesses == [{"minimum": 2, "bound": 4}]
+    assert rep.details["kissing"] == 720
+
+
+def test_check_extremal_compares_up_to_the_sturm_norm(catalog,
+                                                      monkeypatch):
+    """N6base has bound 2 and Sturm norm 4: a form that differs from its
+    theta series only at q^4 is told apart, past the bound."""
+    from modlattice import modular
+    make = modular.extremal_form
+
+    def altered(*args):
+        form = make(*args)
+        bump = QSeries.from_q_terms({4: 1}, form.series.precision // 12)
+        return dataclasses.replace(form, series=form.series + bump)
+    monkeypatch.setattr(modular, "extremal_form", altered)
+    rep = check_extremal(Lattice(catalog.lattice("N6base").gram))
+    assert rep.verdict == FAIL
+    assert rep.details["reason"] == "theta does not match the extremal form"
+    assert rep.witnesses == [{"first_difference_u_exponent": 48}]
 
 
 def test_base_lattice_dimensions():
@@ -153,7 +226,8 @@ def test_check_modular_reduces_and_sweeps_each_form_once(catalog,
                                                          monkeypatch):
     """The isometry search reads the reduced bases and the theta sweep
     kept on the lattice: one LLL and one sweep for each of L and its
-    partial dual, and one of each for the collected form it searches."""
+    partial dual, and one sweep, with no LLL, of the collected form it
+    searches."""
     from modlattice import enumeration, linalg
     lll, sweeps = [], []
     gram_lll, run = linalg.gram_lll, enumeration._run
@@ -172,7 +246,7 @@ def test_check_modular_reduces_and_sweeps_each_form_once(catalog,
         sweeps.clear()
         v = check_modular(Lattice(catalog.lattice(name).gram), precision=6)
         assert v.verdict == PASS and v.exact_pass, name
-        assert len(lll) == 3 and len(sweeps) == 3, name
+        assert len(lll) == 2 and len(sweeps) == 3, name
 
 
 def test_check_modular_formal_only(catalog):
@@ -197,10 +271,22 @@ def test_check_modular_detects_failure(catalog):
 
 
 def test_check_modular_divisor_diagonal_family():
-    for n in (6, 15):
-        from modlattice.lattice import c_n_lattice
+    # odd: the default window is the Sturm window of sqrt(2) C_N
+    for n, window in ((6, 10), (15, 26)):
         v = check_modular(c_n_lattice(n))
         assert v.verdict == PASS and v.exact_pass, n
+        assert v.precision == window, n
+
+
+def test_check_modular_default_window_is_the_sturm_window(catalog):
+    v = check_modular(catalog.lattice("BW16"))
+    assert v.verdict == PASS and v.exact_pass
+    assert v.precision == 6
+    assert v.render().splitlines()[0] == \
+        "[pass] strong modularity at level 2 (window q^6)"
+    # an explicit precision widens the window, never narrows it
+    assert check_modular(catalog.lattice("K12"), precision=8).precision == 8
+    assert check_modular(catalog.lattice("K12"), precision=2).precision == 6
 
 
 def test_render_mentions_every_divisor(catalog):
