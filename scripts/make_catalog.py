@@ -2,10 +2,11 @@
 
 Every Gram matrix is constructed from scratch (root system data, binary
 codes, the hexacode, glue vectors, or direct search) and then validated:
-determinant, parity, level, minimum and kissing number by exact
-enumeration, and strong modularity via theta windows plus exact isometry
-certificates for every exact divisor of the level.  Only a fully
-validated set is written to src/modlattice/data/lattices.json.
+determinant, parity and level by the library's Catalog, minimum and
+kissing number by exact enumeration, and strong modularity by
+modular.check_modular (a Sturm-window theta identity plus an exact
+isometry for every exact divisor of the level).  Only a fully validated
+set is written to src/modlattice/data/lattices.json.
 
 Run from the repository root with the package importable.
 """
@@ -20,11 +21,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from modlattice import linalg
-from modlattice.arith import exact_divisors
-from modlattice.enumeration import enumerate_vectors, minimum, theta_series
+from modlattice.enumeration import minimum
 from modlattice.isometry import ISOMETRIC, find_isometry
-from modlattice.lattice import (
-    Lattice, level, integral_dual_scale, partial_dual, rescale, dual)
+from modlattice.lattice import Catalog, Lattice, level
+from modlattice.modular import check_modular
+from modlattice.report import PASS
 
 
 def basis_from_generators(rows, ncols):
@@ -264,24 +265,6 @@ BASE_GRAMS = {
 }
 
 
-def strongly_modular_ok(lat, n_level, window=12, budget=2 * 10 ** 6):
-    """Theta window equality and an exact isometry for every exact divisor."""
-    base_theta = None
-    for m in exact_divisors(n_level):
-        pd = rescale(partial_dual(lat, m), m)
-        if linalg.mat_eq(pd.gram, lat.gram):
-            continue
-        if base_theta is None:
-            base_theta = theta_series(lat, window)
-        if theta_series(pd, window) != base_theta:
-            return False, "theta mismatch at m=%d" % m
-        if lat.dim <= 16:
-            st, _, _ = find_isometry(lat, pd, budget=budget)
-            if st != ISOMETRIC:
-                return False, "isometry %s at m=%d" % (st, m)
-    return True, ""
-
-
 def search_level5_base():
     """Complete search for an even 4-dim lattice with det 25, level 5,
     strongly 5-modular.
@@ -316,8 +299,7 @@ def search_level5_base():
                         continue
                     if lat.det != 25 or level(lat) != 5:
                         continue
-                    ok, _ = strongly_modular_ok(lat, 5)
-                    if ok:
+                    if check_modular(lat).verdict == PASS:
                         found.append(lat)
     if not found:
         raise RuntimeError("no level 5 base lattice found in the search box")
@@ -335,24 +317,20 @@ def entry(name, lvl, gram, note, **claims):
             "claims": claims}
 
 
-def validate(e):
-    lat = Lattice(e["gram"])
-    c = e["claims"]
-    t0 = time.time()
-    assert lat.det == c["det"], (e["name"], lat.det)
-    assert lat.is_even == c["even"], e["name"]
-    lvl = level(lat) if lat.is_even else integral_dual_scale(lat)
-    assert lvl == e["level"], (e["name"], lvl)
-    rep = minimum(lat)
-    assert rep.minimum == c["min"], (e["name"], rep.minimum)
-    assert rep.kissing == c["kissing"], (e["name"], rep.kissing)
-    if c.get("strongly_modular"):
-        window = 12 if lat.dim <= 12 else 10
-        ok, why = strongly_modular_ok(lat, lvl, window=window)
-        assert ok, (e["name"], why)
-    print("  %-10s dim %2d det %-6s min %s kissing %-6d level %-2d  %.1fs"
-          % (e["name"], lat.dim, lat.det, rep.minimum, rep.kissing, lvl,
-             time.time() - t0))
+def validate(entries):
+    """Definiteness, det, evenness and level through Catalog, then minimum,
+    kissing number and the strong modularity certificate."""
+    for e in Catalog(entries):
+        lat, c = e.lattice, e.claims
+        t0 = time.time()
+        rep = minimum(lat)
+        assert rep.minimum == c["min"], (e.name, rep.minimum)
+        assert rep.kissing == c["kissing"], (e.name, rep.kissing)
+        if c.get("strongly_modular"):
+            assert check_modular(lat).verdict == PASS, e.name
+        print("  %-10s dim %2d det %-6s min %s kissing %-6d level %-2d  %.1fs"
+              % (e.name, lat.dim, lat.det, rep.minimum, rep.kissing, e.level,
+                 time.time() - t0))
 
 
 def main():
@@ -463,8 +441,7 @@ def main():
             e["claims"]["kissing"] = rep.kissing
 
     print("validating ...")
-    for e in entries:
-        validate(e)
+    validate(entries)
 
     out = Path(__file__).resolve().parent.parent / "src" / "modlattice" / \
         "data" / "lattices.json"

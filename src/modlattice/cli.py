@@ -2,13 +2,14 @@
 
 One verb per library operation set.  Exit codes: 0 pass/success, 1 fail,
 2 usage error, 3 inconclusive.  All verbs take --json for schema-stable
-output; rendered output contains no timing, so identical invocations with
-identical seeds are byte-identical.
+output.  A certificate report reads no clock and is printed as it is
+(`CertReport.to_json()` or `render()`), so identical invocations are
+byte-identical; seconds per stage belong to a separate `stats` channel,
+not to the report.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -34,23 +35,8 @@ VERDICT_EXIT = {PASS: EXIT_PASS, FAIL: EXIT_FAIL,
                 INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 
-def _strip_timing(value):
-    """Remove elapsed/timing keys so equal runs render identically."""
-    if isinstance(value, dict):
-        return {k: _strip_timing(v) for k, v in value.items()
-                if k not in ("elapsed", "seconds")}
-    if isinstance(value, list):
-        return [_strip_timing(v) for v in value]
-    return value
-
-
 def _emit_report(report, as_json):
-    if as_json:
-        print(json.dumps(_strip_timing(report.to_dict()), indent=1,
-                         sort_keys=True))
-    else:
-        print(dataclasses.replace(
-            report, details=_strip_timing(report.details)).render())
+    print(report.to_json() if as_json else report.render())
     return VERDICT_EXIT.get(report.verdict, EXIT_FAIL)
 
 
@@ -268,8 +254,7 @@ def cmd_check_modular(args):
                             isometry_budget=args.budget,
                             exact=not args.formal_only)
     if args.json:
-        print(json.dumps(_strip_timing(verdict.to_dict()), indent=1,
-                         sort_keys=True))
+        print(json.dumps(verdict.to_dict(), indent=1, sort_keys=True))
     else:
         print(verdict.render())
     return VERDICT_EXIT[verdict.verdict]

@@ -28,7 +28,6 @@ harmonic theta truncations) reduces to these moment computations.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -260,7 +259,6 @@ def check_design(layer: VectorLayer, strength: int,
     degrees hold by antipodality), so the report is a proof either way;
     config has no effect.
     """
-    t0 = time.time()
     verdicts, wit = _pair_sum_test(layer, range(2, strength + 1, 2))
     return CertReport(check="design-strength",
                       verdict=FAIL if wit else PASS,
@@ -268,7 +266,7 @@ def check_design(layer: VectorLayer, strength: int,
                               "layer_size": len(layer), "strength": strength},
                       details={"strength": strength, "degrees": verdicts,
                                "proof": True},
-                      witnesses=wit, elapsed=time.time() - t0)
+                      witnesses=wit or [])
 
 
 def is_strongly_perfect(lat: Lattice, threads=1) -> CertReport:
@@ -277,7 +275,6 @@ def is_strongly_perfect(lat: Lattice, threads=1) -> CertReport:
     Runs the pair-sum test in degrees 2 and 4 on the layer of minimal
     vectors.
     """
-    t0 = time.time()
     layer = min_layer(lat, threads=threads)
     _, wit = _pair_sum_test(layer, (2, 4))
     inputs = {"dim": lat.dim, "min": layer.norm, "kissing": len(layer)}
@@ -285,11 +282,10 @@ def is_strongly_perfect(lat: Lattice, threads=1) -> CertReport:
         return CertReport(
             check="strongly-perfect", verdict=FAIL, inputs=inputs,
             details={"proof": True, "failed_degree": wit["degree"]},
-            witnesses=wit, elapsed=time.time() - t0)
+            witnesses=wit)
     return CertReport(
         check="strongly-perfect", verdict=PASS, inputs=inputs,
-        details={"proof": True, "degrees": [2, 4]},
-        elapsed=time.time() - t0)
+        details={"proof": True, "degrees": [2, 4]})
 
 
 def _projector_rows(rows):
@@ -384,7 +380,6 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
     are proofs; absence of a certificate proves nothing.
     """
     np = load_numpy()
-    t0 = time.time()
     layer = min_layer(lat, threads=threads)
     _layer_lattice(layer)
     half = _half_rows(layer.rows)
@@ -400,7 +395,7 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
         return CertReport(
             check="eutaxy", verdict=verdict,
             inputs={"dim": n, "min": m, "kissing": len(layer)},
-            details=details, elapsed=time.time() - t0, **extra)
+            details=details, **extra)
 
     if strong:
         return report(PASS, {"kind": STRONGLY_EUTACTIC, "coefficient": 1 / c,
@@ -433,7 +428,6 @@ def _upper_of(mat, n):
 
 def min_product_check(lat: Lattice, threads=1) -> CertReport:
     """min(L) * min(L*) against the strong perfection bound (n+2)/3."""
-    t0 = time.time()
     mp = minimum(lat, threads=threads)
     md = minimum(dual(lat), threads=threads)
     product = Fraction(mp.minimum) * Fraction(md.minimum)
@@ -441,8 +435,7 @@ def min_product_check(lat: Lattice, threads=1) -> CertReport:
     return CertReport(
         check="min-product", verdict=PASS if product >= bound else FAIL,
         inputs={"dim": lat.dim, "min": mp.minimum, "dual_min": md.minimum},
-        details={"product": product, "bound": bound},
-        elapsed=time.time() - t0)
+        details={"product": product, "bound": bound})
 
 
 def even_min_lower_bound(dim: int) -> int:
@@ -468,21 +461,19 @@ def coxeter_number(lat: Lattice, threads=1) -> Fraction:
 def coxeter_identity_check(lat: Lattice, threads=1) -> CertReport:
     """Proof of sum_{x in L_2} (a,x)^2 = 2h (a,a), h = |L_2|/dim, or a
     direction a that breaks it: the degree-2 design identity on L_2."""
-    t0 = time.time()
     layer = _collected(lat, 2, threads).layers.get(2)
     if layer is None or not len(layer):
         return CertReport(
             check="coxeter-identity", verdict=INCONCLUSIVE,
             inputs={"dim": lat.dim},
-            details={"reason": "no vectors of norm 2"},
-            elapsed=time.time() - t0)
+            details={"reason": "no vectors of norm 2"})
     _, wit = _pair_sum_test(layer, (2,))
     detail = {"coxeter_number": Fraction(len(layer), lat.dim),
               "roots": len(layer), "proof": True}
     return CertReport(check="coxeter-identity",
                       verdict=FAIL if wit else PASS,
                       inputs={"dim": lat.dim}, details=detail,
-                      witnesses=wit or [], elapsed=time.time() - t0)
+                      witnesses=wit or [])
 
 
 PREDICTED_STRENGTH = {

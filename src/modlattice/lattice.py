@@ -158,15 +158,6 @@ def partial_dual(lat: Lattice, m: int, lat_level=None) -> Lattice:
     return Lattice(g)
 
 
-def index_in(sub_basis_gram_det, lat_det):
-    """[L : M] from determinants: sqrt(det M / det L) for M <= L."""
-    q = Fraction(sub_basis_gram_det) / Fraction(lat_det)
-    root = _sqrt_fraction(q)
-    if root is None:
-        raise ValueError("index is not rational: det ratio %s not a square" % q)
-    return root
-
-
 def even_sublattice(lat: Lattice) -> Lattice:
     """Kernel of the mod-2 parity form x -> (x,x); index 2, det * 4.
 

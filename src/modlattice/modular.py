@@ -7,7 +7,6 @@ whose q-expansion starts 1 + 0 q^2 + ... + 0 q^(2l) + a q^(2l+2).
 """
 
 import math
-import time
 from fractions import Fraction
 
 from . import linalg
@@ -135,11 +134,6 @@ class ModularityVerdict:
     results: tuple
 
     @property
-    def exact_pass(self):
-        return all(r.formal == PASS and r.exact in (PASS, "skipped")
-                   for r in self.results)
-
-    @property
     def verdict(self):
         if any(r.formal == FAIL for r in self.results):
             return FAIL
@@ -257,7 +251,6 @@ def check_extremal(lat: Lattice, n_level=None,
     proves theta_L = F: minimum (the bound), kissing number and theta are
     F's, and every rescaled partial dual has theta F | W_m = F.  Fail
     names the first norm that differs: below the bound, min(L)."""
-    t0 = time.time()
     inputs = {"dim": lat.dim, "det": lat.det}
     if not lat.is_even:
         return CertReport("check-extremal", FAIL, inputs,
@@ -286,21 +279,18 @@ def check_extremal(lat: Lattice, n_level=None,
             {"minimum": bound, "bound": bound,
              "kissing": int(form.series.coefficient_q(bound)),
              "theta": str(form.series.truncate(12 * (bound + 2))),
-             "window_q": bound + 2},
-            elapsed=time.time() - t0)
+             "window_q": bound + 2})
     if diff < 12 * bound:
         norm = diff // 12
         return CertReport(
             "check-extremal", FAIL, inputs,
             {"reason": "minimum %s below extremal bound %d" % (norm, bound),
              "kissing": int(theta.coefficient_q(norm))},
-            witnesses=[{"minimum": norm, "bound": bound}],
-            elapsed=time.time() - t0)
+            witnesses=[{"minimum": norm, "bound": bound}])
     return CertReport(
         "check-extremal", FAIL, inputs,
         {"reason": "theta does not match the extremal form"},
-        witnesses=[{"first_difference_u_exponent": diff}],
-        elapsed=time.time() - t0)
+        witnesses=[{"first_difference_u_exponent": diff}])
 
 
 def check_extremal_odd(lat: Lattice, n_level=None,
@@ -312,7 +302,6 @@ def check_extremal_odd(lat: Lattice, n_level=None,
     conditions (dimension divisible by sigma0, determinant N^(dim/2
     sigma0-average)) are verified, not rational equivalence.
     """
-    t0 = time.time()
     inputs = {"dim": lat.dim, "det": lat.det}
     if lat.is_even:
         return CertReport("check-extremal-odd", FAIL, inputs,
@@ -340,8 +329,7 @@ def check_extremal_odd(lat: Lattice, n_level=None,
         "check-extremal-odd", verdict, inputs,
         {"minimum": rep.minimum, "bound": bound, "kissing": rep.kissing},
         witnesses=([] if verdict == PASS
-                   else [{"minimum": rep.minimum, "bound": bound}]),
-        elapsed=time.time() - t0)
+                   else [{"minimum": rep.minimum, "bound": bound}]))
 
 
 # -- transformation formula -------------------------------------------------
@@ -382,7 +370,6 @@ def transformation_check(lat: Lattice, t, tolerance: float = 1e-9
     """Numeric check of theta_{L*}(i t) = t^(-n/2) sqrt(det L) theta_L(i/t)
     with rigorous tail bounds on both truncated sums.
     """
-    t0 = time.time()
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
@@ -408,5 +395,4 @@ def transformation_check(lat: Lattice, t, tolerance: float = 1e-9
          "tail_bounds": tail_l + factor * tail_r,
          "tolerance": tolerance},
         witnesses=([] if verdict == PASS else
-                   [{"lhs": lhs, "rhs": rhs, "difference": diff}]),
-        elapsed=time.time() - t0)
+                   [{"lhs": lhs, "rhs": rhs, "difference": diff}]))

@@ -32,6 +32,7 @@ class CertReport:
 
     A fail verdict carries a concrete witness in `witnesses`; an
     inconclusive verdict carries a budget or precision hint in `details`.
+    A report holds no timing, so equal reports say the same thing.
     """
 
     check: str
@@ -39,7 +40,6 @@ class CertReport:
     inputs: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def ok(self):
@@ -52,7 +52,6 @@ class CertReport:
             "inputs": jsonable(self.inputs),
             "details": jsonable(self.details),
             "witnesses": jsonable(self.witnesses),
-            "elapsed": round(self.elapsed, 3),
         }
 
     def to_json(self):

@@ -20,13 +20,12 @@ from modlattice.enumeration import (enumerate_vectors, min_layer, minimum,
                                     theta_series)
 from modlattice.errors import EmptyBasisError
 from modlattice.lattice import (Lattice, density, density_from_parameters,
-                                index_in, inner, load_catalog, partial_dual,
-                                zn)
+                                inner, load_catalog, partial_dual, zn)
 from modlattice.modular import check_extremal, extremal_form, transformation_check
 from modlattice.qseries import ADMISSIBLE_LEVELS, LevelData, delta_level
 from modlattice.report import PASS
 from modlattice.shadow import shadow_min
-from oracles import box_counts
+from oracles import box_counts, index_in
 
 EXTREMAL_LEECH_COFF = 196560
 

@@ -71,13 +71,15 @@ def test_check_design_pass_and_fail(capsys):
 
 
 def test_emit_report_leaves_the_report_intact(capsys):
-    details = {"proof": True, "elapsed": 1.5, "stages": [{"seconds": 2}]}
-    rep = CertReport(check="demo", verdict="fail", details=dict(details),
-                     elapsed=3.0)
+    """A report is printed exactly as to_json() or render() gives it."""
+    rep = CertReport(check="demo", verdict="fail",
+                     details={"proof": True, "stages": [{"degree": 2}]},
+                     witnesses=[{"direction": [1, 0]}])
+    assert _emit_report(rep, True) == 1
+    assert capsys.readouterr().out == rep.to_json() + "\n"
     assert _emit_report(rep, False) == 1
-    out = capsys.readouterr().out
-    assert out == "[fail] demo\n  proof: True\n  stages: [{}]\n"
-    assert rep.details == details and rep.elapsed == 3.0
+    assert capsys.readouterr().out == rep.render() + "\n"
+    assert _emit_report(CertReport("demo", "inconclusive"), False) == 3
 
 
 def test_check_modular_budget_inconclusive(capsys):

@@ -27,6 +27,8 @@ from modlattice.errors import (CapacityError, DefinitenessError,
 from modlattice.isometry import ISOMETRIC, find_isometry
 from modlattice.lattice import (Lattice, bundled_catalog, direct_sum, dual,
                                 inner, rescale, zn)
+from modlattice.modular import (check_extremal, check_extremal_odd,
+                                transformation_check)
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
 from modlattice.shadow import shadow_coset
@@ -157,8 +159,32 @@ def test_check_design_e8_seven_not_eight(catalog):
     assert rep8.details["degrees"][8] == FAIL
     assert rep8.witnesses["degree"] == 8
     assert "seed" not in rep8.to_dict()
-    assert rep8.to_dict() == {**check_design(lay, 8).to_dict(),
-                              "elapsed": rep8.to_dict()["elapsed"]}
+    assert rep8 == check_design(lay, 8)
+
+
+def test_reports_are_values(catalog):
+    """Every certificate kind gives equal reports on two fresh copies of
+    a lattice, with exactly the five report keys and no timing; a passing
+    design report has no witness, as [] like every other certificate."""
+    def fresh(name):
+        return Lattice(catalog.lattice(name).gram)
+
+    runs = {
+        "design": lambda: check_design(min_layer(fresh("E8")), 8),
+        "strongly perfect": lambda: is_strongly_perfect(fresh("E8")),
+        "eutaxy": lambda: eutaxy_check(fresh("E8")),
+        "min product": lambda: min_product_check(fresh("E8")),
+        "coxeter identity": lambda: coxeter_identity_check(fresh("E8")),
+        "extremal": lambda: check_extremal(fresh("D4")),
+        "extremal odd": lambda: check_extremal_odd(fresh("D12plus")),
+        "transformation": lambda: transformation_check(fresh("A2"), 2),
+    }
+    for kind, run in runs.items():
+        first = run()
+        assert first == run(), kind
+        assert set(first.to_dict()) == {"check", "verdict", "inputs",
+                                        "details", "witnesses"}, kind
+    assert check_design(min_layer(fresh("E8")), 7).witnesses == []
 
 
 def _tensor_parity_layers(catalog):

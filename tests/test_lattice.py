@@ -10,9 +10,9 @@ from modlattice.errors import (CatalogError, DefinitenessError, DivisorError,
                                IntegralityError, ParityError, ShapeError)
 from modlattice.lattice import (Lattice, c_n_lattice, density,
                                 density_from_parameters, direct_sum, dual,
-                                even_sublattice, index_in,
-                                integral_dual_scale, level, load_catalog,
-                                partial_dual, rescale, zn)
+                                even_sublattice, integral_dual_scale, level,
+                                load_catalog, partial_dual, rescale, zn)
+from oracles import index_in
 
 
 def test_validation_rejects_bad_grams():

@@ -189,7 +189,7 @@ def test_extremal_min_bound_values():
 def test_check_modular_d4_exact(catalog):
     v = check_modular(catalog.lattice("D4"))
     assert isinstance(v, ModularityVerdict)
-    assert v.level == 2 and v.verdict == PASS and v.exact_pass
+    assert v.level == 2 and v.verdict == PASS
     assert [r.m for r in v.results] == [1, 2]
     assert v.results[0].detail == "identical gram"
 
@@ -206,7 +206,7 @@ def test_check_modular_sweeps_only_for_a_theta_comparison(catalog,
     monkeypatch.setattr(modular, "theta_series", counted)
     for name in ("E8", "D16plus", "Leech"):
         v = check_modular(catalog.lattice(name), precision=20)
-        assert v.verdict == PASS and v.exact_pass, name
+        assert v.verdict == PASS, name
         assert [r.detail for r in v.results] == ["identical gram"], name
     assert calls == []
     # D4 is level 2: its m = 2 partial dual needs the base theta as well
@@ -218,7 +218,7 @@ def test_check_modular_isometry_node_counts(catalog):
     # the isometry search sweeps its LLL-reduced forms as they are
     for name, nodes in (("A2", 2), ("D4", 4), ("K12", 12), ("BW16", 17)):
         v = check_modular(catalog.lattice(name), precision=6)
-        assert v.verdict == PASS and v.exact_pass, name
+        assert v.verdict == PASS, name
         assert v.results[-1].detail == "%d nodes" % nodes, name
 
 
@@ -245,7 +245,7 @@ def test_check_modular_reduces_and_sweeps_each_form_once(catalog,
         lll.clear()
         sweeps.clear()
         v = check_modular(Lattice(catalog.lattice(name).gram), precision=6)
-        assert v.verdict == PASS and v.exact_pass, name
+        assert v.verdict == PASS, name
         assert len(lll) == 2 and len(sweeps) == 3, name
 
 
@@ -274,13 +274,13 @@ def test_check_modular_divisor_diagonal_family():
     # odd: the default window is the Sturm window of sqrt(2) C_N
     for n, window in ((6, 10), (15, 26)):
         v = check_modular(c_n_lattice(n))
-        assert v.verdict == PASS and v.exact_pass, n
+        assert v.verdict == PASS, n
         assert v.precision == window, n
 
 
 def test_check_modular_default_window_is_the_sturm_window(catalog):
     v = check_modular(catalog.lattice("BW16"))
-    assert v.verdict == PASS and v.exact_pass
+    assert v.verdict == PASS
     assert v.precision == 6
     assert v.render().splitlines()[0] == \
         "[pass] strong modularity at level 2 (window q^6)"
