@@ -6,17 +6,26 @@ vector for every lattice vector x.  The fraction-free (Bareiss)
 elimination of cG gives integer rows B with B[k][k] = D_(k+1), the
 leading principal minors (D_0 = 1), and
 
-    c e^2 L (y, y) = sum_k f_k Z_k^2,   Z_k = sum_(j>=k) B[k][j] Y_j,
+    c e^2 L (y, y) = L Y.(cG).Y = sum_k f_k Z_k^2,
+    Z_k = sum_(j>=k) B[k][j] Y_j,
 
-where L = lcm_k D_k D_(k+1) and f_k = L / (D_k D_(k+1)).  Each level of
-the search bounds |Z_k| by an integer square root and solves for x_k by
-floor division, and each leaf is keyed by the integer sum_k f_k Z_k^2.
-No float and no Fraction enters the search, so no vector is ever missed
-or double counted; a key becomes a norm once per distinct norm, at the
-end.  The search runs on an LLL-reduced basis in every dimension (exact,
-with the unimodular transform recorded; see _basis), which keeps skewed
-and deep lattices tractable; results are transformed back to the
-original coordinates.
+where L = lcm_k D_k D_(k+1) and f_k = L / (D_k D_(k+1)).  Each leaf is
+keyed by that integer, so a key becomes a norm once per distinct norm,
+at the end.  Two searches give the same leaves in the same (depth-first)
+order, and one estimate of a sweep's nodes (_nodes) picks between them:
+
+- _run, the Python scan, bounds |Z_k| at each level by an integer square
+  root and solves for x_k by floor division: no float and no Fraction.
+  It serves sweeps below VECTOR_MIN_NODES, which then never import numpy.
+- _vector_search expands all live nodes of a level at once in numpy.
+  Floats only prune, inside intervals widened by a proven error bound
+  (see _floats), and each leaf is decided and keyed by its exact integer
+  L Y.(cG).Y.
+
+So no vector is ever missed or double counted.  The search runs on an
+LLL-reduced basis in every dimension (exact, with the unimodular
+transform recorded; see _basis), which keeps skewed and deep lattices
+tractable; results are transformed back to the original coordinates.
 """
 
 import atexit
@@ -48,8 +57,31 @@ PARALLEL_MIN_NODES = 10 ** 4
 # slow run does not leave the other workers idle.
 RUNS_PER_WORKER = 6
 
+# A sweep whose estimated node count (_nodes) reaches this runs
+# _vector_search; below it, _run, which needs no numpy.  On a 2-vCPU Linux
+# VM, with numpy loaded, _vector_search took 0.09-0.44 of _run's time
+# on catalogue sweeps of 2.5*10^4 to 10^5 estimated nodes (E8 to norm 8,
+# 34,446 nodes: 10 against 24 ms; K12 to 8, 57,162: 11 against 44 ms;
+# D16plus to 4, 98,114: 31 against 99 ms).  But importing numpy costs
+# 0.08-0.18 s and 11 MB (16.7 to 28.0 MB), so a process that imports it
+# for one sweep gains only from about 10^5 nodes.  At 5*10^4 the verbs
+# that sweep below it (E8 windows, the BW16 minimum at 24,645) import no
+# numpy; `shadow --lattice Z16` (61,100) took 0.28 s against 0.24 s; and
+# the processes that have numpy loaded (collecting sweeps, the pool's
+# workers) gain on the K12 q^10 sweeps (about 5.7*10^4) and above.
+VECTOR_MIN_NODES = 5 * 10 ** 4
+
 # Rows of a collected layer made into tuples at a time (see _tuples).
 _CHUNK = 2048
+
+# Children that one expansion of _vector_search makes at most; a batch
+# per level can be alive at once.  On a 2-vCPU Linux VM, 2^12 against
+# 2^13: the Leech minimal layer collected in 0.75-0.87 s against
+# 0.63-0.80 s, the Z16 shadow sweep to norm 4 peaked 4.6 MB against
+# 7.3 MB above the 28 MB of a process with numpy loaded (so
+# `shadow --lattice Z16` stays below the 34.8 MB of the largest verbs),
+# and the pool workers of perfbench's `sweep` at 33.7 against 35.7 MB.
+_BATCH = 2 ** 12
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -137,6 +169,7 @@ class _Form(NamedTuple):
     offsets: tuple   # e s_k
     den: int         # e
     scale: int       # c e^2 L; a leaf's key is scale * norm
+    gram: tuple      # cG: a leaf's key is L Y.(cG).Y
 
 
 def _integer_form(gram, shift=None) -> _Form:
@@ -158,7 +191,8 @@ def _integer_form(gram, shift=None) -> _Form:
         weights=tuple(big_l // (d[k] * d[k + 1]) for k in range(n)),
         steps=tuple(e * d[k + 1] for k in range(n)),
         heads=tuple(d[k + 1] * t[k] for k in range(n)),
-        offsets=t, den=e, scale=c * e * e * big_l)
+        offsets=t, den=e, scale=c * e * e * big_l,
+        gram=tuple(map(tuple, a)))
 
 
 def _top(form, bound):
@@ -336,13 +370,240 @@ def _narrow(arr):
     return arr
 
 
+class _Floats(NamedTuple):
+    """Float data of _vector_search, in Y units; see _floats."""
+
+    mu: tuple        # mu[k][j] = B[k][j] / B[k][k] for j > k, else 0
+    gs: tuple        # b_k = D_(k+1) / D_k, the Gram-Schmidt squares of cG
+    budget: float    # R = floor(scale * bound) / L
+    margins: tuple   # m_k, the widening of level k's intervals
+    reach: float     # max_k |Y_k| over every node the search makes
+
+
+_U = 2.0 ** -53          # unit roundoff of float64
+_RANGE = 2.0 ** 500      # float data stays within [1 / _RANGE, _RANGE]
+_EXACT = 2.0 ** 50       # |Y_k| of every node the search makes stays below
+
+
+@functools.lru_cache(maxsize=8)
+def _floats(form, bound):
+    """Float data of _vector_search, or None when its check fails.
+
+    Y.(cG).Y = sum_k b_k (Y_k + c_k)^2 with c_k = sum_(j>k) mu_kj Y_j, and
+    a leaf lies in the ball iff that is at most R.  b_k, mu_kj and R are
+    each rounded once, correctly, from exact rationals.  A node (Y_j fixed
+    for j >= k) is live if its exact partial sum P_k = sum_(j>=k)
+    b_j (Y_j + c_j)^2 is at most R; every ancestor of a leaf in the ball
+    is live.  On a live node |Y_j + c_j| <= s_j = sqrt(R / b_j), so
+    |c_j| <= C_j = sum_(i>j) |mu_ji| Yh_i and |Y_j| <= Yh_j = s_j + C_j.
+
+    With u = 2^-53 and g_m = m u / (1 - m u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3), on a live node:
+    - the computed centre is within eps_j = g_(n+1) C_j of c_j (a dot
+      product of length n with rounded mu, in any order);
+    - the computed Y_j + c_j is within d_j = eps_j + u (s_j + eps_j);
+    - the computed term b_j (Y_j + c_j)^2 is within
+      t_j = d_j (2 sqrt(R b_j) + b_j d_j) + g_3 (sqrt(R) + sqrt(b_j) d_j)^2;
+    - the computed P_k is within E = sum t + g_n (R + sum t), and
+      R - P_k within F = E (1 + u) + 4 u R of the computed difference.
+    So the true radius sqrt((R - P_k) / b_(k-1)) exceeds the computed one
+    by at most sqrt(F / b_(k-1)) + 5 u s_(k-1), and forming the interval
+    ends (centre, shift, radius, division by e) costs at most
+    4 u (C + |t| + s + m) more.  The margin
+        m_k = 2 (eps_k + sqrt(F / b_k) + 10 u (C_k + |t_k| + s_k))
+    covers these, twice over, which also covers the rounding of this
+    bound's own evaluation: the widened interval of a live node holds
+    every child that is live.  Nodes that are not live only cost work:
+    their leaves fail the exact test.  (X. Pujol, D. Stehle, "Rigorous
+    and efficient short lattice vectors enumeration", ASIACRYPT 2008,
+    bound the same errors for a float Cholesky.)
+
+    The check: the data is finite and within [2^-500, 2^500] (R may be
+    0), so no operation of the search overflows, and its underflows are
+    far below 4 u R; and every node the search makes has |Y_k| + |t_k|
+    below 2^50, so Y and x are exact in float64 and int64.
+    """
+    rows, n, e, t = form.rows, len(form.rows), form.den, form.offsets
+    gamma = lambda m: m * _U / (1 - m * _U)
+    try:
+        budget = _top(form, bound) / (form.weights[0] * rows[0][0])
+        gs = [rows[k][k] / (rows[k - 1][k - 1] if k else 1)
+              for k in range(n)]
+        mu = [[rows[k][j] / rows[k][k] if j > k else 0.0 for j in range(n)]
+              for k in range(n)]
+    except OverflowError:
+        return None
+    data = gs + [abs(v) for row in mu for v in row if v] + [budget or 1.0]
+    if not all(1 / _RANGE <= v <= _RANGE for v in data):
+        return None
+    s = [math.sqrt(budget / g) for g in gs]
+    cen, yh = [0.0] * n, [0.0] * n
+    for k in reversed(range(n)):
+        cen[k] = sum(abs(mu[k][i]) * yh[i] for i in range(k + 1, n))
+        yh[k] = s[k] + cen[k]
+    eps = [gamma(n + 1) * c for c in cen]
+    d = [x + _U * (y + x) for x, y in zip(eps, s)]
+    tau = [x * (2 * math.sqrt(budget * g) + g * x)
+           + gamma(3) * (math.sqrt(budget) + math.sqrt(g) * x) ** 2
+           for x, g in zip(d, gs)]
+    f = (sum(tau) + gamma(n) * (budget + sum(tau))) * (1 + _U) \
+        + 4 * _U * budget
+    margins = [2 * (eps[k] + math.sqrt(f / gs[k])
+                    + 10 * _U * (cen[k] + abs(t[k]) + s[k]))
+               for k in range(n)]
+    # a bound on |Y_k| over every node made, live or not
+    reach = [0.0] * n
+    for k in reversed(range(n)):
+        reach[k] = 2 * (s[k] + margins[k] + e + sum(
+            abs(mu[k][i]) * reach[i] for i in range(k + 1, n)))
+        if not reach[k] + abs(t[k]) < _EXACT:
+            return None
+    return _Floats(tuple(map(tuple, mu)), tuple(gs), budget, tuple(margins),
+                   max(reach))
+
+
+def _vector_search(form, bound, collect, capacity, outer_range, inner_range,
+                   canonical):
+    """_run's search, level by level in numpy: the same (counts, leaves)
+    from the same arguments, and _run itself when _floats' check fails.
+
+    A batch of nodes of level k (Y_j fixed for j >= k) holds, per node,
+    the row Y (zero below k, in the narrowest integer dtype that holds
+    _floats' reach), the float partial sum P_k, whether the node is on
+    the zero chain (canonical), and the widened interval of its
+    children's x_(k-1).  Expanding a batch repeats each node once per
+    child with np.repeat, parents kept in order and children ascending,
+    so the leaves come in _run's depth-first order.  Batches are worked
+    depth-first from a stack, and one expansion makes at most _BATCH
+    children (a node with more is expanded in parts), so memory stays
+    within about one batch per level.  A leaf's value Y.(cG).Y, exact
+    through linalg.exact_factors, decides membership and gives the key,
+    L times it, as in _run: counts, key order and the capacity cut are
+    _run's.
+    """
+    fl = _floats(form, bound)
+    if fl is None:
+        return _run(form, bound, collect, capacity, outer_range,
+                    inner_range, canonical)
+    np = linalg.load_numpy()
+    n, e = len(form.rows), form.den
+    t = np.array(form.offsets, dtype=np.int64)
+    mu = np.array(fl.mu)
+    gram = linalg.integer_array(form.gram)
+    unit = form.weights[0] * form.rows[0][0]        # L
+    most = _top(form, bound) // unit                # largest Y.(cG).Y
+    counts, ids, coords = {}, [], []
+    collected = 0
+
+    def batch(k, ys, part, zero):
+        """The batch of these nodes of level k, with their intervals."""
+        j = k - 1
+        centre = ys @ mu[j]
+        wide = (np.sqrt(np.maximum(fl.budget - part, 0.0) / fl.gs[j])
+                + fl.margins[j])
+        mid = -centre - t[j]
+        lo = np.ceil((mid - wide) / e).astype(np.int64)
+        hi = np.floor((mid + wide) / e).astype(np.int64)
+        if zero is not None:
+            lo[zero & (lo < 0)] = 0
+        if k == n and outer_range is not None:
+            lo = np.maximum(lo, outer_range[0])
+            hi = np.minimum(hi, outer_range[1])
+        if k == n - 1 and inner_range is not None:
+            x = (ys[:, k] - t[k]) / e
+            lo[(x == outer_range[0]) & (lo < inner_range[0])] = inner_range[0]
+            hi[(x == outer_range[1]) & (hi > inner_range[1])] = inner_range[1]
+        return k, ys, part, zero, centre, lo, np.maximum(hi - lo + 1, 0)
+
+    def leaves(ys):
+        """Tally the leaves of rows ys in the ball; False past capacity."""
+        nonlocal collected
+        val = np.matmul(*linalg.exact_factors(ys, gram))
+        val = np.multiply(*linalg.exact_factors(val, ys)).sum(axis=1)
+        # a float or int64 val is below 2^53 or 2^62, so a larger `most`
+        # need not be exact: it is above every val either way
+        keep = val <= (most if val.dtype == object
+                       else min(most, linalg.INT64_LIMIT))
+        val, y = val[keep], ys[keep] if collect else None
+        over = False
+        if collect:
+            mult = np.full(len(val), 2 if canonical else 1)
+            if canonical:
+                mult[val == 0] = 1
+            total = collected + np.cumsum(mult)
+            if len(val) and total[-1] > capacity:
+                stop = np.searchsorted(total, capacity, side="right") + 1
+                val, y, over = val[:stop], y[:stop], True
+            collected += int(mult[:len(val)].sum())
+        keys, first, inv, num = np.unique(
+            val, return_index=True, return_inverse=True, return_counts=True)
+        at = np.empty(len(keys), dtype=np.intp)
+        for i in np.argsort(first, kind="stable"):
+            key = unit * int(keys[i])
+            if collect:
+                at[i] = counts.setdefault(key, len(counts))
+            else:
+                counts[key] = counts.get(key, 0) + int(num[i])
+        if collect:
+            ids.append(at[inv.reshape(-1)])
+            coords.append(_narrow((y.astype(np.int64) - t) // e))
+        return not over
+
+    def take(nodes, cut):
+        return [None if a is None else a[cut] for a in nodes]
+
+    rows = np.zeros((1, n), np.min_scalar_type(-int(fl.reach) - 1))
+    stack = [batch(n, rows, np.zeros(1),
+                   np.ones(1, dtype=bool) if canonical else None)]
+    while stack:
+        k, *nodes = stack.pop()
+        ends = np.cumsum(nodes[-1])
+        if ends[-1] > _BATCH:
+            cut = int(np.searchsorted(ends, _BATCH, side="right"))
+            if cut:         # the first nodes, up to _BATCH children
+                stack.append((k, *take(nodes, slice(cut, None))))
+                nodes = take(nodes, slice(cut))
+            else:           # the first _BATCH children of the first node
+                lo, num = nodes[-2].copy(), nodes[-1].copy()
+                lo[0] += _BATCH
+                num[0] -= _BATCH
+                stack.append((k, *nodes[:-2], lo, num))
+                nodes = take(nodes, slice(1))
+                nodes[-1] = np.array([_BATCH])
+            ends = np.cumsum(nodes[-1])
+        ys, part, zero, centre, lo, num = nodes
+        size = int(ends[-1])
+        if not size:
+            continue
+        parent = np.repeat(np.arange(len(num)), num)
+        x = lo[parent] + (np.arange(size) - (ends - num)[parent])
+        j = k - 1
+        y = e * x + t[j]
+        ys = ys[parent]
+        ys[:, j] = y
+        if j == 0:
+            if not leaves(ys):
+                break
+            continue
+        z = y + centre[parent]
+        stack.append(batch(j, ys, part[parent] + fl.gs[j] * z * z,
+                           None if zero is None else zero[parent] & (x == 0)))
+    if not collect:
+        return _pairs(counts, canonical), None
+    ids = np.concatenate(ids) if ids else np.zeros(0, dtype=np.intp)
+    coords = (np.concatenate(coords) if coords
+              else np.zeros((0, n), dtype=np.int64))
+    return _tally(list(counts), ids, canonical), (ids, _narrow(coords))
+
+
 def _finalize_layers(counts, leaves, form, u_rows, lat, canonical):
     """The collected layers of a scan, in the key order of its counts:
     +- pairs expanded, shift and basis transform applied, rows sorted,
     each layer one integer array.
 
-    leaves is the pair (ids, coords) of _run: leaf i has the key at
-    position ids[i] of counts and the scan's coordinates x = coords[i].
+    leaves is the pair (ids, coords) of the search (_run or
+    _vector_search): leaf i has the key at position ids[i] of counts and
+    the scan's coordinates x = coords[i].
     Its row is y = (e x + t) u in integers, u the LLL transform (if any),
     formed for every leaf by one exact product (linalg.exact_factors) of
     [x | 1] with [[e u], [t u]]; its vector is y / e.  A canonical leaf
@@ -425,7 +686,8 @@ def _nodes(form, top, budget):
     total, volume = 0.0, 1.0
     for d, k in enumerate(range(top, -1, -1), 1):
         volume *= math.sqrt(budget / (form.weights[k] * form.steps[k] ** 2))
-        total += volume * math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+        total += volume * math.exp(d / 2 * math.log(math.pi)
+                                   - math.lgamma(d / 2 + 1))
     return total
 
 
@@ -481,18 +743,17 @@ def _split(form, bound, canonical, threads):
     """(jobs, workers) of a parallel sweep, or None to sweep serially.
 
     workers is min(threads, cores), so the pool keeps its size from one
-    sweep to the next.  A sweep with fewer than 2 workers, an estimate
-    below PARALLEL_MIN_NODES or a single job is serial.  Otherwise the
-    prefixes, in DFS order, are cut into contiguous runs of about equal
-    estimated cost, RUNS_PER_WORKER per worker; a job is the
-    (outer_range, inner_range) pair of one run (see _run).
+    sweep to the next.  A sweep with fewer than 2 workers or a single job
+    is serial.  Otherwise the prefixes, in DFS order, are cut into
+    contiguous runs of about equal estimated cost, RUNS_PER_WORKER per
+    worker; a job is the (outer_range, inner_range) pair of one run (see
+    _run).
     """
-    rtop = _top(form, bound)
-    top = len(form.rows) - 1
     workers = min(threads, _cores())
-    if workers < 2 or _nodes(form, top, rtop) < PARALLEL_MIN_NODES:
+    if workers < 2:
         return None
-    prefixes = _prefixes(form, rtop, canonical)
+    top = len(form.rows) - 1
+    prefixes = _prefixes(form, _top(form, bound), canonical)
     below = top - 2 if top >= 2 else top - 1
     cost = list(accumulate(1 + _nodes(form, below, r)
                            for _, _, r in prefixes))
@@ -589,14 +850,16 @@ def _cut(counts, ids, left, canonical):
     return _tally(keys[:ids.max() + 1], ids, canonical)
 
 
-def _parallel(form, bound, collect, capacity, canonical, jobs, workers):
-    """_run over the jobs on the process pool, merged in job order."""
+def _parallel(search, form, bound, collect, capacity, canonical, jobs,
+              workers):
+    """search (_run or _vector_search) over the jobs on the process pool,
+    merged in job order."""
     from concurrent.futures.process import BrokenProcessPool
     n = len(jobs)
     outer, inner = zip(*jobs)
     try:
         parts = _POOL.get(workers).map(
-            _run, [form] * n, [bound] * n, [collect] * n, [capacity] * n,
+            search, [form] * n, [bound] * n, [collect] * n, [capacity] * n,
             outer, inner, [canonical] * n)
         return _merge(parts, capacity, canonical)
     except BrokenProcessPool as exc:
@@ -604,6 +867,26 @@ def _parallel(form, bound, collect, capacity, canonical, jobs, workers):
         raise ModLatticeError(
             "an enumeration worker process died; the next parallel sweep "
             "starts a fresh pool") from exc
+
+
+def _sweep(form, bound, collect, capacity, canonical, threads):
+    """(counts, leaves) of one sweep: the one place that picks its search
+    and its schedule, both from one estimate of its nodes (_nodes).
+
+    The search is _vector_search from VECTOR_MIN_NODES on, else _run.
+    With threads > 1 and from PARALLEL_MIN_NODES on, the pool runs it on
+    the jobs of _split; otherwise this process runs it whole.
+    VECTOR_MIN_NODES >= PARALLEL_MIN_NODES, so a count-only sweep at
+    threads > 1 that imports numpy does so in the workers only.
+    """
+    nodes = _nodes(form, len(form.rows) - 1, _top(form, bound))
+    search = _vector_search if nodes >= VECTOR_MIN_NODES else _run
+    split = (_split(form, bound, canonical, threads)
+             if threads > 1 and nodes >= PARALLEL_MIN_NODES else None)
+    if split is None:
+        return search(form, bound, collect, capacity, None, None, canonical)
+    return _parallel(search, form, bound, collect, capacity, canonical,
+                     *split)
 
 
 def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
@@ -615,13 +898,14 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     guarded by `capacity`.  The search runs on the LLL-reduced basis of
     lat (see _basis); a basis already reduced keeps its coordinates.
 
-    threads > 1 first estimates the size of the search (_nodes) and
-    sweeps serially below PARALLEL_MIN_NODES.  Above it, the prefixes
-    (x_top, x_(top-1)) of the search tree are cut into runs of about equal
-    estimated cost, which the process pool of this process (see _Pool;
-    min(threads, cores) workers) sweeps and which are merged in DFS
-    order.  Counts, their key order, the collected layers and the
-    partial counts of a CapacityError are the serial ones.
+    Each sweep first estimates its size (_nodes; see _sweep): from
+    VECTOR_MIN_NODES on it runs _vector_search, else _run, with the same
+    results.  threads > 1 sweeps serially below PARALLEL_MIN_NODES.
+    Above it, the prefixes (x_top, x_(top-1)) of the search tree are cut
+    into runs of about equal estimated cost, which the process pool of
+    this process (see _Pool; min(threads, cores) workers) sweeps and which
+    are merged in DFS order.  Counts, their key order, the collected
+    layers and the partial counts of a CapacityError are the serial ones.
     Every call sweeps.  An unshifted collecting call that reaches further
     than lat._layers, the collected sweep of this (immutable) object,
     replaces it and keeps the layers already handed out, which it returns
@@ -644,13 +928,8 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     canonical = shift is None
     form = _integer_form(g_red, shift_red)
 
-    split = _split(form, bound, canonical, threads) if threads > 1 else None
-    if split is None:
-        counts, leaves = _run(form, bound, collect, capacity, None, None,
-                              canonical)
-    else:
-        counts, leaves = _parallel(form, bound, collect, capacity, canonical,
-                                   *split)
+    counts, leaves = _sweep(form, bound, collect, capacity, canonical,
+                            threads)
     shift_out = None if shift is None else tuple(map(Fraction, shift))
     if collect and sum(counts.values()) > capacity:
         raise CapacityError(

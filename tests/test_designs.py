@@ -728,12 +728,12 @@ def test_a_collecting_call_serves_the_later_readers(catalog, monkeypatch):
     want = (harmonic_theta_truncation(fresh, axis, 8, 5),
             theta_series(fresh, 5), minimum(fresh))
     scans = []
-    run = enumeration._run
+    sweep = enumeration._sweep
 
     def counted(*args):
         scans.append(args)
-        return run(*args)
-    monkeypatch.setattr(enumeration, "_run", counted)
+        return sweep(*args)
+    monkeypatch.setattr(enumeration, "_sweep", counted)
     tc = enumerate_vectors(e8, 4, collect=True)
     layers = dict(tc.layers)
     tc.counts.clear()       # the caller's own dicts

@@ -267,11 +267,18 @@ def test_threads_must_be_positive(catalog):
         enumerate_vectors(catalog.lattice("E8"), 2, threads=0)
 
 
-def test_serial_sweep_estimates_nothing(catalog, monkeypatch):
-    def boom(*args):
-        raise AssertionError("estimate computed at threads=1")
-    monkeypatch.setattr(enumeration, "_nodes", boom)
+def test_serial_sweep_estimates_once(catalog, monkeypatch):
+    """A sweep at threads=1 estimates its nodes once, to pick its search,
+    and splits nothing."""
+    made, nodes = [], enumeration._nodes
+
+    def counted(*args):
+        made.append(args[1])
+        return nodes(*args)
+    monkeypatch.setattr(enumeration, "_nodes", counted)
+    monkeypatch.setattr(enumeration, "_split", None)
     assert enumerate_vectors(catalog.lattice("E8"), 4).counts[4] == 2160
+    assert made == [7]
 
 
 def test_small_sweeps_stay_serial(catalog, monkeypatch):

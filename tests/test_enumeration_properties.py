@@ -1,4 +1,5 @@
-"""Property tests of the integer enumeration core against brute force."""
+"""Property tests of the integer enumeration core against brute force,
+and of its two searches against each other (see test_vector_search)."""
 from collections import Counter
 from fractions import Fraction
 import itertools
@@ -16,6 +17,7 @@ from modlattice.errors import (CapacityError, DefinitenessError,
 from modlattice.lattice import Lattice, inner, rescale
 from oracles import box_counts, finalize_layers, search_nodes
 from test_enumeration import transformed, unimodular
+from test_vector_search import same_searches, searched_form
 
 BOX_LIMIT = 5000
 
@@ -82,6 +84,7 @@ def test_counts_match_box_scan(data, rational, bound):
     lat = data.draw(lattices(rational))
     _box(lat, bound, (0,) * lat.dim)
     assert enumerate_vectors(lat, bound).counts == box_counts(lat, bound)
+    same_searches(searched_form(lat), bound, True)
 
 
 @cheap
@@ -92,6 +95,7 @@ def test_coset_counts_match_brute_force(data, rational, bound):
     tc = enumerate_vectors(lat, bound, shift=shift)
     assert tc.counts == coset_scan(lat, bound, shift)
     assert tc.shift == shift
+    same_searches(searched_form(lat, shift), bound, False)
 
 
 @settings(max_examples=20, deadline=None)
@@ -108,6 +112,7 @@ def test_two_workers_equal_one(data, rational, shifted):
                                 threads=2)
     assert list(two.counts.items()) == list(one.counts.items())
     assert list(two.layers) == list(one.layers)
+    same_searches(searched_form(lat, shift), bound, shift is None)
     base = shift or (0,) * lat.dim
     for norm, layer in one.layers.items():
         assert two.layers[norm].vectors == layer.vectors
@@ -205,6 +210,7 @@ def test_finalized_layers_equal_the_tuple_oracle(data, kind, shifted):
                                 threads=2)
     _same_layers(one.layers, seen[0])
     _same_layers(two.layers, seen[0])
+    same_searches(searched_form(lat, shift), bound, shift is None)
 
 
 def _design(layer):

@@ -230,17 +230,17 @@ def test_check_modular_reduces_and_sweeps_each_form_once(catalog,
     searches."""
     from modlattice import enumeration, linalg
     lll, sweeps = [], []
-    gram_lll, run = linalg.gram_lll, enumeration._run
+    gram_lll, sweep = linalg.gram_lll, enumeration._sweep
 
     def counted_lll(gram):
         lll.append(len(gram))
         return gram_lll(gram)
 
-    def counted_run(*args):
+    def counted_sweep(*args):
         sweeps.append(len(args[0].rows))
-        return run(*args)
+        return sweep(*args)
     monkeypatch.setattr(linalg, "gram_lll", counted_lll)
-    monkeypatch.setattr(enumeration, "_run", counted_run)
+    monkeypatch.setattr(enumeration, "_sweep", counted_sweep)
     for name in ("K12", "BW16"):
         lll.clear()
         sweeps.clear()
