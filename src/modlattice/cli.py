@@ -363,7 +363,7 @@ def parse_and_dispatch(argv) -> int:
         return EXIT_USAGE
     try:
         return HANDLERS[args.verb](args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:   # ValueError: API misuse
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ModLatticeError as exc:

@@ -12,11 +12,10 @@ leading principal minors (D_0 = 1), and
 where L = lcm_k D_k D_(k+1) and f_k = L / (D_k D_(k+1)).  Each leaf is
 keyed by that integer, so a key becomes a norm once per distinct norm,
 at the end.  Two searches give the same leaves in the same (depth-first)
-order, and one estimate of a sweep's nodes (_nodes) picks between them:
+order:
 
 - _run, the Python scan, bounds |Z_k| at each level by an integer square
   root and solves for x_k by floor division: no float and no Fraction.
-  It serves sweeps below VECTOR_MIN_NODES, which then never import numpy.
 - _vector_search expands all live nodes of a level at once in numpy.
   Floats only prune, inside intervals widened by a proven error bound
   (see _floats), and each leaf is decided and keyed by its exact integer
@@ -26,6 +25,13 @@ So no vector is ever missed or double counted.  The search runs on an
 LLL-reduced basis in every dimension (exact, with the unimodular
 transform recorded; see _basis), which keeps skewed and deep lattices
 tractable; results are transformed back to the original coordinates.
+
+_sweep picks the search and the schedule from one estimate of the
+sweep's nodes (_nodes): the process pool runs only _vector_search, on
+runs of the search tree's top prefixes, and a sweep in this process runs
+_vector_search from VECTOR_MIN_NODES on and _run below it, so a small
+sweep imports no numpy.  _cut alone finds where a collecting sweep
+passed its capacity, wherever the search stopped after it.
 """
 
 import atexit
@@ -47,28 +53,32 @@ from .qseries import QSeries
 DEFAULT_CAPACITY = 10 ** 7
 
 # A sweep with threads > 1 whose estimated node count (_nodes) is below
-# this runs serially.  A warm pool adds about 0.7 ms to a sweep (dispatch
-# and merge); on 2 cores the catalogue sweeps above 10^4 estimated nodes
-# (2 ms and more serially) took 0.53-0.69 of their serial time, and those
-# below 4,000 took 1.04-10 times it.
+# this runs in this process; from it on the pool runs _vector_search.  On
+# a 2-vCPU Linux VM a warm pool of 2 workers took 5-10 ms for each
+# catalogue sweep of 1.5*10^3 to 10^4 estimated nodes, 1.5-6.7 times the
+# serial time; from 10^4 to 5*10^4, where the serial search is _run, it
+# took 0.24-1.3 times it (BW16 to norm 4, 24,645 nodes: 6-8 against
+# 20-21 ms); above that, against _vector_search in a process with numpy
+# loaded, 0.68-1.56 times it.  perfbench's `sweep` was slower with 5*10^4.
 PARALLEL_MIN_NODES = 10 ** 4
 
 # Runs of prefixes per worker: the pool's queue hands them out, so one
 # slow run does not leave the other workers idle.
 RUNS_PER_WORKER = 6
 
-# A sweep whose estimated node count (_nodes) reaches this runs
-# _vector_search; below it, _run, which needs no numpy.  On a 2-vCPU Linux
-# VM, with numpy loaded, _vector_search took 0.09-0.44 of _run's time
-# on catalogue sweeps of 2.5*10^4 to 10^5 estimated nodes (E8 to norm 8,
-# 34,446 nodes: 10 against 24 ms; K12 to 8, 57,162: 11 against 44 ms;
-# D16plus to 4, 98,114: 31 against 99 ms).  But importing numpy costs
+# A sweep run in this process whose estimated node count (_nodes) reaches
+# this runs _vector_search; below it, _run, which needs no numpy.  On a
+# 2-vCPU Linux VM, with numpy loaded, _vector_search took 0.16-0.34 of
+# _run's time on catalogue sweeps of 2.5*10^4 to 10^5 estimated nodes
+# (BW16 to norm 4, 24,645 nodes: 3-4 against 19-23 ms; E8 to 8, 34,446:
+# 5 against 15-16 ms; K12 to 8, 57,162: 7 against 37-41 ms; D16plus to 4,
+# 98,114: 26-30 against 100-112 ms).  But importing numpy costs
 # 0.08-0.18 s and 11 MB (16.7 to 28.0 MB), so a process that imports it
 # for one sweep gains only from about 10^5 nodes.  At 5*10^4 the verbs
-# that sweep below it (E8 windows, the BW16 minimum at 24,645) import no
-# numpy; `shadow --lattice Z16` (61,100) took 0.28 s against 0.24 s; and
-# the processes that have numpy loaded (collecting sweeps, the pool's
-# workers) gain on the K12 q^10 sweeps (about 5.7*10^4) and above.
+# that sweep below it at threads 1 (E8 windows, the BW16 minimum) import
+# no numpy; `shadow --lattice Z16` (61,100) took 0.28 s against 0.24 s;
+# and a process that has numpy loaded (a collecting sweep) gains on the
+# K12 q^10 sweeps (about 5.7*10^4) and above.
 VECTOR_MIN_NODES = 5 * 10 ** 4
 
 # Rows of a collected layer made into tuples at a time (see _tuples).
@@ -210,22 +220,16 @@ def _by_norm(counts, scale):
     return {int_or_fraction(Fraction(k, scale)): v for k, v in counts.items()}
 
 
-def _run(form, bound, collect, capacity, outer_range, inner_range,
-         canonical):
+def _run(form, bound, collect, capacity, canonical):
     """Core scan.  Returns (counts, leaves), counts keyed by integer keys.
-
-    outer_range, a (first, last) pair or None, restricts the outermost
-    coordinate x_top.  inner_range, a (lo, hi) pair or None, restricts
-    x_(top-1) at the two ends only: to >= lo where x_top = first and to
-    <= hi where x_top = last.  Together they cut out one run of
-    (x_top, x_(top-1)) prefixes in DFS order, a job of the parallel split.
 
     canonical=True (only without shift) enumerates one of each +-pair and
     applies multiplicity 2, keeping the zero vector single.  leaves is
     None, or when collecting the pair (ids, coords) of arrays holding each
     leaf in DFS order: ids[i] the position of its key in counts, coords[i]
     its coordinates (see _finalize_layers).  Then the scan stops at the
-    first leaf that takes the collected count past `capacity`.
+    first leaf that takes the collected count past `capacity`, clamping
+    the level-0 row to it, since one row can be astronomically long.
     """
     rows, weights, steps, heads = (form.rows, form.weights, form.steps,
                                    form.heads)
@@ -240,8 +244,7 @@ def _run(form, bound, collect, capacity, outer_range, inner_range,
     x_arr = [0] * n
     y_arr = [0] * n            # Y_k = den * x_k + offsets[k]
     hi_arr = [0] * n
-    zab = [False] * n          # all coordinates above this level are zero,
-                               # or (at top) the ends of a run are clamped
+    zab = [False] * n          # all coordinates above this level are zero
     # sigma[k][j] = sum_(l >= j) B[k][l] Y_l for j > k.  Row k - 1 is
     # refreshed only on entering level k - 1, from stale[k] down to k:
     # stale[k] is the highest level changed since that row was refreshed.
@@ -252,9 +255,6 @@ def _run(form, bound, collect, capacity, outer_range, inner_range,
     ids, coords = [], []
     collected = 0
     mult = 2 if canonical else 1
-    first = last = None
-    if inner_range is not None:
-        (first, last), (inner_lo, inner_hi) = outer_range, inner_range
 
     def scan(lo, hi, a, r, zflag):
         """Level 0 below fixed x_1..x_(n-1); False on overflow."""
@@ -284,16 +284,13 @@ def _run(form, bound, collect, capacity, outer_range, inner_range,
     lo, hi = _range(rtop, weights[top], steps[top], a)
     if canonical:
         lo = max(lo, 0)
-    if outer_range is not None:
-        lo = max(lo, outer_range[0])
-        hi = min(hi, outer_range[1])
     if top == 0:
         if lo <= hi:
             scan(lo, hi, a, rtop, canonical)
         lvl = 1
     else:
         r_arr[top], a_arr[top], x_arr[top], hi_arr[top] = rtop, a, lo - 1, hi
-        zab[top] = canonical or first is not None
+        zab[top] = canonical
         lvl = top
     while lvl <= top:
         x = x_arr[lvl] + 1
@@ -315,16 +312,9 @@ def _run(form, bound, collect, capacity, outer_range, inner_range,
         s = isqrt(r // weights[k])
         step = steps[k]
         lo, hi = -((s + a) // step), (s - a) // step
-        zflag = zab[lvl]
-        if zflag:       # on the zero chain, or a top node of a run
-            zflag = canonical and x == 0
-            if zflag and lo < 0:
-                lo = 0
-            if lvl == top:
-                if x == first and lo < inner_lo:
-                    lo = inner_lo
-                if x == last and hi > inner_hi:
-                    hi = inner_hi
+        zflag = zab[lvl] and x == 0
+        if zflag and lo < 0:
+            lo = 0
         if lo > hi:
             continue
         if k:
@@ -464,8 +454,12 @@ def _floats(form, bound):
 
 def _vector_search(form, bound, collect, capacity, outer_range, inner_range,
                    canonical):
-    """_run's search, level by level in numpy: the same (counts, leaves)
-    from the same arguments, and _run itself when _floats' check fails.
+    """_run's search, level by level in numpy, on a form that passes
+    _floats' check.  outer_range, a (first, last) pair or None, restricts
+    the outermost coordinate x_top.  inner_range, a (lo, hi) pair or None,
+    restricts x_(top-1) at the two ends only: to >= lo where x_top = first
+    and to <= hi where x_top = last.  Together they cut out one run of
+    (x_top, x_(top-1)) prefixes in DFS order, a job of the parallel split.
 
     A batch of nodes of level k (Y_j fixed for j >= k) holds, per node,
     the row Y (zero below k, in the narrowest integer dtype that holds
@@ -478,13 +472,11 @@ def _vector_search(form, bound, collect, capacity, outer_range, inner_range,
     children (a node with more is expanded in parts), so memory stays
     within about one batch per level.  A leaf's value Y.(cG).Y, exact
     through linalg.exact_factors, decides membership and gives the key,
-    L times it, as in _run: counts, key order and the capacity cut are
-    _run's.
+    L times it, as in _run: counts and key order are _run's.  Collecting,
+    the search stops after the batch that takes the collected count past
+    `capacity`; _cut finds the leaf where it passed.
     """
     fl = _floats(form, bound)
-    if fl is None:
-        return _run(form, bound, collect, capacity, outer_range,
-                    inner_range, canonical)
     np = linalg.load_numpy()
     n, e = len(form.rows), form.den
     t = np.array(form.offsets, dtype=np.int64)
@@ -524,17 +516,10 @@ def _vector_search(form, bound, collect, capacity, outer_range, inner_range,
         # need not be exact: it is above every val either way
         keep = val <= (most if val.dtype == object
                        else min(most, linalg.INT64_LIMIT))
-        val, y = val[keep], ys[keep] if collect else None
-        over = False
-        if collect:
-            mult = np.full(len(val), 2 if canonical else 1)
-            if canonical:
-                mult[val == 0] = 1
-            total = collected + np.cumsum(mult)
-            if len(val) and total[-1] > capacity:
-                stop = np.searchsorted(total, capacity, side="right") + 1
-                val, y, over = val[:stop], y[:stop], True
-            collected += int(mult[:len(val)].sum())
+        val = val[keep]
+        if collect:     # the origin is the one canonical leaf not a pair
+            collected += (2 * len(val) - int((val == 0).sum()) if canonical
+                          else len(val))
         keys, first, inv, num = np.unique(
             val, return_index=True, return_inverse=True, return_counts=True)
         at = np.empty(len(keys), dtype=np.intp)
@@ -546,8 +531,8 @@ def _vector_search(form, bound, collect, capacity, outer_range, inner_range,
                 counts[key] = counts.get(key, 0) + int(num[i])
         if collect:
             ids.append(at[inv.reshape(-1)])
-            coords.append(_narrow((y.astype(np.int64) - t) // e))
-        return not over
+            coords.append(_narrow((ys[keep].astype(np.int64) - t) // e))
+        return not collect or collected <= capacity
 
     def take(nodes, cut):
         return [None if a is None else a[cut] for a in nodes]
@@ -726,19 +711,6 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def _pin(slots):
-    """Pool initializer: bind this worker to a core of its own, taken from
-    `slots`.  Left to the scheduler, the workers of a short sweep can share
-    one core: on a 2-vCPU Linux VM, K12 to norm 8 took 23 ms with two
-    unbound workers and 22 ms serially, and 12-19 ms bound.  The binding
-    only places the worker, so a refusal leaves it unbound."""
-    core = slots.get()
-    try:
-        os.sched_setaffinity(0, {core})
-    except OSError:
-        pass
-
-
 def _split(form, bound, canonical, threads):
     """(jobs, workers) of a parallel sweep, or None to sweep serially.
 
@@ -747,7 +719,7 @@ def _split(form, bound, canonical, threads):
     is serial.  Otherwise the prefixes, in DFS order, are cut into
     contiguous runs of about equal estimated cost, RUNS_PER_WORKER per
     worker; a job is the (outer_range, inner_range) pair of one run (see
-    _run).
+    _vector_search).
     """
     workers = min(threads, _cores())
     if workers < 2:
@@ -773,8 +745,7 @@ class _Pool:
 
     Started by the first parallel sweep and kept for later ones; only a
     sweep with another threads value (so another size) replaces it, a
-    dead worker drops it, and it is shut down at interpreter exit.  On
-    Linux each worker is bound to a core of its own (see _pin).
+    dead worker drops it, and it is shut down at interpreter exit.
     """
 
     def __init__(self):
@@ -785,15 +756,7 @@ class _Pool:
             self.close()
         if self.executor is None:
             from concurrent.futures import ProcessPoolExecutor
-            pin = {}
-            if hasattr(os, "sched_setaffinity"):
-                import multiprocessing
-                slots = multiprocessing.SimpleQueue()
-                cores = sorted(os.sched_getaffinity(0))
-                for i in range(size):
-                    slots.put(cores[i % len(cores)])
-                pin = {"initializer": _pin, "initargs": (slots,)}
-            self.executor = ProcessPoolExecutor(size, **pin)
+            self.executor = ProcessPoolExecutor(size)
             self.size = size
             atexit.register(self.close)
         return self.executor
@@ -808,60 +771,53 @@ class _Pool:
 _POOL = _Pool()
 
 
-def _merge(parts, capacity, canonical):
+def _merge(parts, capacity):
     """Sum the runs' results in DFS order, and join their leaves when
     collecting: each run's leaf ids renumbered to the positions of its
-    keys in the merged counts.
-
-    With leaves, stop where the serial scan stops: at the leaf, in DFS
-    order, that takes the collected count past `capacity`.  The counts
-    then run to that leaf, and no leaves are returned.
-    """
+    keys in the merged counts.  Collecting, stop after the run that takes
+    the collected count past `capacity` (see _cut)."""
     counts, ids, coords = {}, [], []
     for c_part, leaves in parts:
-        left = None if leaves is None else capacity - sum(counts.values())
-        cut = left is not None and sum(c_part.values()) > left
-        if cut:
-            c_part = _cut(c_part, leaves[0], left, canonical)
         for k, v in c_part.items():
             counts[k] = counts.get(k, 0) + v
-        if cut:
-            return counts, None
-        if leaves is not None:
-            np = linalg.load_numpy()
-            at = {k: i for i, k in enumerate(counts)}
-            renumber = np.array([at[k] for k in c_part], dtype=np.intp)
-            ids.append(renumber[leaves[0]])
-            coords.append(leaves[1])
+        if leaves is None:
+            continue
+        np = linalg.load_numpy()
+        at = {k: i for i, k in enumerate(counts)}
+        renumber = np.array([at[k] for k in c_part], dtype=np.intp)
+        ids.append(renumber[leaves[0]])
+        coords.append(leaves[1])
+        if sum(counts.values()) > capacity:
+            break
     if not ids:
         return counts, None
     return counts, (np.concatenate(ids), np.concatenate(coords))
 
 
-def _cut(counts, ids, left, canonical):
-    """The counts of a run's leaves ids up to the one, in DFS order, that
-    takes their count past `left`."""
+def _cut(counts, ids, capacity, canonical):
+    """The counts of a search's leaves ids up to the one, in DFS order,
+    that takes their count past `capacity`: the partial counts of a
+    CapacityError, wherever the search stopped after that leaf."""
     np = linalg.load_numpy()
     keys = list(counts)
     mults = np.full(len(ids), 2 if canonical else 1)
     if canonical and 0 in counts:
         mults[ids == keys.index(0)] = 1
-    ids = ids[:np.searchsorted(np.cumsum(mults), left, side="right") + 1]
+    ids = ids[:np.searchsorted(np.cumsum(mults), capacity, side="right") + 1]
     return _tally(keys[:ids.max() + 1], ids, canonical)
 
 
-def _parallel(search, form, bound, collect, capacity, canonical, jobs,
-              workers):
-    """search (_run or _vector_search) over the jobs on the process pool,
-    merged in job order."""
+def _parallel(form, bound, collect, capacity, canonical, jobs, workers):
+    """_vector_search over the jobs on the process pool, merged in job
+    order."""
     from concurrent.futures.process import BrokenProcessPool
     n = len(jobs)
     outer, inner = zip(*jobs)
     try:
         parts = _POOL.get(workers).map(
-            search, [form] * n, [bound] * n, [collect] * n, [capacity] * n,
-            outer, inner, [canonical] * n)
-        return _merge(parts, capacity, canonical)
+            _vector_search, [form] * n, [bound] * n, [collect] * n,
+            [capacity] * n, outer, inner, [canonical] * n)
+        return _merge(parts, capacity)
     except BrokenProcessPool as exc:
         _POOL.close()
         raise ModLatticeError(
@@ -873,20 +829,23 @@ def _sweep(form, bound, collect, capacity, canonical, threads):
     """(counts, leaves) of one sweep: the one place that picks its search
     and its schedule, both from one estimate of its nodes (_nodes).
 
-    The search is _vector_search from VECTOR_MIN_NODES on, else _run.
-    With threads > 1 and from PARALLEL_MIN_NODES on, the pool runs it on
-    the jobs of _split; otherwise this process runs it whole.
-    VECTOR_MIN_NODES >= PARALLEL_MIN_NODES, so a count-only sweep at
-    threads > 1 that imports numpy does so in the workers only.
+    With threads > 1 and from PARALLEL_MIN_NODES on, the pool runs
+    _vector_search on the jobs of _split.  Otherwise this process runs the
+    sweep whole: _vector_search from VECTOR_MIN_NODES on, else _run.  A
+    form that fails _floats' check is swept whole by _run.
     """
     nodes = _nodes(form, len(form.rows) - 1, _top(form, bound))
-    search = _vector_search if nodes >= VECTOR_MIN_NODES else _run
-    split = (_split(form, bound, canonical, threads)
-             if threads > 1 and nodes >= PARALLEL_MIN_NODES else None)
-    if split is None:
-        return search(form, bound, collect, capacity, None, None, canonical)
-    return _parallel(search, form, bound, collect, capacity, canonical,
-                     *split)
+    pooled = threads > 1 and nodes >= PARALLEL_MIN_NODES
+    vector = nodes >= VECTOR_MIN_NODES
+    if (pooled or vector) and _floats(form, bound) is None:
+        pooled = vector = False
+    split = _split(form, bound, canonical, threads) if pooled else None
+    if split is not None:
+        return _parallel(form, bound, collect, capacity, canonical, *split)
+    if vector:
+        return _vector_search(form, bound, collect, capacity, None, None,
+                              canonical)
+    return _run(form, bound, collect, capacity, canonical)
 
 
 def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
@@ -898,14 +857,12 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     guarded by `capacity`.  The search runs on the LLL-reduced basis of
     lat (see _basis); a basis already reduced keeps its coordinates.
 
-    Each sweep first estimates its size (_nodes; see _sweep): from
-    VECTOR_MIN_NODES on it runs _vector_search, else _run, with the same
-    results.  threads > 1 sweeps serially below PARALLEL_MIN_NODES.
-    Above it, the prefixes (x_top, x_(top-1)) of the search tree are cut
-    into runs of about equal estimated cost, which the process pool of
-    this process (see _Pool; min(threads, cores) workers) sweeps and which
-    are merged in DFS order.  Counts, their key order, the collected
-    layers and the partial counts of a CapacityError are the serial ones.
+    _sweep picks the search and the schedule: with threads > 1 a large
+    sweep is cut into runs of the search tree's prefixes (x_top,
+    x_(top-1)), which the process pool of this process (see _Pool;
+    min(threads, cores) workers) sweeps and which are merged in DFS
+    order.  Counts, their key order, the collected layers and the partial
+    counts of a CapacityError (see _cut) are the same either way.
     Every call sweeps.  An unshifted collecting call that reaches further
     than lat._layers, the collected sweep of this (immutable) object,
     replaces it and keeps the layers already handed out, which it returns
@@ -932,10 +889,11 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
                             threads)
     shift_out = None if shift is None else tuple(map(Fraction, shift))
     if collect and sum(counts.values()) > capacity:
+        partial = _cut(counts, leaves[0], capacity, canonical)
         raise CapacityError(
             "collection capacity %d exceeded" % capacity,
             partial_counts=ThetaCounts(
-                bound, _by_norm(counts, form.scale), shift_out))
+                bound, _by_norm(partial, form.scale), shift_out))
     if not collect:
         return ThetaCounts(bound, _by_norm(counts, form.scale), shift_out)
     layers = _finalize_layers(counts, leaves, form, u_rows, lat, canonical)

@@ -116,6 +116,21 @@ def test_density_modes(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["shadow", "--lattice", "Z4", "--bound", "-1"],
+     "bound must be nonnegative"),
+    (["extremal-form", "--level", "1", "--weight", "0"],
+     "weight must be positive"),
+    (["density", "--dim", "8", "--min", "0", "--det", "1"],
+     "minimum and determinant must be positive"),
+])
+def test_library_value_errors_are_usage_errors(capsys, argv, message):
+    """A ValueError from the library (misuse of the API) exits 2 with one
+    error line, not a traceback."""
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_unknown_lattice_lists_catalogue(capsys):
     code, _, err = run(capsys, ["min", "--lattice", "E9"])
     assert code == 2

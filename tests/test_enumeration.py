@@ -187,8 +187,7 @@ def test_lll_preprocessing_does_not_change_counts():
     for _ in range(3):
         lat = transformed(base, unimodular(rng, 10))
         form = _integer_form(lat.gram)
-        plain, _ = enumeration._run(form, bound, False, None, None, None,
-                                    True)
+        plain, _ = enumeration._run(form, bound, False, None, True)
         assert enumeration._basis(lat)[1] is not None
         assert (enumerate_vectors(lat, bound).counts
                 == enumeration._by_norm(plain, form.scale))

@@ -1,12 +1,14 @@
 """The numpy search (_vector_search) against the Python scan (_run).
 
 Both are called directly on the same integer form, with no threshold
-involved, and must give the same counts in the same key order and the same
-collected leaves, whole, on each prefix run of a parallel split and cut at
-a capacity.  The forms are chosen where float pruning is most at risk:
+involved: the vector search, whole and merged over the prefix runs of a
+parallel split, must give the whole scan's counts in the same key order
+and the same collected leaves, and past a capacity the same partial
+counts.  The forms are chosen where float pruning is most at risk:
 spheres crowded with vectors exactly at the bound, huge Gram entries and
 skewed, unreduced bases.
 """
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 import math
 import random
@@ -28,38 +30,48 @@ def searched_form(lat, shift=None):
 
 
 def same_searches(form, bound, canonical, capacity=None):
-    """Both searches on form, compared: count-only and collecting, whole
-    and on each run of a two-worker split, and collecting up to capacity
-    (by default half the vectors, so that the cut is taken).  Returns the
-    counts by key."""
+    """_vector_search, whole and merged (_merge) over the runs of a
+    two-worker split, against the whole _run: count-only and collecting,
+    the same counts in the same key order and the same leaves; collecting
+    up to capacity (by default half the vectors, so that it is passed),
+    the same partial counts (_cut), as the searches stop at different
+    points past the leaf that passes it.  Returns the counts by key."""
     bound = Fraction(bound)
     assert enumeration._floats(form, bound) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_cores", lambda: 2)
+        split = enumeration._split(form, bound, canonical, 2)
+    schedules = [[(None, None)]] + ([split[0]] if split else [])
 
-    def both(collect, cap, outer=None, inner=None):
-        args = (form, bound, collect, cap, outer, inner, canonical)
-        want = enumeration._run(*args)
-        got = enumeration._vector_search(*args)
-        assert list(got[0].items()) == list(want[0].items())
-        if collect:
-            for mine, theirs in zip(got[1], want[1]):
-                assert mine.dtype == theirs.dtype
-                assert mine.shape == theirs.shape
-                assert mine.tolist() == theirs.tolist()
-        else:
-            assert got[1] is None and want[1] is None
+    def cut(counts, leaves, cap):
+        return list(enumeration._cut(counts, leaves[0], cap,
+                                     canonical).items())
+
+    def both(collect, cap):
+        want = enumeration._run(form, bound, collect, cap, canonical)
+        for jobs in schedules:
+            got = enumeration._merge(
+                [enumeration._vector_search(form, bound, collect, cap, outer,
+                                            inner, canonical)
+                 for outer, inner in jobs], cap)
+            if collect and sum(want[0].values()) > cap:
+                assert sum(got[0].values()) > cap
+                assert cut(*got, cap) == cut(*want, cap)
+                continue
+            assert list(got[0].items()) == list(want[0].items())
+            if collect:
+                for mine, theirs in zip(got[1], want[1]):
+                    assert mine.dtype == theirs.dtype
+                    assert mine.shape == theirs.shape
+                    assert mine.tolist() == theirs.tolist()
+            else:
+                assert got[1] is None and want[1] is None
         return want[0]
 
     counts = both(False, None)
     total = sum(counts.values())
     both(True, total)
-    cut = total // 2 if capacity is None else capacity
-    both(True, cut)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumeration, "_cores", lambda: 2)
-        split = enumeration._split(form, bound, canonical, 2)
-    for outer, inner in split[0] if split else ():
-        both(False, None, outer, inner)
-        both(True, cut, outer, inner)
+    both(True, total // 2 if capacity is None else capacity)
     return counts
 
 
@@ -146,35 +158,45 @@ def test_batches_of_any_size_give_the_same_leaves(catalog, monkeypatch,
     # mu_01 = 2^60: the coordinates of the search pass 2^50
     ([[1, 2 ** 60], [2 ** 60, 2 ** 120 + 1]], 9),
 ])
-def test_a_failed_check_runs_the_python_scan(monkeypatch, gram, bound):
+def test_a_failed_check_runs_the_python_scan(parallel, monkeypatch, gram,
+                                             bound):
+    """A form that fails _floats' check is swept whole by _run in this
+    process, at threads 1 and 2, with both constants at 0."""
     form, bound = _integer_form(gram), Fraction(bound)
     assert enumeration._floats(form, bound) is None
-    want = enumeration._run(form, bound, True, 100, None, None, True)
+    want = enumeration._run(form, bound, True, 100, True)
     calls, run = [], enumeration._run
 
     def counted(*args):
         calls.append(args)
         return run(*args)
     monkeypatch.setattr(enumeration, "_run", counted)
-    got = enumeration._vector_search(form, bound, True, 100, None, None, True)
-    assert len(calls) == 1 and sum(got[0].values()) > 1
-    assert list(got[0].items()) == list(want[0].items())
-    assert all(a.tolist() == b.tolist() for a, b in zip(got[1], want[1]))
+    monkeypatch.setattr(enumeration, "_vector_search", None)
+    monkeypatch.setattr(enumeration, "VECTOR_MIN_NODES", 0)
+    for threads in (1, 2):
+        got = enumeration._sweep(form, bound, True, 100, True, threads)
+        assert calls == [(form, bound, True, 100, True)]
+        calls.clear()
+        assert sum(got[0].values()) > 1
+        assert list(got[0].items()) == list(want[0].items())
+        assert all(a.tolist() == b.tolist() for a, b in zip(got[1], want[1]))
+    assert parallel == []
+
+
+def searches_used(monkeypatch):
+    """The names of the searches called from now on, in call order."""
+    used = []
+    for name in ("_run", "_vector_search"):
+        def search(*args, name=name, real=getattr(enumeration, name)):
+            used.append(name)
+            return real(*args)
+        monkeypatch.setattr(enumeration, name, search)
+    return used
 
 
 def test_the_estimate_picks_the_search(catalog, monkeypatch):
     """_sweep runs _vector_search from VECTOR_MIN_NODES on, else _run."""
-    used = []
-
-    def counted(name):
-        real = getattr(enumeration, name)
-
-        def search(*args):
-            used.append(name)
-            return real(*args)
-        monkeypatch.setattr(enumeration, name, search)
-    counted("_run")
-    counted("_vector_search")
+    used = searches_used(monkeypatch)
     e8 = catalog.lattice("E8")
     form = searched_form(e8)
     nodes = enumeration._nodes(form, 7, enumeration._top(form, Fraction(4)))
@@ -186,10 +208,40 @@ def test_the_estimate_picks_the_search(catalog, monkeypatch):
     assert enumeration.VECTOR_MIN_NODES > 0
 
 
+def test_the_pool_runs_only_the_vector_search(catalog, parallel,
+                                              monkeypatch):
+    """Sweeps below VECTOR_MIN_NODES at threads 2 go to the pool, whose
+    runs (in threads of this process, so that the patches reach them)
+    call only _vector_search and give the serial _run's counts in its key
+    order, and its layers when collecting."""
+    import concurrent.futures
+    enumeration._POOL.close()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        ThreadPoolExecutor)
+    used = searches_used(monkeypatch)
+    e8 = catalog.lattice("E8")
+    form = searched_form(e8)
+    assert (enumeration._nodes(form, 7, enumeration._top(form, Fraction(8)))
+            < enumeration.VECTOR_MIN_NODES)
+    for bound, collect in ((8, False), (4, True)):
+        serial = enumerate_vectors(Lattice(e8.gram), bound, collect=collect)
+        assert used == ["_run"]
+        used.clear()
+        pooled = enumerate_vectors(Lattice(e8.gram), bound, collect=collect,
+                                   threads=2)
+        assert set(used) == {"_vector_search"} and len(used) > 1
+        used.clear()
+        assert list(pooled.counts.items()) == list(serial.counts.items())
+        if collect:
+            assert all(pooled.layers[k] == v for k, v in serial.layers.items())
+    assert parallel == [2, 2]
+
+
 def test_vector_search_through_the_pool(catalog, parallel, monkeypatch):
-    """With every sweep on the vector search, serial and 2-worker sweeps
-    give _run's counts, layers and CapacityError partial counts, shifted
-    and rational too; count-only theta series as well."""
+    """Serial sweeps on _run (VECTOR_MIN_NODES infinite) and on the vector
+    search (0) give the counts, layers and CapacityError partial counts of
+    2-worker sweeps, shifted and rational too; count-only theta series as
+    well."""
     k12 = catalog.lattice("K12")
     shift = (Fraction(1, 3), Fraction(1, 2)) + (0,) * 10
     cases = [(k12, 8, None, cap) for cap in (7, 3000, 10 ** 7)]
