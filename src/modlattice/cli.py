@@ -173,7 +173,8 @@ def build_parser():
     p = sub.add_parser("shadow", parents=[common],
                        help="shadow minimum (or shadow theta with --bound)")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", type=int, default=None,
+                   help="odd level N (default: the lattice's level)")
     p.add_argument("--bound", type=Fraction, default=None)
 
     p = sub.add_parser("density", parents=[common],
@@ -253,11 +254,7 @@ def cmd_check_modular(args):
     verdict = check_modular(lat, precision=args.prec, n_level=args.level,
                             isometry_budget=args.budget,
                             exact=not args.formal_only)
-    if args.json:
-        print(json.dumps(verdict.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(verdict.render())
-    return VERDICT_EXIT[verdict.verdict]
+    return _emit_report(verdict, args.json)
 
 
 def cmd_check_extremal(args):

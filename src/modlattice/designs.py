@@ -264,8 +264,7 @@ def check_design(layer: VectorLayer, strength: int,
                       verdict=FAIL if wit else PASS,
                       inputs={"layer_norm": layer.norm,
                               "layer_size": len(layer), "strength": strength},
-                      details={"strength": strength, "degrees": verdicts,
-                               "proof": True},
+                      details={"degrees": verdicts, "proof": True},
                       witnesses=wit or [])
 
 
@@ -406,7 +405,9 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
             "reason": "system too large for exact solve"})
     # one projector per antipodal pair; a pair coefficient mu splits into
     # lambda = mu/2 on each of x and -x
-    sol = solve(_projector_rows(half).tolist(), list(_upper_of(ginv, n)))
+    # the identity in the upper-triangle order of _projector_rows
+    target = np.array(ginv, dtype=object)[np.triu_indices(n)].tolist()
+    sol = solve(_projector_rows(half).tolist(), target)
     if sol is None:
         return report(FAIL, {
             "kind": NOT_EUTACTIC, "proof": True,
@@ -418,12 +419,6 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
     return report(INCONCLUSIVE, {
         "kind": NO_CERT, "proof": False,
         "reason": "particular solution has nonpositive entries"})
-
-
-def _upper_of(mat, n):
-    for i in range(n):
-        for j in range(i, n):
-            yield mat[i][j]
 
 
 def min_product_check(lat: Lattice, threads=1) -> CertReport:
@@ -525,47 +520,27 @@ class ZonalHarmonic:
 
 
 def zonal_harmonic(dim: int, degree: int) -> ZonalHarmonic:
-    """Homogenised Gegenbauer recurrence, lam = (dim-2)/2:
+    """Homogenised Gegenbauer polynomial, lam = (dim-2)/2, normalised to
+    P_t(1) = 1:
 
-    t Z_t = 2(t-1+lam) u Z_{t-1} - (t-2+2lam) w Z_{t-2},
-    Z_0 = 1, Z_1 = 2 lam u.
+    (t-1+2lam) P_t = (2t-2+2lam) u P_{t-1} - (t-1) w P_{t-2},
+    P_0 = 1, P_1 = u.
 
-    The two seeds must carry their relative Gegenbauer normalisation or
-    the mixing in the recurrence produces non-harmonic polynomials; only
-    the overall scale is free (the result is content-reduced).  dim 2 is
-    the Chebyshev limit Z_t = 2u Z_{t-1} - w Z_{t-2}.
+    At dim 2 (lam = 0) this is the Chebyshev recurrence.  Only the
+    overall scale is free (the result is content-reduced).
     """
     if dim < 2:
         raise ValueError("need dim >= 2")
     if degree < 0:
         raise ValueError("need degree >= 0")
-    prev = {0: Fraction(1)}            # Z_0
-    if degree == 0:
-        return _cleared(dim, 0, prev)
-    if dim == 2:
-        cur = {0: Fraction(1)}         # T_1 = s
-        for t in range(2, degree + 1):
-            nxt = {}
-            for j, c in cur.items():
-                nxt[j] = nxt.get(j, Fraction(0)) + 2 * c
-            for j, c in prev.items():
-                nxt[j + 1] = nxt.get(j + 1, Fraction(0)) - c
-            prev, cur = cur, nxt
-        return _cleared(dim, degree, cur)
     lam = Fraction(dim - 2, 2)
-    cur = {0: 2 * lam}                 # C_1 = 2 lam s
+    polys = [{0: Fraction(1)}, {0: Fraction(1)}]       # P_0, P_1
     for t in range(2, degree + 1):
-        nxt = {}
-        a = 2 * (t - 1 + lam)
-        b = t - 2 + 2 * lam
-        for j, c in cur.items():
-            nxt[j] = nxt.get(j, Fraction(0)) + a * c
-        for j, c in prev.items():
-            nxt[j + 1] = nxt.get(j + 1, Fraction(0)) - b * c
-        for j in nxt:
-            nxt[j] /= t
-        prev, cur = cur, nxt
-    return _cleared(dim, degree, cur)
+        nxt = {j: (2 * t - 2 + 2 * lam) * c for j, c in polys[-1].items()}
+        for j, c in polys[-2].items():
+            nxt[j + 1] = nxt.get(j + 1, 0) - (t - 1) * c
+        polys.append({j: c / (t - 1 + 2 * lam) for j, c in nxt.items()})
+    return _cleared(dim, degree, polys[degree])
 
 
 def _cleared(dim, degree, coeffs):

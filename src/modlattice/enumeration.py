@@ -24,7 +24,8 @@ order:
 So no vector is ever missed or double counted.  The search runs on an
 LLL-reduced basis in every dimension (exact, with the unimodular
 transform recorded; see _basis), which keeps skewed and deep lattices
-tractable; results are transformed back to the original coordinates.
+tractable; a collecting search gives its leaves as (ids, Y rows), and
+_finalize_layers transforms the rows back to the original coordinates.
 
 _sweep picks the search and the schedule from one estimate of the
 sweep's nodes (_nodes): the process pool runs only _vector_search, on
@@ -225,11 +226,11 @@ def _run(form, bound, collect, capacity, canonical):
 
     canonical=True (only without shift) enumerates one of each +-pair and
     applies multiplicity 2, keeping the zero vector single.  leaves is
-    None, or when collecting the pair (ids, coords) of arrays holding each
-    leaf in DFS order: ids[i] the position of its key in counts, coords[i]
-    its coordinates (see _finalize_layers).  Then the scan stops at the
-    first leaf that takes the collected count past `capacity`, clamping
-    the level-0 row to it, since one row can be astronomically long.
+    None, or when collecting the pair (ids, ys) of arrays holding each
+    leaf in DFS order: ids[i] the position of its key in counts, ys[i]
+    its row Y = e x + t (see _finalize_layers).  Then the scan stops at
+    the first leaf that takes the collected count past `capacity`,
+    clamping the level-0 row to it: one row can be astronomically long.
     """
     rows, weights, steps, heads = (form.rows, form.weights, form.steps,
                                    form.heads)
@@ -252,7 +253,7 @@ def _run(form, bound, collect, capacity, canonical):
     stale = [top] * n
 
     counts = {}     # collecting: key -> its position, in first-seen order
-    ids, coords = [], []
+    ids, ys = [], []
     collected = 0
     mult = 2 if canonical else 1
 
@@ -276,8 +277,8 @@ def _run(form, bound, collect, capacity, canonical):
         for x in range(lo, hi + 1):
             z = step * x + a
             ids.append(counts.setdefault(done + w * z * z, len(counts)))
-            x_arr[0] = x
-            coords.extend(x_arr)
+            y_arr[0] = den * x + offsets[0]
+            ys.extend(y_arr)
         return not over
 
     a = heads[top]
@@ -327,8 +328,8 @@ def _run(form, bound, collect, capacity, canonical):
         return _pairs(counts, canonical), None
     np = linalg.load_numpy()
     ids = np.array(ids, dtype=np.intp)
-    coords = _narrow(linalg.integer_array(coords).reshape(len(ids), n))
-    return _tally(list(counts), ids, canonical), (ids, coords)
+    ys = _narrow(linalg.integer_array(ys).reshape(len(ids), n))
+    return _tally(list(counts), ids, canonical), (ids, ys)
 
 
 def _pairs(counts, canonical):
@@ -472,9 +473,10 @@ def _vector_search(form, bound, collect, capacity, outer_range, inner_range,
     children (a node with more is expanded in parts), so memory stays
     within about one batch per level.  A leaf's value Y.(cG).Y, exact
     through linalg.exact_factors, decides membership and gives the key,
-    L times it, as in _run: counts and key order are _run's.  Collecting,
-    the search stops after the batch that takes the collected count past
-    `capacity`; _cut finds the leaf where it passed.
+    L times it, as in _run: counts, key order and the collected (ids,
+    Y rows) are _run's.  Collecting, the search stops after the batch
+    that takes the collected count past `capacity`; _cut finds the leaf
+    where it passed.
     """
     fl = _floats(form, bound)
     np = linalg.load_numpy()
@@ -484,7 +486,7 @@ def _vector_search(form, bound, collect, capacity, outer_range, inner_range,
     gram = linalg.integer_array(form.gram)
     unit = form.weights[0] * form.rows[0][0]        # L
     most = _top(form, bound) // unit                # largest Y.(cG).Y
-    counts, ids, coords = {}, [], []
+    counts, ids, found = {}, [], []
     collected = 0
 
     def batch(k, ys, part, zero):
@@ -531,7 +533,7 @@ def _vector_search(form, bound, collect, capacity, outer_range, inner_range,
                 counts[key] = counts.get(key, 0) + int(num[i])
         if collect:
             ids.append(at[inv.reshape(-1)])
-            coords.append(_narrow((ys[keep].astype(np.int64) - t) // e))
+            found.append(_narrow(ys[keep]))
         return not collect or collected <= capacity
 
     def take(nodes, cut):
@@ -576,41 +578,38 @@ def _vector_search(form, bound, collect, capacity, outer_range, inner_range,
     if not collect:
         return _pairs(counts, canonical), None
     ids = np.concatenate(ids) if ids else np.zeros(0, dtype=np.intp)
-    coords = (np.concatenate(coords) if coords
-              else np.zeros((0, n), dtype=np.int64))
-    return _tally(list(counts), ids, canonical), (ids, _narrow(coords))
+    found = (np.concatenate(found) if found
+             else np.zeros((0, n), dtype=np.int64))
+    return _tally(list(counts), ids, canonical), (ids, _narrow(found))
 
 
 def _finalize_layers(counts, leaves, form, u_rows, lat, canonical):
     """The collected layers of a scan, in the key order of its counts:
-    +- pairs expanded, shift and basis transform applied, rows sorted,
-    each layer one integer array.
+    +- pairs expanded, basis transform applied, rows sorted, each layer
+    one integer array.
 
-    leaves is the pair (ids, coords) of the search (_run or
-    _vector_search): leaf i has the key at position ids[i] of counts and
-    the scan's coordinates x = coords[i].
-    Its row is y = (e x + t) u in integers, u the LLL transform (if any),
-    formed for every leaf by one exact product (linalg.exact_factors) of
-    [x | 1] with [[e u], [t u]]; its vector is y / e.  A canonical leaf
-    other than the origin also stands for -y.  One np.lexsort orders the
-    rows by key position, then lexicographically, which within a layer is
-    the order of the tuples y / e, since e > 0.  Each layer is the
-    VectorLayer of its rows over den e, as one built by hand from its
-    vectors would be: e, the order of the shift modulo Z^n, which the
-    unimodular u keeps, is the lcm of the denominators of every vector.
+    leaves is the pair (ids, ys) of the search (_run or _vector_search):
+    leaf i has the key at position ids[i] of counts and the integer row
+    Y = e x + t = ys[i], narrowed (_narrow) by the search.  Its row is
+    y = Y u, u the LLL transform, formed for every leaf by one exact
+    product (linalg.exact_factors) and narrowed again; with no transform
+    y is Y.  Its vector is y / e.  A canonical leaf other than the origin
+    also stands for -y.  One np.lexsort orders the rows by key position,
+    then lexicographically, which within a layer is the order of the
+    tuples y / e, since e > 0.  Each layer is the VectorLayer of its rows
+    over den e, as one built by hand from its vectors would be: e, the
+    order of the shift modulo Z^n, which the unimodular u keeps, is the
+    lcm of the denominators of every vector.
     """
     np = linalg.load_numpy()
-    ids, coords = leaves
+    ids, y = leaves
     keys = list(counts)
-    e, t = form.den, form.offsets
-    u = u_rows if u_rows is not None else linalg.mat_identity(len(t))
-    affine = linalg.integer_array([[e * v for v in row] for row in u]
-                                  + linalg.mat_mul([list(t)], u))
-    x = np.hstack([coords, np.ones((len(coords), 1), coords.dtype)])
-    y = np.matmul(*linalg.exact_factors(x, affine))
-    # entries below 2^62 (or Python integers), and then a dtype that
-    # holds their negatives: -y cannot wrap
-    y = _narrow(y.astype(np.int64) if y.dtype.kind == "f" else y)
+    e = form.den
+    if u_rows is not None:
+        y = np.matmul(*linalg.exact_factors(y, u_rows))
+        # entries below 2^62 (or Python integers), and then a dtype that
+        # holds their negatives: -y cannot wrap
+        y = _narrow(y.astype(np.int64) if y.dtype.kind == "f" else y)
     if canonical:       # a canonical sweep always reaches the origin
         pair = ids != keys.index(0)
         y = np.concatenate([y, -y[pair]])
@@ -776,7 +775,7 @@ def _merge(parts, capacity):
     collecting: each run's leaf ids renumbered to the positions of its
     keys in the merged counts.  Collecting, stop after the run that takes
     the collected count past `capacity` (see _cut)."""
-    counts, ids, coords = {}, [], []
+    counts, ids, ys = {}, [], []
     for c_part, leaves in parts:
         for k, v in c_part.items():
             counts[k] = counts.get(k, 0) + v
@@ -786,12 +785,12 @@ def _merge(parts, capacity):
         at = {k: i for i, k in enumerate(counts)}
         renumber = np.array([at[k] for k in c_part], dtype=np.intp)
         ids.append(renumber[leaves[0]])
-        coords.append(leaves[1])
+        ys.append(leaves[1])
         if sum(counts.values()) > capacity:
             break
     if not ids:
         return counts, None
-    return counts, (np.concatenate(ids), np.concatenate(coords))
+    return counts, (np.concatenate(ids), np.concatenate(ys))
 
 
 def _cut(counts, ids, capacity, canonical):
@@ -875,6 +874,9 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if shift is not None and len(shift) != lat.dim:
+        raise ValueError("shift has %d entries, lattice dimension is %d"
+                         % (len(shift), lat.dim))
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")

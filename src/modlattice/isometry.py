@@ -22,16 +22,6 @@ NOT_ISOMETRIC = "not-isometric"
 INCONCLUSIVE = "inconclusive"
 
 
-def _common_integer_grams(ga, gb):
-    """Scale both grams by one factor so they become integer matrices."""
-    ga, ca = linalg.clear_denominators(ga)
-    gb, cb = linalg.clear_denominators(gb)
-    if ca != cb:
-        ga = [[x * cb for x in row] for row in ga]
-        gb = [[x * ca for x in row] for row in gb]
-    return ga, gb
-
-
 def _check(u, ga, gb):
     """U G_b U^T = G_a, exactly."""
     g = linalg.mat_mul(u, linalg.mat_mul(gb, linalg.mat_transpose(u)))
@@ -64,7 +54,9 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
     tb = enumerate_vectors(lb, bound, collect=True)
     if ta.counts != tb.counts:
         return NOT_ISOMETRIC, None, 0
-    ga, gb = _common_integer_grams(ga_r, gb_r)
+    # both Grams scaled by one factor into integers
+    both, _ = linalg.clear_denominators([*ga_r, *gb_r])
+    ga, gb = both[:n], both[n:]
 
     # every layer in one array, so that one cast covers the products of
     # any layer's dots with vectors chosen from any other

@@ -152,6 +152,8 @@ class ModularityVerdict:
                 for r in self.results],
         }
 
+    to_json = CertReport.to_json
+
     def render(self):
         lines = ["[%s] strong modularity at level %d (window q^%d)"
                  % (self.verdict, self.level, self.precision)]

@@ -299,11 +299,7 @@ def delta_level(level, precision):
 
     Leading term is exactly q^2 (u-exponent 24) with coefficient 1.
     """
-    if level not in ADMISSIBLE_LEVELS:
-        raise LevelError(
-            "level %r not admissible for Delta_N; sigma1(N) must divide 24 "
-            "(admissible: %s)" % (level, list(ADMISSIBLE_LEVELS)))
-    e = 24 // sigma1(level)
+    e = 24 // LevelData.for_level(level).sigma1
     result = QSeries.one(precision)
     for m in divisors(level):
         result = result * dedekind_eta(m, precision) ** e

@@ -19,7 +19,7 @@ import math
 from .arith import int_or_fraction
 from .enumeration import enumerate_vectors
 from .errors import IntegralityError, LevelError, ModLatticeError, ParityError
-from .lattice import Lattice, dual
+from .lattice import Lattice, default_level, dual
 from .qseries import LevelData
 
 
@@ -86,8 +86,7 @@ def shadow_theta(lat: Lattice, bound, threads=1) -> ShadowTheta:
     """Counts of shadow vectors with norm <= bound, by exact enumeration."""
     dl, shift = shadow_coset(lat)
     tc = enumerate_vectors(dl, bound, shift=shift, threads=threads)
-    counts = {int_or_fraction(k): v for k, v in tc.counts.items() if v}
-    return ShadowTheta(int_or_fraction(bound), counts)
+    return ShadowTheta(int_or_fraction(bound), dict(tc.counts))
 
 
 @dataclass(frozen=True)
@@ -123,15 +122,23 @@ def _odd_level_data(n_level: int, dim: int) -> LevelData:
     return data
 
 
-def shadow_min(lat: Lattice, n_level: int = 1, threads=1) -> ShadowReport:
+def shadow_min(lat: Lattice, n_level=None, threads=1) -> ShadowReport:
     """Shadow minimum, its count, and the defect m for an odd lattice.
 
-    n_level must be odd: for even N the odd strongly N-modular genus is
-    empty, the relevant theta lives on the even neighbour instead.
+    n_level, by default the lattice's level (default_level), must be odd:
+    for even N the odd strongly N-modular genus is empty, the relevant
+    theta lives on the even neighbour instead.  A lattice whose
+    determinant is not N^(dim/2) lies outside that genus, and raises.
     """
     if lat.is_even:
         raise ParityError("shadow minimum is for odd lattices")
+    n_level = default_level(lat) if n_level is None else n_level
     data = _odd_level_data(n_level, lat.dim)
+    # det^2 against N^dim, to avoid half integer exponents
+    if Fraction(lat.det) ** 2 != Fraction(n_level) ** lat.dim:
+        raise ModLatticeError(
+            "determinant %s is not N^(dim/2) for N = %d, dim %d"
+            % (lat.det, n_level, lat.dim))
     l = lat.dim // data.sigma0
     # the shadow minimum of an n-dim odd lattice is at most n/4 (Z^n case),
     # so sweeping up to that bound always finds it

@@ -310,18 +310,17 @@ def finalize_layers(counts, leaves, form, u_rows, lat, canonical) -> dict:
     """The vectors of the collected layers of a scan's leaves, by norm,
     one Python integer at a time.
 
-    Leaf i of leaves = (ids, coords), with the key at position ids[i] of
-    counts and coordinates x = coords[i], becomes (e x + t) u / e, u the
-    transform's rows, entries divided exactly (Fractions where e does not
-    divide); a canonical leaf other than the origin (key 0) stands for x
-    and -x.  Each layer's tuples are sorted.
+    Leaf i of leaves = (ids, ys), with the key at position ids[i] of
+    counts and the integer row Y = e x + t = ys[i], becomes Y u / e, u
+    the transform's rows, entries divided exactly (Fractions where e does
+    not divide); a canonical leaf other than the origin (key 0) stands
+    for x and -x.  Each layer's tuples are sorted.
     """
     keys = list(counts)
     groups = {key: [] for key in keys}
     cols = None if u_rows is None else list(zip(*u_rows))
-    e, t = form.den, form.offsets
+    e = form.den
     for i, x in zip(leaves[0].tolist(), leaves[1].tolist()):
-        x = tuple(e * xi + ti for xi, ti in zip(x, t))
         if cols is not None:
             x = tuple(sum(a * b for a, b in zip(x, col)) for col in cols)
         x = tuple(v // e if v % e == 0 else Fraction(v, e) for v in x)

@@ -64,7 +64,8 @@ def test_check_extremal_exit_codes(capsys):
 
 
 def test_check_design_pass_and_fail(capsys):
-    assert run(capsys, ["check-design", "--lattice", "E8", "--t", "7"])[0] == 0
+    code, out, _ = run(capsys, ["check-design", "--lattice", "E8", "--t", "7"])
+    assert code == 0 and out.count("strength: 7") == 1
     code, out, _ = run(capsys, ["check-design", "--lattice", "E8", "--t", "8"])
     assert code == 1
     assert "witness" in out
@@ -82,6 +83,20 @@ def test_emit_report_leaves_the_report_intact(capsys):
     assert _emit_report(CertReport("demo", "inconclusive"), False) == 3
 
 
+def test_check_modular_prints_through_emit_report(capsys):
+    """check-modular's verdict is printed and mapped to its exit code as
+    every certificate report is."""
+    from modlattice.modular import check_modular
+    k12 = lattice.bundled_catalog().lattice("K12")
+    verdict = check_modular(k12, precision=6)
+    for flag, text in (["--json"], verdict.to_json()), ([], verdict.render()):
+        code, out, _ = run(capsys, ["check-modular", "--lattice", "K12",
+                                    "--prec", "6", *flag])
+        assert (code, out) == (0, text + "\n")
+    assert set(json.loads(verdict.to_json())) == {
+        "divisors", "level", "precision", "verdict"}
+
+
 def test_check_modular_budget_inconclusive(capsys):
     code, out, _ = run(capsys, ["check-modular", "--lattice", "D4",
                                 "--budget", "1"])
@@ -95,6 +110,13 @@ def test_shadow_verbs(capsys):
     code, out, _ = run(capsys, ["shadow", "--lattice", "Z3", "--bound", "3"])
     assert code == 0
     assert out == "8*q^(3/4) + 24*q^(11/4) + O(q^(3))\n"
+
+
+def test_shadow_level_defaults_to_the_lattice_level(capsys):
+    code, out, _ = run(capsys, ["shadow", "--lattice", "C3"])
+    assert (code, out) == (0, "shadow min 1/3, count 4, m = 0\n")
+    code, _, err = run(capsys, ["shadow", "--lattice", "Z4", "--level", "3"])
+    assert code == 1 and "determinant 1" in err
 
 
 def test_shadow_of_even_lattice_fails_cleanly(capsys):

@@ -831,6 +831,28 @@ def test_zonal_coefficient_tables():
     assert tuple(zonal_harmonic(6, 1).coefficients) == (1,)
 
 
+def test_zonal_harmonics_match_sympy_polynomials():
+    """zonal_harmonic against sympy's Chebyshev (dim 2) and Gegenbauer
+    (lam = (dim-2)/2 > 0) polynomials: the coefficient of x^(t-2j),
+    homogenised to u^(t-2j) w^j, denominators cleared, content reduced,
+    leading coefficient positive."""
+    import sympy
+    x = sympy.symbols("x")
+    for dim in (2, 3, 8, 24):
+        lam = sympy.Rational(dim - 2, 2)
+        for t in range(9):
+            poly = (sympy.chebyshevt(t, x) if dim == 2
+                    else sympy.gegenbauer(t, lam, x))
+            coeffs = sympy.Poly(poly, x).all_coeffs()[::-1]
+            vec = [Fraction(str(coeffs[t - 2 * j]))
+                   for j in range(t // 2 + 1)]
+            den = math.lcm(*(c.denominator for c in vec))
+            ints = [int(c * den) for c in vec]
+            g = math.gcd(*ints)
+            want = tuple(c // g * (1 if ints[0] > 0 else -1) for c in ints)
+            assert zonal_harmonic(dim, t).coefficients == want, (dim, t)
+
+
 def test_zonal_harmonics_are_annihilated_by_the_laplacian():
     import sympy
     for n in (2, 3, 4):

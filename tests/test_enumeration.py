@@ -241,6 +241,13 @@ def test_shifted_counts_by_direct_scan():
     assert tc.counts == counts
 
 
+@pytest.mark.parametrize("dim, entries", [(2, 3), (3, 2)])
+def test_a_shift_of_the_wrong_length_is_refused(dim, entries):
+    with pytest.raises(ValueError, match="shift has %d entries, lattice "
+                       "dimension is %d" % (entries, dim)):
+        enumerate_vectors(zn(dim), 2, shift=(Fraction(1, 2),) * entries)
+
+
 def test_collect_capacity_guard(catalog):
     with pytest.raises(CapacityError) as exc:
         enumerate_vectors(catalog.lattice("E8"), 4, collect=True, capacity=10)

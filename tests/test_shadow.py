@@ -7,7 +7,7 @@ import pytest
 from modlattice.enumeration import enumerate_vectors
 from modlattice.errors import (IntegralityError, LevelError, ModLatticeError,
                                ParityError)
-from modlattice.lattice import dual, zn
+from modlattice.lattice import c_n_lattice, dual, zn
 from modlattice.shadow import (odd_min_bound, shadow_coset, shadow_min,
                                shadow_theta)
 
@@ -88,6 +88,21 @@ def test_shadow_min_guards(catalog):
         shadow_min(zn(4), n_level=2)              # even level
     with pytest.raises(ModLatticeError):
         shadow_min(zn(3), n_level=15)             # dim not divisible by 4
+
+
+def test_shadow_min_defaults_to_the_lattice_level():
+    """C3 = Z + sqrt(3) Z has det 3, so level 3: its shadow is extremal
+    there (m = 0), where the level-1 formula would give m = 1/12."""
+    rep = shadow_min(c_n_lattice(3))
+    assert (rep.level, rep.min_norm, rep.count, rep.m) == (
+        3, Fraction(1, 3), 4, 0)
+    assert shadow_min(c_n_lattice(3), n_level=3) == rep
+
+
+def test_shadow_min_refuses_a_lattice_outside_the_genus():
+    """Z4 has det 1, not 3^2: it is not in the odd 3-modular genus."""
+    with pytest.raises(ModLatticeError, match="determinant 1"):
+        shadow_min(zn(4), n_level=3)
 
 
 def test_odd_min_bound_table():
