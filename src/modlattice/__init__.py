@@ -38,7 +38,7 @@ _EXPORTS = {
     "modular": """
         base_lattice theta_base modform_basis ExtremalForm extremal_form
         extremal_min_bound check_modular ModularityVerdict check_extremal
-        check_extremal_odd transformation_check
+        transformation_check
         """,
     "designs": """
         design_constant DesignTestConfig check_design is_strongly_perfect

@@ -69,16 +69,12 @@ def resolve_lattice(name: str, catalog: Catalog):
         % (name, ", ".join(catalog.names())))
 
 
-def _parse_alpha(text, dim):
+def _parse_alpha(text):
     parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
     try:
-        alpha = [int(p) for p in parts]
+        return [int(p) for p in parts]
     except ValueError:
         raise UsageError("--alpha needs integers, got %r" % text)
-    if len(alpha) != dim:
-        raise UsageError("--alpha needs %d coordinates, got %d"
-                         % (dim, len(alpha)))
-    return alpha
 
 
 def _threads(text):
@@ -258,13 +254,9 @@ def cmd_check_modular(args):
 
 
 def cmd_check_extremal(args):
-    from .modular import check_extremal, check_extremal_odd
-    lat = _lattice(args)
-    if lat.is_even:
-        rep = check_extremal(lat, n_level=args.level, threads=args.threads)
-    else:
-        rep = check_extremal_odd(lat, n_level=args.level,
-                                 threads=args.threads)
+    from .modular import check_extremal
+    rep = check_extremal(_lattice(args), n_level=args.level,
+                         threads=args.threads)
     return _emit_report(rep, args.json)
 
 
@@ -288,7 +280,7 @@ def cmd_check_strongly_perfect(args):
 def cmd_harmonic_theta(args):
     from .designs import harmonic_theta_truncation
     lat = _lattice(args)
-    alpha = _parse_alpha(args.alpha, lat.dim)
+    alpha = _parse_alpha(args.alpha)
     qs = harmonic_theta_truncation(lat, alpha, args.t, max(args.prec, 1),
                                    threads=args.threads)
     payload = {"lattice": args.lattice, "degree": args.t, "alpha": alpha,

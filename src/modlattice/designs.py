@@ -215,6 +215,7 @@ def _pair_sum_test(layer: VectorLayer, degrees):
     lat = _layer_lattice(layer)
     arr = layer.rows
     n, m, size = lat.dim, int(layer.norm), len(layer)
+    half = None
     if layer._histogram is None:
         half = _half_rows(arr)
         if not degrees:
@@ -224,19 +225,18 @@ def _pair_sum_test(layer: VectorLayer, degrees):
     hist = layer._histogram
     verdicts, witness = {}, None
     for d in degrees:
-        k = d // 2
-        den = math.prod(n + 2 * i for i in range(k))
-        # both sides times den; (+-x, +-y) are four pairs of one value
-        scaled = 4 * sum(c * v ** d for v, c in hist.items()) * den
-        bound = size * size * m ** d * double_factorial_odd(k)
-        if scaled < bound:
+        # degree d holds when sum_x (x, y)^d = rhs for each y in X
+        rhs = design_constant(n, d // 2, size, m) * m ** (d // 2)
+        # (+-x, +-y) are four pairs of one value
+        pairs = 4 * sum(c * v ** d for v, c in hist.items())
+        if pairs < size * rhs:
             raise ModLatticeError(
                 "degree-%d pair sum below the design bound: arithmetic "
                 "fault" % d)
-        verdicts[d] = PASS if scaled == bound else FAIL
+        verdicts[d] = PASS if pairs == size * rhs else FAIL
         if verdicts[d] == FAIL and witness is None:
-            rhs = design_constant(n, k, size, m) * m ** k
-            witness = _direction_witness(lat, arr, _half_rows(arr), d, rhs)
+            half = _half_rows(arr) if half is None else half
+            witness = _direction_witness(lat, arr, half, d, rhs)
     return verdicts, witness
 
 
@@ -319,7 +319,7 @@ def _witness_block(size, lo, hi):
     return out
 
 
-def perfection_rank(lat: Lattice, threads=1) -> int:
+def perfection_rank(lat: Lattice) -> int:
     """Rank of the span of the projectors x x^T over minimal vectors x.
 
     L is perfect when this reaches N = dim(dim+1)/2; the rank is invariant
@@ -338,7 +338,7 @@ def perfection_rank(lat: Lattice, threads=1) -> int:
     whole.
     """
     np = load_numpy()
-    layer = min_layer(lat, threads=threads)
+    layer = min_layer(lat)
     _layer_lattice(layer)
     half = _half_rows(layer.rows)
     n = lat.dim
@@ -358,9 +358,9 @@ def perfection_rank(lat: Lattice, threads=1) -> int:
     return rank(_projector_rows(half).tolist())
 
 
-def is_perfect(lat: Lattice, threads=1) -> bool:
+def is_perfect(lat: Lattice) -> bool:
     n = lat.dim
-    return perfection_rank(lat, threads=threads) == n * (n + 1) // 2
+    return perfection_rank(lat) == n * (n + 1) // 2
 
 
 STRONGLY_EUTACTIC = "strongly-eutactic"
@@ -370,7 +370,7 @@ NOT_EUTACTIC = "disproved"
 EUTAXY_SOLVE_LIMIT = 2000
 
 
-def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
+def eutaxy_check(lat: Lattice) -> CertReport:
     """Eutaxy of Min(L): identity as a positive combination of projectors.
 
     In coordinates the strong form reads sum_x x^T x = (m|X|/n) G^(-1);
@@ -379,7 +379,7 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
     are proofs; absence of a certificate proves nothing.
     """
     np = load_numpy()
-    layer = min_layer(lat, threads=threads)
+    layer = min_layer(lat)
     _layer_lattice(layer)
     half = _half_rows(layer.rows)
     n = lat.dim
@@ -421,10 +421,10 @@ def eutaxy_check(lat: Lattice, threads=1) -> CertReport:
         "reason": "particular solution has nonpositive entries"})
 
 
-def min_product_check(lat: Lattice, threads=1) -> CertReport:
+def min_product_check(lat: Lattice) -> CertReport:
     """min(L) * min(L*) against the strong perfection bound (n+2)/3."""
-    mp = minimum(lat, threads=threads)
-    md = minimum(dual(lat), threads=threads)
+    mp = minimum(lat)
+    md = minimum(dual(lat))
     product = Fraction(mp.minimum) * Fraction(md.minimum)
     bound = Fraction(lat.dim + 2, 3)
     return CertReport(
@@ -448,15 +448,15 @@ def even_min_lower_bound(dim: int) -> int:
     return m
 
 
-def coxeter_number(lat: Lattice, threads=1) -> Fraction:
+def coxeter_number(lat: Lattice) -> Fraction:
     """|L_2| / dim, an integer for the irreducible root lattices."""
-    return Fraction(_counts(lat, 2, threads).count(2), lat.dim)
+    return Fraction(_counts(lat, 2).count(2), lat.dim)
 
 
-def coxeter_identity_check(lat: Lattice, threads=1) -> CertReport:
+def coxeter_identity_check(lat: Lattice) -> CertReport:
     """Proof of sum_{x in L_2} (a,x)^2 = 2h (a,a), h = |L_2|/dim, or a
     direction a that breaks it: the degree-2 design identity on L_2."""
-    layer = _collected(lat, 2, threads).layers.get(2)
+    layer = _collected(lat, 2).layers.get(2)
     if layer is None or not len(layer):
         return CertReport(
             check="coxeter-identity", verdict=INCONCLUSIVE,

@@ -18,6 +18,7 @@ from .lattice import (
     rescale)
 from .qseries import LevelData, QSeries, delta_level
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
+from .shadow import odd_min_bound
 
 from dataclasses import dataclass
 
@@ -244,30 +245,46 @@ def check_modular(lat: Lattice, precision: int = None, n_level=None,
 
 def check_extremal(lat: Lattice, n_level=None,
                    threads: int = 1) -> CertReport:
-    """Extremality certificate for an even strongly modular lattice.
+    """Extremality certificate for a strongly modular lattice of either
+    parity, after the premises of its genus (LevelData.genus_premise).
 
-    det L = N^k (k = dim/2) gives theta_L the character ((-1)^k N^k / .)
-    of the level-N ring, so theta_L and the extremal form F lie in
-    M_k(Gamma0(lcm(N, level L)), chi) and, by Sturm's theorem, are equal
-    once they agree up to sturm_norm, the furthest L is swept.  Pass
-    proves theta_L = F: minimum (the bound), kissing number and theta are
-    F's, and every rescaled partial dual has theta F | W_m = F.  Fail
-    names the first norm that differs: below the bound, min(L)."""
-    inputs = {"dim": lat.dim, "det": lat.det}
-    if not lat.is_even:
-        return CertReport("check-extremal", FAIL, inputs,
-                          {"reason": "lattice is not even"},
-                          witnesses=[{"parity": "odd"}])
+    Even L: det L = N^k (k = dim/2) gives theta_L the character
+    ((-1)^k N^k / .) of the level-N ring, so theta_L and the extremal
+    form F lie in M_k(Gamma0(lcm(N, level L)), chi) and, by Sturm's
+    theorem, are equal once they agree up to sturm_norm, the furthest L
+    is swept.  Pass proves theta_L = F: minimum (the bound), kissing
+    number and theta are F's, and every rescaled partial dual has theta
+    F | W_m = F.  Fail names the first norm that differs: below the
+    bound, min(L).
+
+    Odd L (report "check-extremal-odd"): the minimum, from one sweep,
+    against the bound of shadow.odd_min_bound, which is 3 in the
+    exceptional dimension 2 k_N - sigma0(N).
+    """
+    odd = not lat.is_even
+    check = "check-extremal-odd" if odd else "check-extremal"
     n_level = default_level(lat) if n_level is None else n_level
-    inputs["level"] = n_level
-    weight, odd = divmod(lat.dim, 2)
-    bound = extremal_min_bound(n_level, weight)
-    expected = "n/a (odd dimension)" if odd else Fraction(n_level) ** weight
-    if lat.det != expected:
+    inputs = {"dim": lat.dim, "det": lat.det, "level": n_level}
+    reason = LevelData.for_level(n_level).genus_premise(lat.dim, odd,
+                                                        lat.det)
+    if reason:
+        return CertReport(check, FAIL, inputs, {"reason": reason},
+                          witnesses=[{"level": n_level, "dim": lat.dim,
+                                      "det": lat.det}])
+    if odd:
+        bound = odd_min_bound(n_level, lat.dim)
+        rep = minimum(lat, threads=threads)
+        verdict = PASS if rep.minimum == bound else FAIL
         return CertReport(
-            "check-extremal", FAIL, inputs,
-            {"reason": "determinant is not N^(dim/2)"},
-            witnesses=[{"det": lat.det, "expected": expected}])
+            check, verdict, inputs,
+            {"minimum": rep.minimum, "bound": bound, "kissing": rep.kissing},
+            witnesses=([] if verdict == PASS
+                       else [{"minimum": rep.minimum, "bound": bound}]))
+    # det^2 = N^dim makes dim even: an even lattice of odd dimension has
+    # a Gram matrix alternating mod 2, so an even determinant, and no
+    # admissible N > 1 is a square
+    weight = lat.dim // 2
+    bound = extremal_min_bound(n_level, weight)
     s = sturm_norm([lat], n_level)
     form = extremal_form(n_level, weight, 2 + max(bound, s))
     for top in sorted({min(bound, s), s}):  # a minimum below the bound first
@@ -277,7 +294,7 @@ def check_extremal(lat: Lattice, n_level=None,
             break
     if equal:
         return CertReport(
-            "check-extremal", PASS, inputs,
+            check, PASS, inputs,
             {"minimum": bound, "bound": bound,
              "kissing": int(form.series.coefficient_q(bound)),
              "theta": str(form.series.truncate(12 * (bound + 2))),
@@ -285,53 +302,14 @@ def check_extremal(lat: Lattice, n_level=None,
     if diff < 12 * bound:
         norm = diff // 12
         return CertReport(
-            "check-extremal", FAIL, inputs,
+            check, FAIL, inputs,
             {"reason": "minimum %s below extremal bound %d" % (norm, bound),
              "kissing": int(theta.coefficient_q(norm))},
             witnesses=[{"minimum": norm, "bound": bound}])
     return CertReport(
-        "check-extremal", FAIL, inputs,
+        check, FAIL, inputs,
         {"reason": "theta does not match the extremal form"},
         witnesses=[{"first_difference_u_exponent": diff}])
-
-
-def check_extremal_odd(lat: Lattice, n_level=None,
-                       threads: int = 1) -> CertReport:
-    """Extremality for odd strongly modular lattices.
-
-    Uses the bound 2 floor(k/k_N) + 2 with the exceptional dimension
-    2 k_N - sigma0(N) where the bound is 3.  Only the necessary shape
-    conditions (dimension divisible by sigma0, determinant N^(dim/2
-    sigma0-average)) are verified, not rational equivalence.
-    """
-    inputs = {"dim": lat.dim, "det": lat.det}
-    if lat.is_even:
-        return CertReport("check-extremal-odd", FAIL, inputs,
-                          {"reason": "lattice is even; use check_extremal"})
-    n_level = default_level(lat) if n_level is None else n_level
-    inputs["level"] = n_level
-    data = LevelData.for_level(n_level)
-    if lat.dim % data.sigma0 != 0:
-        return CertReport(
-            "check-extremal-odd", FAIL, inputs,
-            {"reason": "dimension not a multiple of sigma0(N) = %d"
-             % data.sigma0})
-    scale = lat.dim // data.sigma0
-    # compare det^2 with N^(l sigma0) to avoid half integer exponents
-    if Fraction(lat.det) ** 2 != Fraction(n_level) ** (data.sigma0 * scale):
-        return CertReport(
-            "check-extremal-odd", FAIL, inputs,
-            {"reason": "determinant %s is not N^(l sigma0 / 2)"
-             % (lat.det,)})
-    from .shadow import odd_min_bound
-    bound = odd_min_bound(n_level, lat.dim)
-    rep = minimum(lat, threads=threads)
-    verdict = PASS if rep.minimum == bound else FAIL
-    return CertReport(
-        "check-extremal-odd", verdict, inputs,
-        {"minimum": rep.minimum, "bound": bound, "kissing": rep.kissing},
-        witnesses=([] if verdict == PASS
-                   else [{"minimum": rep.minimum, "bound": bound}]))
 
 
 # -- transformation formula -------------------------------------------------

@@ -259,6 +259,23 @@ class LevelData:
         assert 12 * s0 % s1 == 0
         return cls(n, s0, s1, k, _D_TABLE[n])
 
+    def genus_premise(self, dim, odd, det=None):
+        """The first premise of the strongly N-modular genus of dimension
+        dim, determinant det and the given parity that fails, as a
+        reason, or None.  An odd genus needs N odd (LevelError, like an
+        inadmissible N) and sigma0(N) | dim; either parity needs
+        det^2 = N^dim (squared, to avoid half integer exponents), left
+        unchecked when det is None."""
+        if odd and self.level % 2 == 0:
+            raise LevelError("odd strongly modular lattices need odd level")
+        if odd and dim % self.sigma0:
+            return ("dimension %d is not a multiple of sigma0(%d) = %d"
+                    % (dim, self.level, self.sigma0))
+        if det is not None and Fraction(det) ** 2 != self.level ** dim:
+            return ("determinant %s is not N^(dim/2) for N = %d, dim %d"
+                    % (det, self.level, dim))
+        return None
+
     @classmethod
     def all(cls):
         return [cls.for_level(n) for n in ADMISSIBLE_LEVELS]

@@ -18,7 +18,7 @@ import math
 
 from .arith import int_or_fraction
 from .enumeration import enumerate_vectors
-from .errors import IntegralityError, LevelError, ModLatticeError, ParityError
+from .errors import IntegralityError, ModLatticeError, ParityError
 from .lattice import Lattice, default_level, dual
 from .qseries import LevelData
 
@@ -109,36 +109,21 @@ class ShadowReport:
         }
 
 
-def _odd_level_data(n_level: int, dim: int) -> LevelData:
-    """LevelData of N for the odd strongly N-modular lattices of dimension
-    dim: N must be odd and sigma0(N) must divide dim."""
-    if n_level % 2 == 0:
-        raise LevelError("odd strongly modular lattices need odd level")
-    data = LevelData.for_level(n_level)
-    if dim % data.sigma0 != 0:
-        raise ModLatticeError(
-            "dimension %d is not a multiple of sigma0(%d) = %d"
-            % (dim, n_level, data.sigma0))
-    return data
-
-
 def shadow_min(lat: Lattice, n_level=None, threads=1) -> ShadowReport:
     """Shadow minimum, its count, and the defect m for an odd lattice.
 
     n_level, by default the lattice's level (default_level), must be odd:
     for even N the odd strongly N-modular genus is empty, the relevant
-    theta lives on the even neighbour instead.  A lattice whose
-    determinant is not N^(dim/2) lies outside that genus, and raises.
+    theta lives on the even neighbour instead.  A lattice outside that
+    genus (LevelData.genus_premise) raises with the failed premise.
     """
     if lat.is_even:
         raise ParityError("shadow minimum is for odd lattices")
     n_level = default_level(lat) if n_level is None else n_level
-    data = _odd_level_data(n_level, lat.dim)
-    # det^2 against N^dim, to avoid half integer exponents
-    if Fraction(lat.det) ** 2 != Fraction(n_level) ** lat.dim:
-        raise ModLatticeError(
-            "determinant %s is not N^(dim/2) for N = %d, dim %d"
-            % (lat.det, n_level, lat.dim))
+    data = LevelData.for_level(n_level)
+    reason = data.genus_premise(lat.dim, True, lat.det)
+    if reason:
+        raise ModLatticeError(reason)
     l = lat.dim // data.sigma0
     # the shadow minimum of an n-dim odd lattice is at most n/4 (Z^n case),
     # so sweeping up to that bound always finds it
@@ -159,9 +144,13 @@ def odd_min_bound(n_level: int, dim: int) -> int:
     """Largest possible minimum of an odd strongly N-modular lattice.
 
     The bound is 2 + 2*(dim // (2 k_N)) except one dimension short of a
-    full weight block, where minimum 3 is attainable instead.
+    full weight block, where minimum 3 is attainable instead.  Raises
+    when no odd genus of that level and dimension exists.
     """
-    data = _odd_level_data(n_level, dim)
+    data = LevelData.for_level(n_level)
+    reason = data.genus_premise(dim, True)
+    if reason:
+        raise ModLatticeError(reason)
     if dim == 2 * data.weight - data.sigma0:
         return 3
     return 2 * (dim // (2 * data.weight)) + 2

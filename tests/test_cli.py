@@ -314,7 +314,7 @@ def test_parallel_sweep_exits_cleanly():
 
 
 def test_public_names_resolve():
-    assert len(modlattice.__all__) == len(set(modlattice.__all__)) == 81
+    assert len(modlattice.__all__) == len(set(modlattice.__all__)) == 80
     listed = dir(modlattice)
     for name in modlattice.__all__:
         assert getattr(modlattice, name) is not None, name

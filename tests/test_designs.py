@@ -27,8 +27,7 @@ from modlattice.errors import (CapacityError, DefinitenessError,
 from modlattice.isometry import ISOMETRIC, find_isometry
 from modlattice.lattice import (Lattice, bundled_catalog, direct_sum, dual,
                                 inner, rescale, zn)
-from modlattice.modular import (check_extremal, check_extremal_odd,
-                                transformation_check)
+from modlattice.modular import check_extremal, transformation_check
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
 from modlattice.shadow import shadow_coset
@@ -176,7 +175,7 @@ def test_reports_are_values(catalog):
         "min product": lambda: min_product_check(fresh("E8")),
         "coxeter identity": lambda: coxeter_identity_check(fresh("E8")),
         "extremal": lambda: check_extremal(fresh("D4")),
-        "extremal odd": lambda: check_extremal_odd(fresh("D12plus")),
+        "extremal odd": lambda: check_extremal(fresh("D12plus")),
         "transformation": lambda: transformation_check(fresh("A2"), 2),
     }
     for kind, run in runs.items():

@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 
 from modlattice.enumeration import theta_series
-from modlattice.errors import EmptyBasisError, LevelError
+from modlattice.errors import EmptyBasisError, LevelError, ModLatticeError
 from modlattice.lattice import (Lattice, bundled_catalog, c_n_lattice,
-                                direct_sum, rescale, zn)
+                                default_level, direct_sum, rescale, zn)
 from modlattice.modular import (ModularityVerdict, base_lattice,
-                                check_extremal, check_extremal_odd,
-                                check_modular, extremal_form,
+                                check_extremal, check_modular, extremal_form,
                                 extremal_min_bound, modform_basis,
                                 sturm_norm, theta_base, transformation_check)
 from modlattice.qseries import ADMISSIBLE_LEVELS, QSeries
 from modlattice.report import FAIL, INCONCLUSIVE, PASS
+from modlattice.shadow import odd_min_bound, shadow_min
 from oracles import swept_extremal
 from test_enumeration import count_sweeps
 
@@ -321,10 +321,38 @@ def test_check_extremal_minimum_below_bound(catalog):
     assert rep.witnesses == [{"minimum": 2, "bound": 4}]
 
 
-def test_check_extremal_rejects_odd_lattice():
+def test_check_extremal_fails_z4_on_its_minimum():
+    """Z4 is odd unimodular: the odd bound 2, and its minimum is 1."""
     rep = check_extremal(zn(4))
-    assert rep.verdict == FAIL
-    assert rep.details["reason"] == "lattice is not even"
+    assert (rep.check, rep.verdict) == ("check-extremal-odd", FAIL)
+    assert rep.witnesses == [{"minimum": 1, "bound": 2}]
+
+
+@pytest.mark.parametrize("lat, n_level, reason", [
+    (zn(4), 3, "determinant 1 is not N^(dim/2) for N = 3, dim 4"),
+    (zn(3), 15, "dimension 3 is not a multiple of sigma0(15) = 4"),
+    (c_n_lattice(2), None, LevelError),
+    (zn(4), 2, LevelError),
+], ids=["Z4-N3", "Z3-N15", "C2", "Z4-N2"])
+def test_odd_genus_premises_have_one_owner(lat, n_level, reason):
+    """check_extremal and shadow_min read one set of odd-genus premises:
+    a failed shape premise is one reason, a FAIL with a witness or a
+    ModLatticeError; an even level raises LevelError from both and from
+    odd_min_bound, whatever the other premises say."""
+    if reason is LevelError:
+        n = default_level(lat) if n_level is None else n_level
+        for run in (check_extremal, shadow_min):
+            with pytest.raises(LevelError):
+                run(lat, n_level)
+        with pytest.raises(LevelError):
+            odd_min_bound(n, lat.dim)
+        return
+    rep = check_extremal(lat, n_level)
+    assert (rep.check, rep.verdict) == ("check-extremal-odd", FAIL)
+    assert rep.details["reason"] == reason and rep.witnesses
+    with pytest.raises(ModLatticeError) as exc:
+        shadow_min(lat, n_level)
+    assert str(exc.value) == reason
 
 
 def test_check_extremal_non_admissible_level_raises():
@@ -333,10 +361,10 @@ def test_check_extremal_non_admissible_level_raises():
 
 
 def test_check_extremal_odd_cases(catalog):
-    rep = check_extremal_odd(catalog.lattice("D12plus"))
-    assert rep.verdict == PASS
+    rep = check_extremal(catalog.lattice("D12plus"))
+    assert (rep.check, rep.verdict) == ("check-extremal-odd", PASS)
     assert rep.details == {**rep.details, "minimum": 2, "bound": 2}
-    rep = check_extremal_odd(zn(12))
+    rep = check_extremal(zn(12))
     assert rep.verdict == FAIL
     assert (rep.details["minimum"], rep.details["bound"]) == (1, 2)
 
