@@ -104,7 +104,8 @@ def build_parser():
     # a string default goes through _threads too, when --threads is absent
     common.add_argument("--threads", type=_threads,
                         default=os.environ.get("MODLATTICE_THREADS", "1"),
-                        help="worker processes for enumeration")
+                        help="pool workers of count-only sweeps (theta, "
+                             "min, check-extremal, shadow, density)")
     sub = par.add_subparsers(dest="verb", metavar="VERB")
 
     p = sub.add_parser("catalog", parents=[common],
@@ -265,7 +266,7 @@ def cmd_check_design(args):
     lat = _lattice(args)
     if args.t < 1:
         raise UsageError("--t must be positive")
-    layer = min_layer(lat, threads=args.threads)
+    layer = min_layer(lat)
     rep = check_design(layer, args.t)
     return _emit_report(rep, args.json)
 
@@ -273,7 +274,7 @@ def cmd_check_design(args):
 def cmd_check_strongly_perfect(args):
     from .designs import is_strongly_perfect
     lat = _lattice(args)
-    rep = is_strongly_perfect(lat, threads=args.threads)
+    rep = is_strongly_perfect(lat)
     return _emit_report(rep, args.json)
 
 
@@ -281,8 +282,7 @@ def cmd_harmonic_theta(args):
     from .designs import harmonic_theta_truncation
     lat = _lattice(args)
     alpha = _parse_alpha(args.alpha)
-    qs = harmonic_theta_truncation(lat, alpha, args.t, max(args.prec, 1),
-                                   threads=args.threads)
+    qs = harmonic_theta_truncation(lat, alpha, args.t, max(args.prec, 1))
     payload = {"lattice": args.lattice, "degree": args.t, "alpha": alpha,
                "series": qs.to_json()}
     return _emit(payload, args.json, str(qs))

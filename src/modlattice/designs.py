@@ -268,13 +268,13 @@ def check_design(layer: VectorLayer, strength: int,
                       witnesses=wit or [])
 
 
-def is_strongly_perfect(lat: Lattice, threads=1) -> CertReport:
+def is_strongly_perfect(lat: Lattice) -> CertReport:
     """Proof-level test that Min(L) is a 4-design (hence 5 by antipodality).
 
     Runs the pair-sum test in degrees 2 and 4 on the layer of minimal
     vectors.
     """
-    layer = min_layer(lat, threads=threads)
+    layer = min_layer(lat)
     _, wit = _pair_sum_test(layer, (2, 4))
     inputs = {"dim": lat.dim, "min": layer.norm, "kissing": len(layer)}
     if wit:
@@ -556,7 +556,7 @@ def _cleared(dim, degree, coeffs):
 
 
 def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
-                              precision_q: int, threads=1) -> QSeries:
+                              precision_q: int) -> QSeries:
     """Truncated theta series weighted by a zonal harmonic of given degree.
 
     Coefficient of q^a is sum over the norm-a layer of Z_degree(x); these
@@ -575,7 +575,7 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
     if not any(alpha):
         raise ValueError("axis must be nonzero")
     if degree == 0:
-        return theta_series(lat, precision_q, threads=threads)
+        return theta_series(lat, precision_q)
     if not lat.is_integral:
         raise ValueError("Gram matrix %s is not integral; the harmonic "
                          "theta series needs integer inner products"
@@ -583,7 +583,7 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
     bound = window_bound(lat, precision_q)
     coeffs = {}
     if bound > 0:
-        tc = _collected(lat, bound, threads)
+        tc = _collected(lat, bound)
         # (x, a) = x . Ga, with Ga and (a, a) in Python integers
         ga = [sum(g * c for g, c in zip(row, alpha)) for row in lat.gram]
         w_of_a = inner(lat.gram, alpha, alpha)

@@ -27,12 +27,13 @@ transform recorded; see _basis), which keeps skewed and deep lattices
 tractable; a collecting search gives its leaves as (ids, Y rows), and
 _finalize_layers transforms the rows back to the original coordinates.
 
-_sweep picks the search and the schedule from one estimate of the
-sweep's nodes (_nodes): the process pool runs only _vector_search, on
-runs of the search tree's top prefixes, and a sweep in this process runs
-_vector_search from VECTOR_MIN_NODES on and _run below it, so a small
-sweep imports no numpy.  _cut alone finds where a collecting sweep
-passed its capacity, wherever the search stopped after it.
+_sweep picks the search and the schedule.  A collecting sweep runs
+_vector_search in this process.  A count-only sweep picks from one
+estimate of its nodes (_nodes): the process pool runs _vector_search on
+runs of the search tree's top prefixes, and this process runs it from
+VECTOR_MIN_NODES on and _run below it, so a small count-only sweep
+imports no numpy.  _cut alone finds where a collecting sweep passed its
+capacity, wherever the search stopped after it.
 """
 
 import atexit
@@ -67,19 +68,19 @@ PARALLEL_MIN_NODES = 10 ** 4
 # slow run does not leave the other workers idle.
 RUNS_PER_WORKER = 6
 
-# A sweep run in this process whose estimated node count (_nodes) reaches
-# this runs _vector_search; below it, _run, which needs no numpy.  On a
-# 2-vCPU Linux VM, with numpy loaded, _vector_search took 0.16-0.34 of
-# _run's time on catalogue sweeps of 2.5*10^4 to 10^5 estimated nodes
-# (BW16 to norm 4, 24,645 nodes: 3-4 against 19-23 ms; E8 to 8, 34,446:
-# 5 against 15-16 ms; K12 to 8, 57,162: 7 against 37-41 ms; D16plus to 4,
-# 98,114: 26-30 against 100-112 ms).  But importing numpy costs
-# 0.08-0.18 s and 11 MB (16.7 to 28.0 MB), so a process that imports it
-# for one sweep gains only from about 10^5 nodes.  At 5*10^4 the verbs
-# that sweep below it at threads 1 (E8 windows, the BW16 minimum) import
-# no numpy; `shadow --lattice Z16` (61,100) took 0.28 s against 0.24 s;
-# and a process that has numpy loaded (a collecting sweep) gains on the
-# K12 q^10 sweeps (about 5.7*10^4) and above.
+# A count-only sweep run in this process whose estimated node count
+# (_nodes) reaches this runs _vector_search; below it, _run, which needs
+# no numpy.  On a 2-vCPU Linux VM, with numpy loaded, _vector_search took
+# 0.16-0.34 of _run's time on catalogue sweeps of 2.5*10^4 to 10^5
+# estimated nodes (BW16 to norm 4, 24,645 nodes: 3-4 against 19-23 ms; E8
+# to 8, 34,446: 5 against 15-16 ms; K12 to 8, 57,162: 7 against 37-41 ms;
+# D16plus to 4, 98,114: 26-30 against 100-112 ms).  But importing numpy
+# costs 0.08-0.18 s and 11 MB (16.7 to 28.0 MB), so a process that
+# imports it for one sweep gains only from about 10^5 nodes.  At 5*10^4
+# the verbs that sweep below it at threads 1 (E8 windows, the BW16
+# minimum) import no numpy, and `shadow --lattice Z16` (61,100) took
+# 0.28 s against 0.24 s.  A collecting sweep, whose layers load numpy
+# anyway, runs _vector_search at any size.
 VECTOR_MIN_NODES = 5 * 10 ** 4
 
 # Rows of a collected layer made into tuples at a time (see _tuples).
@@ -770,27 +771,13 @@ class _Pool:
 _POOL = _Pool()
 
 
-def _merge(parts, capacity):
-    """Sum the runs' results in DFS order, and join their leaves when
-    collecting: each run's leaf ids renumbered to the positions of its
-    keys in the merged counts.  Collecting, stop after the run that takes
-    the collected count past `capacity` (see _cut)."""
-    counts, ids, ys = {}, [], []
-    for c_part, leaves in parts:
+def _merge(parts):
+    """The runs' (counts, None), summed in job order: the DFS key order."""
+    counts = {}
+    for c_part, _ in parts:
         for k, v in c_part.items():
             counts[k] = counts.get(k, 0) + v
-        if leaves is None:
-            continue
-        np = linalg.load_numpy()
-        at = {k: i for i, k in enumerate(counts)}
-        renumber = np.array([at[k] for k in c_part], dtype=np.intp)
-        ids.append(renumber[leaves[0]])
-        ys.append(leaves[1])
-        if sum(counts.values()) > capacity:
-            break
-    if not ids:
-        return counts, None
-    return counts, (np.concatenate(ids), np.concatenate(ys))
+    return counts, None
 
 
 def _cut(counts, ids, capacity, canonical):
@@ -806,17 +793,16 @@ def _cut(counts, ids, capacity, canonical):
     return _tally(keys[:ids.max() + 1], ids, canonical)
 
 
-def _parallel(form, bound, collect, capacity, canonical, jobs, workers):
-    """_vector_search over the jobs on the process pool, merged in job
-    order."""
+def _parallel(form, bound, canonical, jobs, workers):
+    """Count-only _vector_search over the jobs on the process pool."""
     from concurrent.futures.process import BrokenProcessPool
     n = len(jobs)
     outer, inner = zip(*jobs)
     try:
         parts = _POOL.get(workers).map(
-            _vector_search, [form] * n, [bound] * n, [collect] * n,
-            [capacity] * n, outer, inner, [canonical] * n)
-        return _merge(parts, capacity)
+            _vector_search, [form] * n, [bound] * n, [False] * n,
+            [None] * n, outer, inner, [canonical] * n)
+        return _merge(parts)
     except BrokenProcessPool as exc:
         _POOL.close()
         raise ModLatticeError(
@@ -826,21 +812,21 @@ def _parallel(form, bound, collect, capacity, canonical, jobs, workers):
 
 def _sweep(form, bound, collect, capacity, canonical, threads):
     """(counts, leaves) of one sweep: the one place that picks its search
-    and its schedule, both from one estimate of its nodes (_nodes).
-
-    With threads > 1 and from PARALLEL_MIN_NODES on, the pool runs
-    _vector_search on the jobs of _split.  Otherwise this process runs the
-    sweep whole: _vector_search from VECTOR_MIN_NODES on, else _run.  A
-    form that fails _floats' check is swept whole by _run.
+    and its schedule.  A collecting sweep runs _vector_search in this
+    process, at any threads.  A count-only sweep with threads > 1, from
+    PARALLEL_MIN_NODES estimated nodes (_nodes) on, goes to the pool, which
+    runs _vector_search on the jobs of _split; otherwise this process runs
+    it whole: _vector_search from VECTOR_MIN_NODES on, else _run.  A form
+    that fails _floats' check is swept whole by _run.
     """
     nodes = _nodes(form, len(form.rows) - 1, _top(form, bound))
-    pooled = threads > 1 and nodes >= PARALLEL_MIN_NODES
-    vector = nodes >= VECTOR_MIN_NODES
+    pooled = not collect and threads > 1 and nodes >= PARALLEL_MIN_NODES
+    vector = collect or nodes >= VECTOR_MIN_NODES
     if (pooled or vector) and _floats(form, bound) is None:
         pooled = vector = False
     split = _split(form, bound, canonical, threads) if pooled else None
     if split is not None:
-        return _parallel(form, bound, collect, capacity, canonical, *split)
+        return _parallel(form, bound, canonical, *split)
     if vector:
         return _vector_search(form, bound, collect, capacity, None, None,
                               canonical)
@@ -856,12 +842,13 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     guarded by `capacity`.  The search runs on the LLL-reduced basis of
     lat (see _basis); a basis already reduced keeps its coordinates.
 
-    _sweep picks the search and the schedule: with threads > 1 a large
-    sweep is cut into runs of the search tree's prefixes (x_top,
-    x_(top-1)), which the process pool of this process (see _Pool;
-    min(threads, cores) workers) sweeps and which are merged in DFS
-    order.  Counts, their key order, the collected layers and the partial
-    counts of a CapacityError (see _cut) are the same either way.
+    _sweep picks the search and the schedule.  A collecting sweep runs in
+    this process whatever threads is, so `capacity` bounds the one search
+    that collects.  With threads > 1 a large count-only sweep is cut into
+    runs of the search tree's prefixes (x_top, x_(top-1)), which the
+    process pool of this process (see _Pool; min(threads, cores) workers)
+    sweeps and which are merged in DFS order: the counts and their key
+    order are the same either way.
     Every call sweeps.  An unshifted collecting call that reaches further
     than lat._layers, the collected sweep of this (immutable) object,
     replaces it and keeps the layers already handed out, which it returns
@@ -925,7 +912,7 @@ def _counts(lat: Lattice, bound, threads=1) -> ThetaCounts:
                                if k <= bound})
 
 
-def _collected(lat: Lattice, bound, threads=1) -> ThetaCounts:
+def _collected(lat: Lattice, bound) -> ThetaCounts:
     """Counts and collected layers of lat up to bound, cut from
     lat._layers, the largest unshifted collected sweep made on this
     object; a larger bound first collects to that bound (under
@@ -934,7 +921,7 @@ def _collected(lat: Lattice, bound, threads=1) -> ThetaCounts:
     is kept on it (its pair histogram, its tuples) serves every reader."""
     bound = Fraction(bound)
     if lat._layers is None or lat._layers.bound < bound:
-        enumerate_vectors(lat, bound, collect=True, threads=threads)
+        enumerate_vectors(lat, bound, collect=True)
     memo = lat._layers
     return ThetaCounts(
         bound, {k: v for k, v in memo.counts.items() if k <= bound},
@@ -962,13 +949,13 @@ def minimum(lat: Lattice, threads=1) -> MinimumReport:
     return MinimumReport(m, tc.counts[m])
 
 
-def min_layer(lat: Lattice, threads=1) -> VectorLayer:
+def min_layer(lat: Lattice) -> VectorLayer:
     """The layer Min(L) of minimal vectors, collected.
 
     Read through _collected up to _min_bound: the first call collects,
     later calls on the same object return the same layer.
     """
-    tc = _collected(lat, _min_bound(lat), threads)
+    tc = _collected(lat, _min_bound(lat))
     m = min(k for k, layer in tc.layers.items() if k > 0 and len(layer))
     return tc.layers[m]
 

@@ -72,9 +72,9 @@ def clear_denominators(m):
 def load_numpy():
     """numpy, imported on first use with one BLAS thread.
 
-    Parallelism comes only from the enumeration worker processes
-    (`threads`), so the BLAS pool is pinned to one thread before numpy
-    loads; a thread count already set in the environment is kept.
+    Parallelism comes only from the worker processes of count-only
+    sweeps (`threads`), so the BLAS pool is pinned to one thread before
+    numpy loads; a thread count already set in the environment is kept.
     """
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")

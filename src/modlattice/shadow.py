@@ -126,18 +126,19 @@ def shadow_min(lat: Lattice, n_level=None, threads=1) -> ShadowReport:
         raise ModLatticeError(reason)
     l = lat.dim // data.sigma0
     # the shadow minimum of an n-dim odd lattice is at most n/4 (Z^n case),
-    # so sweeping up to that bound always finds it
+    # so sweeping the one coset up to that bound always finds it
+    dl, shift = shadow_coset(lat)
     top = Fraction(lat.dim, 4)
     bound = Fraction(1)
-    st = shadow_theta(lat, bound, threads=threads)
-    while st.min_norm is None and bound < top:
+    counts = enumerate_vectors(dl, bound, shift, threads=threads).counts
+    while not counts and bound < top:
         bound = min(2 * bound, top)
-        st = shadow_theta(lat, bound, threads=threads)
-    m0 = st.min_norm
-    if m0 is None:
+        counts = enumerate_vectors(dl, bound, shift, threads=threads).counts
+    if not counts:
         raise ModLatticeError("no shadow vector of norm <= dim/4 found")
+    m0 = min(counts)
     m = Fraction(l * data.sigma1 - 4 * n_level * m0, 8)
-    return ShadowReport(n_level, lat.dim, int_or_fraction(m0), st.counts[m0], int_or_fraction(m))
+    return ShadowReport(n_level, lat.dim, int_or_fraction(m0), counts[m0], int_or_fraction(m))
 
 
 def odd_min_bound(n_level: int, dim: int) -> int:

@@ -37,16 +37,16 @@ def catalog():
 @pytest.fixture(scope="session")
 def leech_layer(catalog):
     t0 = time.time()
-    layer = min_layer(catalog.lattice("Leech"), threads=1)
+    layer = min_layer(catalog.lattice("Leech"))
     TIMINGS["leech_layer"] = time.time() - t0
     return layer
 
 
 @pytest.fixture
 def parallel(monkeypatch):
-    """Sweeps with threads > 1 go to the pool whatever their size, as on a
-    machine with 2 cores.  Yields the worker counts of the parallel sweeps
-    made, and shuts the pool down afterwards."""
+    """Count-only sweeps with threads > 1 go to the pool whatever their
+    size, as on a machine with 2 cores.  Yields the worker counts of the
+    parallel sweeps made, and shuts the pool down afterwards."""
     made = []
     run = enumeration._parallel
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import modlattice
-from modlattice import lattice
+from modlattice import enumeration, lattice
 from modlattice.cli import _emit_report, build_parser, parse_and_dispatch
 from modlattice.modular import base_lattice
 from modlattice.report import CertReport
@@ -204,6 +204,21 @@ def test_identical_runs_are_byte_identical(capsys):
     c = run(capsys, ["check-extremal", "--lattice", "D4"])
     d = run(capsys, ["check-extremal", "--lattice", "D4"])
     assert c == d
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-design", "--lattice", "Z8", "--t", "3"],
+    ["check-strongly-perfect", "--lattice", "Z8"],
+    ["harmonic-theta", "--lattice", "Z8", "--t", "4", "--alpha",
+     "1,2,0,0,0,0,0,1", "--prec", "5"],
+])
+def test_collecting_verbs_start_no_pool(capsys, parallel, argv):
+    """The verbs that collect a layer give the same bytes at --threads 1
+    and 2 (on a fresh Z8 each), and start no pool even where every
+    count-only sweep at threads 2 would go to it."""
+    two = run(capsys, argv + ["--json", "--threads", "2"])
+    assert run(capsys, argv + ["--json", "--threads", "1"]) == two
+    assert parallel == [] and enumeration._POOL.executor is None
 
 
 def test_bundled_catalogue_is_loaded_once(capsys, monkeypatch):

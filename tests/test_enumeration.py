@@ -96,34 +96,44 @@ def test_threads_merge_is_identical(catalog, parallel):
 
 
 def test_threads_collect_same_layers(catalog, parallel):
+    """A collecting sweep at threads 2 runs in this process."""
     d4 = catalog.lattice("D4")
     a = enumerate_vectors(d4, 4, collect=True, threads=2)
     b = enumerate_vectors(d4, 4, collect=True, threads=1)
     for k in b.layers:
         assert a.layers[k].vectors == b.layers[k].vectors
-    assert parallel
+    assert parallel == []
 
 
 def _same_sweep(lat, bound, shift=None,
-                capacity=enumeration.DEFAULT_CAPACITY):
-    """Serial and 2-worker collected sweeps agree in counts and their key
-    order, in the layers and their order, and in where a CapacityError
+                capacity=enumeration.DEFAULT_CAPACITY, threads=1):
+    """Collected sweeps on the vector search and on _run (forced by a
+    _floats that refuses every form) agree in counts and their key order,
+    in the layers (rows, dtype and order), and in where a CapacityError
     stops (the partial counts and their key order)."""
     out = []
-    for threads in (1, 2):
-        try:
-            tc = enumerate_vectors(lat, bound, shift=shift, collect=True,
-                                   capacity=capacity, threads=threads)
-        except CapacityError as exc:
-            out.append(("partial", list(exc.partial_counts.counts.items())))
-        else:
-            out.append((list(tc.counts.items()),
-                        [(k, v.vectors) for k, v in tc.layers.items()]))
+    with pytest.MonkeyPatch.context() as mp:
+        # the vector search, then _run; the search that must not run is None
+        for unused, floats in (("_run", enumeration._floats),
+                               ("_vector_search", lambda form, bound: None)):
+            mp.setattr(enumeration, "_floats", floats)
+            mp.setattr(enumeration, unused, None)
+            try:
+                tc = enumerate_vectors(lat, bound, shift=shift, collect=True,
+                                       capacity=capacity, threads=threads)
+            except CapacityError as exc:
+                out.append(("partial",
+                            list(exc.partial_counts.counts.items())))
+            else:
+                out.append((list(tc.counts.items()),
+                            [(k, v.rows.dtype, v.vectors)
+                             for k, v in tc.layers.items()]))
+            mp.undo()
     assert out[0] == out[1]
     return out[0]
 
 
-def test_parallel_shifted_rational_collect_equals_serial(catalog, parallel):
+def test_shifted_rational_collect_same_in_both_searches(catalog):
     k12 = dual(catalog.lattice("K12"))
     shift = (Fraction(1, 3), Fraction(1, 2)) + (0,) * 10
     counts, layers = _same_sweep(k12, Fraction(8, 3), shift)
@@ -133,16 +143,14 @@ def test_parallel_shifted_rational_collect_equals_serial(catalog, parallel):
         assert _same_sweep(k12, Fraction(8, 3), shift, capacity)[0] == (
             "partial")
     assert _same_sweep(k12, Fraction(8, 3), shift, total)[0] == counts
-    assert parallel == [2] * 6
 
 
 @pytest.mark.parametrize("name, bound", [("K12", 8), ("E8", 4)])
-def test_parallel_unshifted_collect_equals_serial(catalog, parallel, name,
-                                                  bound):
+def test_unshifted_collect_same_in_both_searches(catalog, name, bound):
     """In a canonical collection the origin is the one leaf that is not a
     +-pair, so a CapacityError stops at capacity + 1 vectors for an even
-    capacity and at capacity + 2 for an odd one, serially and on 2
-    workers alike."""
+    capacity and at capacity + 2 for an odd one, on both searches
+    alike."""
     lat = catalog.lattice(name)
     counts, layers = _same_sweep(lat, bound)
     assert counts[0] == (0, 1) and all(v % 2 == 0 for _, v in counts[1:])
@@ -152,7 +160,6 @@ def test_parallel_unshifted_collect_equals_serial(catalog, parallel, name,
         assert stop == "partial"
         assert sum(v for _, v in partial) == capacity + 1 + capacity % 2
     assert _same_sweep(lat, bound, capacity=total) == (counts, layers)
-    assert parallel == [2] * 6
 
 
 @pytest.mark.parametrize("lat, bound, shift", [
@@ -162,19 +169,27 @@ def test_parallel_unshifted_collect_equals_serial(catalog, parallel, name,
     (Lattice([[2, 1], [1, 2]]), 12, (Fraction(1, 2), Fraction(1, 3))),
 ])
 def test_parallel_in_dimensions_one_and_two(parallel, lat, bound, shift):
+    """The collected counts, in their key order, from a count-only sweep
+    on the pool, whose prefixes have no x_(top-1) in dimension 1."""
     counts, _ = _same_sweep(lat, bound, shift)
-    assert dict(counts) == enumerate_vectors(lat, bound, shift=shift).counts
+    pooled = enumerate_vectors(lat, bound, shift=shift, threads=2)
+    assert list(pooled.counts.items()) == counts
     assert parallel == [2]
 
 
 def test_parallel_bound_below_the_minimum(catalog, parallel):
+    def pooled(lat, bound, shift=None):
+        return enumerate_vectors(lat, bound, shift=shift, threads=2).counts
     # prefixes below which only the origin (or nothing) lies
     half = (Fraction(1, 2), Fraction(1, 2))
     assert _same_sweep(catalog.lattice("E8"), 1)[0] == [(0, 1)]
+    assert pooled(catalog.lattice("E8"), 1) == {0: 1}
     assert _same_sweep(zn(2), Fraction(1, 4), half) == ([], [])
+    assert pooled(zn(2), Fraction(1, 4), half) == {}
     assert parallel == [2, 2]
     # no prefix at all: |x_top + 1/2| >= 1/2 exceeds the bound's root
     assert _same_sweep(zn(2), Fraction(1, 8), half) == ([], [])
+    assert pooled(zn(2), Fraction(1, 8), half) == {}
     assert parallel == [2, 2]
 
 
@@ -256,7 +271,8 @@ def test_collect_capacity_guard(catalog):
 
 
 def test_collect_capacity_is_global_across_workers(catalog, parallel):
-    # E8 has 241 vectors of norm <= 2; each worker alone stays below 200
+    # E8 has 241 vectors of norm <= 2; at threads 2 as at 1 one search in
+    # this process collects them, under the one capacity
     e8 = catalog.lattice("E8")
     for threads in (1, 2):
         with pytest.raises(CapacityError):
@@ -265,7 +281,38 @@ def test_collect_capacity_is_global_across_workers(catalog, parallel):
         tc = enumerate_vectors(e8, 2, collect=True, capacity=241,
                                threads=threads)
         assert sum(len(layer) for layer in tc.layers.values()) == 241
-    assert parallel == [2, 2]
+    assert parallel == []
+
+
+def test_a_collecting_sweep_starts_no_pool(catalog, parallel, monkeypatch):
+    """At threads 12, on 12 cores, a collecting sweep makes no parallel
+    call and starts no pool, so past its capacity its search (either one)
+    hands back at most capacity + _BATCH leaves.  K12 to norm 8 at
+    capacity 3,000 (57,162 estimated nodes) is a case where pooled jobs,
+    each collecting up to the capacity on its own, handed back 12,601.
+    A stand-in executor would run such jobs in threads of this process,
+    where the count sees them."""
+    import concurrent.futures
+    enumeration._POOL.close()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        ThreadPoolExecutor)
+    monkeypatch.setattr(enumeration, "_cores", lambda: 12)
+    handed = []
+    for name in ("_run", "_vector_search"):
+        def search(*args, real=getattr(enumeration, name)):
+            out = real(*args)
+            handed.append(len(out[1][0]))
+            return out
+        monkeypatch.setattr(enumeration, name, search)
+    k12 = catalog.lattice("K12")
+    for floats in (enumeration._floats, lambda form, bound: None):
+        monkeypatch.setattr(enumeration, "_floats", floats)
+        with pytest.raises(CapacityError):
+            enumerate_vectors(Lattice(k12.gram), 8, collect=True,
+                              capacity=3000, threads=12)
+        assert 0 < sum(handed) <= 3000 + enumeration._BATCH
+        handed.clear()
+    assert parallel == [] and enumeration._POOL.executor is None
 
 
 def test_threads_must_be_positive(catalog):

@@ -100,16 +100,14 @@ def test_coset_counts_match_brute_force(data, rational, bound):
 
 @settings(max_examples=20, deadline=None)
 @given(st.data(), st.booleans(), st.booleans())
-def test_two_workers_equal_one(data, rational, shifted):
+def test_both_searches_collect_the_same_layers(data, rational, shifted):
     lat = data.draw(lattices(rational))
     shift = data.draw(shifts(lat.dim)) if shifted else None
     bound = max(lat.gram[i][i] for i in range(lat.dim))
     one = enumerate_vectors(lat, bound, shift=shift, collect=True)
-    with pytest.MonkeyPatch.context() as mp:    # small sweeps to the pool
-        mp.setattr(enumeration, "PARALLEL_MIN_NODES", 0)
-        mp.setattr(enumeration, "_cores", lambda: 2)
-        two = enumerate_vectors(lat, bound, shift=shift, collect=True,
-                                threads=2)
+    with pytest.MonkeyPatch.context() as mp:    # _run collects
+        mp.setattr(enumeration, "_floats", lambda form, bound: None)
+        two = enumerate_vectors(lat, bound, shift=shift, collect=True)
     assert list(two.counts.items()) == list(one.counts.items())
     assert list(two.layers) == list(one.layers)
     same_searches(searched_form(lat, shift), bound, shift is None)
@@ -185,7 +183,7 @@ def test_finalized_layers_equal_the_tuple_oracle(data, kind, shifted):
     """The array finalisation against one Python integer at a time, on
     small integral and rational Grams and on LLL-transformed forms of
     dimension 10-12, with and without shifts of denominator 2, 3 or 6;
-    threads 2 gives the same layers."""
+    the vector search and _run give the same layers."""
     lat = data.draw(rebased() if kind == "rebased"
                     else lattices(kind == "rational"))
     shift = data.draw(shifts(lat.dim)) if shifted else None
@@ -204,10 +202,8 @@ def test_finalized_layers_equal_the_tuple_oracle(data, kind, shifted):
                                     capacity=3000)
         except CapacityError:
             assume(False)
-        mp.setattr(enumeration, "PARALLEL_MIN_NODES", 0)
-        mp.setattr(enumeration, "_cores", lambda: 2)
-        two = enumerate_vectors(lat, bound, shift=shift, collect=True,
-                                threads=2)
+        mp.setattr(enumeration, "_floats", lambda form, bound: None)
+        two = enumerate_vectors(lat, bound, shift=shift, collect=True)
     _same_layers(one.layers, seen[0])
     _same_layers(two.layers, seen[0])
     same_searches(searched_form(lat, shift), bound, shift is None)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from modlattice import linalg
 from modlattice.enumeration import enumerate_vectors
 from modlattice.errors import (IntegralityError, LevelError, ModLatticeError,
                                ParityError)
@@ -11,7 +12,7 @@ from modlattice.lattice import c_n_lattice, dual, zn
 from modlattice.shadow import (odd_min_bound, shadow_coset, shadow_min,
                                shadow_theta)
 
-from test_enumeration import random_gram
+from test_enumeration import random_gram, transformed, unimodular
 
 
 def test_shadow_coset_of_cubic():
@@ -66,6 +67,24 @@ def test_shadow_min_of_cubic_lattices():
         assert rep.min_norm == Fraction(n, 4)
         assert rep.count == 2 ** n
         assert rep.m == 0
+
+
+def test_shadow_min_reduces_its_coset_once(monkeypatch):
+    """Every doubling step of shadow_min sweeps the one dual that
+    shadow_coset built, so its basis is LLL-reduced once: Z12 and a
+    rebased Z12 (sweeps to norm 1, 2 and 3) and Z16 (1, 2 and 4)."""
+    calls, lll = [], linalg.gram_lll
+
+    def counted(gram):
+        calls.append(len(gram))
+        return lll(gram)
+    monkeypatch.setattr(linalg, "gram_lll", counted)
+    rebased = transformed(zn(12), unimodular(random.Random(7), 12))
+    for lat, n in ((zn(12), 12), (rebased, 12), (zn(16), 16)):
+        rep = shadow_min(lat)
+        assert (rep.min_norm, rep.count, rep.m) == (Fraction(n, 4), 2 ** n, 0)
+        assert calls == [n]
+        calls.clear()
 
 
 def test_shadow_min_report_fields():

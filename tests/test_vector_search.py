@@ -1,12 +1,12 @@
 """The numpy search (_vector_search) against the Python scan (_run).
 
 Both are called directly on the same integer form, with no threshold
-involved: the vector search, whole and merged over the prefix runs of a
-parallel split, must give the whole scan's counts in the same key order
-and the same collected leaves, and past a capacity the same partial
-counts.  The forms are chosen where float pruning is most at risk:
-spheres crowded with vectors exactly at the bound, huge Gram entries and
-skewed, unreduced bases.
+involved: the vector search, whole (and count-only also merged over the
+prefix runs of a parallel split), must give the whole scan's counts in
+the same key order and the same collected leaves, and past a capacity
+the same partial counts.  The forms are chosen where float pruning is
+most at risk: spheres crowded with vectors exactly at the bound, huge
+Gram entries and skewed, unreduced bases.
 """
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -30,18 +30,26 @@ def searched_form(lat, shift=None):
 
 
 def same_searches(form, bound, canonical, capacity=None):
-    """_vector_search, whole and merged (_merge) over the runs of a
-    two-worker split, against the whole _run: count-only and collecting,
-    the same counts in the same key order and the same leaves; collecting
-    up to capacity (by default half the vectors, so that it is passed),
-    the same partial counts (_cut), as the searches stop at different
-    points past the leaf that passes it.  Returns the counts by key."""
+    """_vector_search against the whole _run: count-only, whole and merged
+    (_merge) over the runs of a two-worker split, the same counts in the
+    same key order; collecting, whole, the same counts and leaves, and up
+    to capacity (by default half the vectors, so that it is passed) the
+    same partial counts (_cut), as the searches stop at different points
+    past the leaf that passes it.  Returns the counts by key."""
     bound = Fraction(bound)
     assert enumeration._floats(form, bound) is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_cores", lambda: 2)
         split = enumeration._split(form, bound, canonical, 2)
-    schedules = [[(None, None)]] + ([split[0]] if split else [])
+
+    def searches(collect, cap):
+        yield enumeration._vector_search(form, bound, collect, cap, None,
+                                         None, canonical)
+        if split and not collect:
+            yield enumeration._merge(
+                enumeration._vector_search(form, bound, False, None, outer,
+                                           inner, canonical)
+                for outer, inner in split[0])
 
     def cut(counts, leaves, cap):
         return list(enumeration._cut(counts, leaves[0], cap,
@@ -49,11 +57,7 @@ def same_searches(form, bound, canonical, capacity=None):
 
     def both(collect, cap):
         want = enumeration._run(form, bound, collect, cap, canonical)
-        for jobs in schedules:
-            got = enumeration._merge(
-                [enumeration._vector_search(form, bound, collect, cap, outer,
-                                            inner, canonical)
-                 for outer, inner in jobs], cap)
+        for got in searches(collect, cap):
             if collect and sum(want[0].values()) > cap:
                 assert sum(got[0].values()) > cap
                 assert cut(*got, cap) == cut(*want, cap)
@@ -160,7 +164,7 @@ def test_batches_of_any_size_give_the_same_leaves(catalog, monkeypatch,
 ])
 def test_a_failed_check_runs_the_python_scan(parallel, monkeypatch, gram,
                                              bound):
-    """A form that fails _floats' check is swept whole by _run in this
+    """A form that fails _floats' check is collected whole by _run in this
     process, at threads 1 and 2, with both constants at 0."""
     form, bound = _integer_form(gram), Fraction(bound)
     assert enumeration._floats(form, bound) is None
@@ -210,10 +214,11 @@ def test_the_estimate_picks_the_search(catalog, monkeypatch):
 
 def test_the_pool_runs_only_the_vector_search(catalog, parallel,
                                               monkeypatch):
-    """Sweeps below VECTOR_MIN_NODES at threads 2 go to the pool, whose
-    runs (in threads of this process, so that the patches reach them)
-    call only _vector_search and give the serial _run's counts in its key
-    order, and its layers when collecting."""
+    """Count-only sweeps below VECTOR_MIN_NODES at threads 2 go to the
+    pool, whose runs (in threads of this process, so that the patches
+    reach them) call only _vector_search and give the serial _run's
+    counts in its key order.  A collecting sweep, at threads 1 or 2, runs
+    _vector_search once in this process."""
     import concurrent.futures
     enumeration._POOL.close()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -225,33 +230,34 @@ def test_the_pool_runs_only_the_vector_search(catalog, parallel,
             < enumeration.VECTOR_MIN_NODES)
     for bound, collect in ((8, False), (4, True)):
         serial = enumerate_vectors(Lattice(e8.gram), bound, collect=collect)
-        assert used == ["_run"]
+        assert used == ["_vector_search" if collect else "_run"]
         used.clear()
         pooled = enumerate_vectors(Lattice(e8.gram), bound, collect=collect,
                                    threads=2)
-        assert set(used) == {"_vector_search"} and len(used) > 1
+        if collect:
+            assert used == ["_vector_search"]
+        else:
+            assert set(used) == {"_vector_search"} and len(used) > 1
         used.clear()
         assert list(pooled.counts.items()) == list(serial.counts.items())
         if collect:
             assert all(pooled.layers[k] == v for k, v in serial.layers.items())
-    assert parallel == [2, 2]
+    assert parallel == [2]
 
 
 def test_vector_search_through_the_pool(catalog, parallel, monkeypatch):
-    """Serial sweeps on _run (VECTOR_MIN_NODES infinite) and on the vector
-    search (0) give the counts, layers and CapacityError partial counts of
-    2-worker sweeps, shifted and rational too; count-only theta series as
-    well."""
+    """With VECTOR_MIN_NODES infinite, a count-only theta series from the
+    pool's vector search equals the serial _run's.  Collecting sweeps at
+    threads 2 stay in this process and still run the vector search, which
+    gives _run's counts, layers and CapacityError partial counts, shifted
+    and rational too."""
+    monkeypatch.setattr(enumeration, "VECTOR_MIN_NODES", math.inf)
     k12 = catalog.lattice("K12")
     shift = (Fraction(1, 3), Fraction(1, 2)) + (0,) * 10
     cases = [(k12, 8, None, cap) for cap in (7, 3000, 10 ** 7)]
     cases += [(dual(k12), Fraction(8, 3), shift, cap) for cap in (7, 10 ** 7)]
     for lat, bound, shift, cap in cases:
-        monkeypatch.setattr(enumeration, "VECTOR_MIN_NODES", math.inf)
-        want = _same_sweep(lat, bound, shift, cap)
-        monkeypatch.setattr(enumeration, "VECTOR_MIN_NODES", 0)
-        assert _same_sweep(lat, bound, shift, cap) == want
+        _same_sweep(lat, bound, shift, cap, threads=2)
     pooled = enumeration.theta_series(Lattice(k12.gram), 11, threads=2)
-    monkeypatch.setattr(enumeration, "VECTOR_MIN_NODES", math.inf)
     assert pooled == enumeration.theta_series(Lattice(k12.gram), 11)
-    assert len(parallel) == 2 * len(cases) + 1
+    assert parallel == [2]
