@@ -221,7 +221,7 @@ def cmd_theta(args):
     lat = _lattice(args)
     if args.bound < 0:
         raise UsageError("--bound must be nonnegative")
-    prec = args.bound + (2 if lat.is_even else 1)
+    prec = args.bound // 2 * 2 + 2 if lat.is_even else args.bound + 1
     qs = theta_series(lat, prec, threads=args.threads)
     payload = {"lattice": args.lattice, "bound": args.bound,
                "series": qs.to_json()}

@@ -23,7 +23,11 @@ one histogram of the integer inner products over the antipodal half of X,
 so every even degree is proved or disproved at once in exact integers.
 
 Everything downstream (strong perfection, eutaxy, the Coxeter identity,
-harmonic theta truncations) reduces to these moment computations.
+harmonic theta truncations) reduces to these moment computations.  Each
+layer certificate starts from _half, which checks the layer and keeps its
+antipodal half on it, so a layer is halved once for all of them.  The
+strength that extremality guarantees at levels 1, 2 and 3 follows from the
+weight k_N of the level's cusp form alone (predicted_design_strength).
 """
 from __future__ import annotations
 
@@ -68,7 +72,9 @@ def design_constant(dim: int, k: int, count: int, norm) -> Fraction:
     return Fraction(num, den)
 
 
-def _layer_lattice(layer: VectorLayer) -> Lattice:
+def _half(layer: VectorLayer):
+    """(lattice, H) for a layer of lattice vectors, H one vector out of
+    each antipodal pair {x, -x} (first nonzero > 0), kept on the layer."""
     if layer.lattice is None:
         raise ModLatticeError("layer carries no lattice reference")
     if not layer.complete:
@@ -80,19 +86,15 @@ def _layer_lattice(layer: VectorLayer) -> Lattice:
         raise ModLatticeError(
             "layer lies in a coset of the lattice (entries over %d); design "
             "tests need lattice vectors" % layer.den)
-    return lat
-
-
-def _half_rows(arr):
-    """One vector out of each antipodal pair {x, -x} (first nonzero > 0)."""
-    np = load_numpy()
-    nz = arr != 0
-    first = nz.argmax(axis=1)
-    lead = arr[np.arange(len(arr)), first]
-    half = arr[lead > 0]
-    if 2 * len(half) != len(arr):
-        raise ModLatticeError("layer is not antipodal")
-    return half
+    if layer._half is None:
+        np = load_numpy()
+        arr = layer.rows
+        first = (arr != 0).argmax(axis=1)
+        half = arr[arr[np.arange(len(arr)), first] > 0]
+        if 2 * len(half) != len(arr):
+            raise ModLatticeError("layer is not antipodal")
+        object.__setattr__(layer, "_half", half)
+    return lat, layer._half
 
 
 def exact_power_sums(dots, degrees) -> dict:
@@ -210,16 +212,12 @@ def _pair_sum_test(layer: VectorLayer, degrees):
     Returns ({degree: PASS or FAIL}, witness), where the witness names a
     direction for the first failed degree and is None when all pass.  A
     pair sum below its bound is impossible and raises ModLatticeError.
-    The histogram is built once per layer object and kept on it.
+    The histogram is built once per layer object, when there are degrees
+    to test, and kept on it.
     """
-    lat = _layer_lattice(layer)
-    arr = layer.rows
+    lat, half = _half(layer)
     n, m, size = lat.dim, int(layer.norm), len(layer)
-    half = None
-    if layer._histogram is None:
-        half = _half_rows(arr)
-        if not degrees:
-            return {}, None
+    if degrees and layer._histogram is None:
         object.__setattr__(layer, "_histogram",
                            _pair_histogram(lat.gram, half, m))
     hist = layer._histogram
@@ -235,8 +233,7 @@ def _pair_sum_test(layer: VectorLayer, degrees):
                 "fault" % d)
         verdicts[d] = PASS if pairs == size * rhs else FAIL
         if verdicts[d] == FAIL and witness is None:
-            half = _half_rows(arr) if half is None else half
-            witness = _direction_witness(lat, arr, half, d, rhs)
+            witness = _direction_witness(lat, layer.rows, half, d, rhs)
     return verdicts, witness
 
 
@@ -339,8 +336,7 @@ def perfection_rank(lat: Lattice) -> int:
     """
     np = load_numpy()
     layer = min_layer(lat)
-    _layer_lattice(layer)
-    half = _half_rows(layer.rows)
+    _, half = _half(layer)
     n = lat.dim
     full = n * (n + 1) // 2
     if len(half) >= full:
@@ -380,13 +376,12 @@ def eutaxy_check(lat: Lattice) -> CertReport:
     """
     np = load_numpy()
     layer = min_layer(lat)
-    _layer_lattice(layer)
-    half = _half_rows(layer.rows)
+    _, half = _half(layer)
     n = lat.dim
     m = layer.norm
     ginv = inverse(lat.gram)
     s = np.matmul(*exact_factors(half.T, half))
-    c = Fraction(int(m) * len(layer), n)
+    c = design_constant(n, 1, len(layer), m)
     strong = all(2 * int(s[i][j]) == c * ginv[i][j]
                  for i in range(n) for j in range(n))
 
@@ -463,7 +458,7 @@ def coxeter_identity_check(lat: Lattice) -> CertReport:
             inputs={"dim": lat.dim},
             details={"reason": "no vectors of norm 2"})
     _, wit = _pair_sum_test(layer, (2,))
-    detail = {"coxeter_number": Fraction(len(layer), lat.dim),
+    detail = {"coxeter_number": coxeter_number(lat),
               "roots": len(layer), "proof": True}
     return CertReport(check="coxeter-identity",
                       verdict=FAIL if wit else PASS,
@@ -471,28 +466,24 @@ def coxeter_identity_check(lat: Lattice) -> CertReport:
                       witnesses=wit or [])
 
 
-PREDICTED_STRENGTH = {
-    (1, 0): 11,
-    (1, 4): 7,
-    (1, 8): 3,
-    (2, 0): 7,
-    (2, 2): 5,
-    (3, 0): 5,
-    (3, 1): 5,
-}
-
-
 def predicted_design_strength(n_level: int, weight: int):
     """Design strength guaranteed for extremal layers, by level and weight.
 
-    weight is dim / 2, the weight of the theta series, reduced mod the
-    weight k_N of the level's cusp form (Leech: weight 12, row (1, 0));
-    levels beyond 3 have no general prediction and return None.
+    weight is k = dim / 2, the weight of the theta series, and k_N the
+    weight of the level's cusp form Delta_N (12, 8 and 6 at N = 1, 2, 3).
+    An extremal theta series is 1 + O(q^(l+1)) with l = k div k_N, so for
+    a harmonic P of degree 2j > 0 the series theta_{L,P}, a cusp form of
+    weight k + 2j, is divisible by Delta_N^(l+1) and vanishes when
+    k + 2j < (l + 1) k_N.  Every layer is then a design of the largest odd
+    strength t <= k_N - (k mod k_N) (odd degrees hold by antipodality;
+    Leech: k = 12, t = 11).  Levels other than 1, 2 and 3 have no such
+    prediction and return None.
     """
     if n_level not in (1, 2, 3):
         return None
     k_n = LevelData.for_level(n_level).weight
-    return PREDICTED_STRENGTH.get((n_level, weight % k_n))
+    t = k_n - weight % k_n
+    return t if t % 2 else t - 1
 
 
 @dataclass(frozen=True)

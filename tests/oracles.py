@@ -6,7 +6,6 @@ import math
 
 from modlattice import linalg
 from modlattice.arith import int_or_fraction
-from modlattice.designs import _half_rows, _layer_lattice
 from modlattice.enumeration import VectorLayer, minimum, theta_series
 from modlattice.errors import (CapacityError, DefinitenessError,
                                ModLatticeError)
@@ -181,10 +180,12 @@ def moment_tensor_test(layer: VectorLayer, two_k: int,
         raise ValueError("tensor strategy supports even degrees 2..%d"
                          % TENSOR_MAX_DEGREE)
     k = two_k // 2
-    lat = _layer_lattice(layer)
+    lat = layer.lattice
     n = lat.dim
     m = int(layer.norm)
-    half = _half_rows(layer.rows)
+    # one of each antipodal pair {x, -x}: the lexicographically larger
+    half = np.array([x for x in layer.rows.tolist()
+                     if x > [-v for v in x]], dtype=np.int64).reshape(-1, n)
     gram_rows = [[int(x) for x in row] for row in lat.gram]
     gram = np.array(gram_rows, dtype=np.int64)
     y = half @ gram

@@ -24,6 +24,10 @@ def test_theta_e8_matches_enumeration_rendering(capsys):
     code, out, _ = run(capsys, ["theta", "--lattice", "E8", "--bound", "6"])
     assert code == 0
     assert out == "1 + 240*q^2 + 2160*q^4 + 6720*q^6 + O(q^8)\n"
+    # an odd bound on an even lattice sweeps to the even norm below it
+    code, out, _ = run(capsys, ["theta", "--lattice", "E8", "--bound", "5"])
+    assert code == 0
+    assert out == "1 + 240*q^2 + 2160*q^4 + O(q^6)\n"
 
 
 def test_theta_odd_lattice_window(capsys):

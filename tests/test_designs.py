@@ -27,7 +27,8 @@ from modlattice.errors import (CapacityError, DefinitenessError,
 from modlattice.isometry import ISOMETRIC, find_isometry
 from modlattice.lattice import (Lattice, bundled_catalog, direct_sum, dual,
                                 inner, rescale, zn)
-from modlattice.modular import check_extremal, transformation_check
+from modlattice.modular import (check_extremal, default_level,
+                               transformation_check)
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
 from modlattice.shadow import shadow_coset
@@ -233,9 +234,9 @@ def integral_layers(draw):
 @settings(max_examples=150, deadline=None)
 @given(integral_layers())
 def test_pair_sums_equal_a_double_loop(layer):
-    lat, arr = designs._layer_lattice(layer), layer.rows
+    lat, half = designs._half(layer)
     m, n, size = int(layer.norm), lat.dim, len(layer)
-    hist = designs._pair_histogram(lat.gram, designs._half_rows(arr), m)
+    hist = designs._pair_histogram(lat.gram, half, m)
     full = pair_histogram(lat.gram, layer.vectors)
     verdicts, _ = designs._pair_sum_test(layer, (2, 4, 6, 8))
     for d in (2, 4, 6, 8):
@@ -256,8 +257,7 @@ def test_histogram_does_not_depend_on_the_block_size(catalog, monkeypatch):
               enumerate_vectors(catalog.lattice("E8"), 4,
                                 collect=True).layers[4]]
     for layer in layers:
-        lat, arr = designs._layer_lattice(layer), layer.rows
-        half = designs._half_rows(arr)
+        lat, half = designs._half(layer)
         m = int(layer.norm)
         want = designs._pair_histogram(lat.gram, half, m)
         assert sum(want.values()) == len(half) ** 2
@@ -312,8 +312,7 @@ def test_packed_histogram_equals_a_double_loop(layer, scale, data):
     the bin budget at its default or on either side of base^p, and
     _BLOCK_ENTRIES at its default, at base (blocks of a few rows) or at 1
     (the np.unique path)."""
-    lat, arr = designs._layer_lattice(layer), layer.rows
-    half = designs._half_rows(arr)
+    lat, half = designs._half(layer)
     m = scale * int(layer.norm)
     gram = [[scale * g for g in row] for row in lat.gram]
     base = 2 * m + 1
@@ -334,8 +333,7 @@ def test_packing_keeps_the_dtype_of_the_unpacked_product(catalog,
     the products stay float64."""
     layer = enumerate_vectors(catalog.lattice("E8"), 4,
                               collect=True).layers[4]
-    lat, arr = designs._layer_lattice(layer), layer.rows
-    half = designs._half_rows(arr)
+    lat, half = designs._half(layer)
     want = designs._pair_histogram(lat.gram, half, 4)
     left, right = linalg.gram_factors(lat.gram, half, half)
     limit = 8 * int(abs(left).max()) * int(abs(right).max()) + 1
@@ -377,7 +375,7 @@ def test_verdicts_survive_rescaling_on_every_dtype_path(catalog):
     for shift, dtype in ((20, "float64"), (40, "int64"), (60, "object")):
         lat = rescale(lay.lattice, 2 ** shift)
         big = VectorLayer(lay.norm * 2 ** shift, lay.vectors, True, lat)
-        half = designs._half_rows(big.rows)
+        _, half = designs._half(big)
         left, right = linalg.gram_factors(lat.gram, half, half)
         assert left.dtype.name == right.dtype.name == dtype
         rep = check_design(big, 8)
@@ -636,14 +634,36 @@ def test_coxeter_identity(catalog):
 
 
 def test_predicted_design_strength():
-    assert predicted_design_strength(1, 12) == 11
-    assert predicted_design_strength(1, 4) == 7
-    assert predicted_design_strength(2, 8) == 7
-    assert predicted_design_strength(2, 2) == 5
-    assert predicted_design_strength(3, 6) == 5
-    assert predicted_design_strength(3, 1) == 5
-    assert predicted_design_strength(5, 2) is None
-    assert predicted_design_strength(1, 8) == 3
+    """Every class (N, k mod k_N) of weights k = dim / 2 in which extremal
+    N-modular lattices exist, at its two or three smallest weights."""
+    want = {(1, 0): 11, (1, 4): 7, (1, 8): 3,
+            (2, 0): 7, (2, 2): 5, (2, 4): 3, (2, 6): 1,
+            (3, 0): 5, (3, 1): 5, (3, 2): 3, (3, 3): 3, (3, 4): 1, (3, 5): 1}
+    for (level, r), t in want.items():
+        k_n = {1: 12, 2: 8, 3: 6}[level]
+        for k in {r or k_n, r + k_n, r + 2 * k_n}:
+            assert predicted_design_strength(level, k) == t, (level, k)
+    for level in (5, 7):
+        assert predicted_design_strength(level, 2) is None
+
+
+def test_extremal_minimal_layers_reach_the_predicted_strength(catalog):
+    """The pair sums prove the predicted strength t on the minimal layer
+    of each extremal lattice, and t + 2 fails except on D4^3, where the
+    prediction (k = 6 at N = 2) stays below the pair-sum strength 3."""
+    d4, a2 = catalog.lattice("D4"), catalog.lattice("A2")
+    above = {"D4^3": direct_sum(direct_sum(d4, d4), d4)}
+    exact = {"D4+D4": direct_sum(d4, d4), "A2+A2": direct_sum(a2, a2),
+             "A2^3": direct_sum(direct_sum(a2, a2), a2),
+             **{name: catalog.lattice(name)
+                for name in ("E8", "K12", "BW16", "D16plus", "A2", "D4")}}
+    for name, lat in {**above, **exact}.items():
+        assert check_extremal(lat).verdict == PASS, name
+        t = predicted_design_strength(default_level(lat), lat.dim // 2)
+        layer = min_layer(lat)
+        assert check_design(layer, t).verdict == PASS, name
+        beyond = PASS if name in above else FAIL
+        assert check_design(layer, t + 2).verdict == beyond, name
 
 
 def test_dimension_16_roots_are_3_designs_as_predicted(catalog):
