@@ -24,10 +24,10 @@ so every even degree is proved or disproved at once in exact integers.
 
 Everything downstream (strong perfection, eutaxy, the Coxeter identity,
 harmonic theta truncations) reduces to these moment computations.  Each
-layer certificate starts from _half, which checks the layer and keeps its
-antipodal half on it, so a layer is halved once for all of them.  The
-strength that extremality guarantees at levels 1, 2 and 3 follows from the
-weight k_N of the level's cusp form alone (predicted_design_strength).
+layer certificate starts from _half, which checks the layer and returns
+its antipodal half.  The strength that extremality guarantees for an even
+lattice at levels 1, 2 and 3 follows from the weight k_N of the level's
+cusp form alone (predicted_design_strength).
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ def design_constant(dim: int, k: int, count: int, norm) -> Fraction:
 
 def _half(layer: VectorLayer):
     """(lattice, H) for a layer of lattice vectors, H one vector out of
-    each antipodal pair {x, -x} (first nonzero > 0), kept on the layer."""
+    each antipodal pair {x, -x} (first nonzero > 0)."""
     if layer.lattice is None:
         raise ModLatticeError("layer carries no lattice reference")
     if not layer.complete:
@@ -86,15 +86,13 @@ def _half(layer: VectorLayer):
         raise ModLatticeError(
             "layer lies in a coset of the lattice (entries over %d); design "
             "tests need lattice vectors" % layer.den)
-    if layer._half is None:
-        np = load_numpy()
-        arr = layer.rows
-        first = (arr != 0).argmax(axis=1)
-        half = arr[arr[np.arange(len(arr)), first] > 0]
-        if 2 * len(half) != len(arr):
-            raise ModLatticeError("layer is not antipodal")
-        object.__setattr__(layer, "_half", half)
-    return lat, layer._half
+    np = load_numpy()
+    arr = layer.rows
+    first = (arr != 0).argmax(axis=1)
+    half = arr[arr[np.arange(len(arr)), first] > 0]
+    if 2 * len(half) != len(arr):
+        raise ModLatticeError("layer is not antipodal")
+    return lat, half
 
 
 def exact_power_sums(dots, degrees) -> dict:
@@ -467,7 +465,8 @@ def coxeter_identity_check(lat: Lattice) -> CertReport:
 
 
 def predicted_design_strength(n_level: int, weight: int):
-    """Design strength guaranteed for extremal layers, by level and weight.
+    """Design strength guaranteed for the layers of an even extremal
+    N-modular lattice, by level and weight.
 
     weight is k = dim / 2, the weight of the theta series, and k_N the
     weight of the level's cusp form Delta_N (12, 8 and 6 at N = 1, 2, 3).
@@ -476,10 +475,17 @@ def predicted_design_strength(n_level: int, weight: int):
     weight k + 2j, is divisible by Delta_N^(l+1) and vanishes when
     k + 2j < (l + 1) k_N.  Every layer is then a design of the largest odd
     strength t <= k_N - (k mod k_N) (odd degrees hold by antipodality;
-    Leech: k = 12, t = 11).  Levels other than 1, 2 and 3 have no such
-    prediction and return None.
+    Leech: k = 12, t = 11).
+
+    The argument needs theta_{L,P} to be a form for Gamma_0(N), which
+    holds for even L only: the theta series of an odd unimodular lattice
+    is a form for the theta group, not SL2(Z), and D12+, odd extremal at
+    k = 6, has a minimal layer of strength 3 where the rule would give 5.
+    So the guarantee is for even lattices, which exist at N = 1 only for
+    4 | k, at N = 2 only for 2 | k, and at N = 3 for every k; other
+    weights, and levels other than 1, 2 and 3, return None.
     """
-    if n_level not in (1, 2, 3):
+    if n_level not in (1, 2, 3) or weight % {1: 4, 2: 2, 3: 1}[n_level]:
         return None
     k_n = LevelData.for_level(n_level).weight
     t = k_n - weight % k_n

@@ -109,9 +109,8 @@ class VectorLayer:
     divide), is made from them on first read and kept, and len() does
     not make it.  Layers compare on (norm, den, complete, lattice) and
     the values of rows, which with den determine the vectors, and hash on
-    those fields and len(); neither makes tuples.  _half, one row out of
-    each antipodal pair, and _histogram, the pair histogram, are kept once
-    a certificate has built them.
+    those fields and len(); neither makes tuples.  _histogram is the pair
+    histogram, kept once a design test has built it.
     """
 
     norm: object
@@ -119,7 +118,6 @@ class VectorLayer:
     den: int
     complete: bool
     lattice: object = None
-    _half: object = field(default=None, repr=False)
     _histogram: dict = field(default=None, repr=False)
 
     def __init__(self, norm, vectors, complete, lattice=None, den=1):

@@ -2,6 +2,7 @@
 from fractions import Fraction
 import math
 import random
+import re
 from unittest import mock
 
 from hypothesis import assume, given, settings
@@ -117,6 +118,41 @@ def test_design_tests_refuse_a_coset_layer():
         for lay in (layer, hand):
             with pytest.raises(ModLatticeError, match="coset"):
                 check_design(lay, 2)
+
+
+_AXIS = [(1, 0), (-1, 0)]
+_HALF = Fraction(1, 2)
+_BAD_LAYERS = {
+    "no lattice": (lambda: VectorLayer(1, _AXIS, True),
+                   "layer carries no lattice reference"),
+    "incomplete": (lambda: VectorLayer(1, _AXIS, False, zn(2)),
+                   "layer is not complete"),
+    "not integral": (lambda: VectorLayer(_HALF, _AXIS, True,
+                                         rescale(zn(2), _HALF)),
+                     "design tests need an integral lattice"),
+    "coset": (lambda: VectorLayer(_HALF, [(_HALF, _HALF), (-_HALF, -_HALF)],
+                                  True, zn(2)),
+              "layer lies in a coset of the lattice (entries over 2); "
+              "design tests need lattice vectors"),
+    "not antipodal": (lambda: VectorLayer(1, [(1, 0), (0, 1)], True, zn(2)),
+                      "layer is not antipodal"),
+}
+
+
+@pytest.mark.parametrize("strength", [0, 2])
+@pytest.mark.parametrize("bad", sorted(_BAD_LAYERS))
+def test_design_tests_refuse_a_bad_layer(bad, strength):
+    """Each premise of a layer certificate is refused by its own message,
+    before any degree is tested; a lattice that is not integral is refused
+    by perfection_rank and eutaxy_check too."""
+    make, message = _BAD_LAYERS[bad]
+    with pytest.raises(ModLatticeError, match="^%s$" % re.escape(message)):
+        check_design(make(), strength)
+    if bad == "not integral":
+        for cert in (perfection_rank, eutaxy_check):
+            with pytest.raises(ModLatticeError,
+                               match="^%s$" % re.escape(message)):
+                cert(rescale(zn(2), _HALF))
 
 
 def test_moment_tensor_e8_roots(catalog):
@@ -643,14 +679,19 @@ def test_predicted_design_strength():
         k_n = {1: 12, 2: 8, 3: 6}[level]
         for k in {r or k_n, r + k_n, r + 2 * k_n}:
             assert predicted_design_strength(level, k) == t, (level, k)
+    # no even lattice: 8 does not divide dim at N = 1, 4 at N = 2
+    for level, k in ((1, 2), (1, 6), (1, 13), (1, 18), (2, 1), (2, 7)):
+        assert predicted_design_strength(level, k) is None, (level, k)
     for level in (5, 7):
         assert predicted_design_strength(level, 2) is None
 
 
 def test_extremal_minimal_layers_reach_the_predicted_strength(catalog):
     """The pair sums prove the predicted strength t on the minimal layer
-    of each extremal lattice, and t + 2 fails except on D4^3, where the
-    prediction (k = 6 at N = 2) stays below the pair-sum strength 3."""
+    of each even extremal lattice, and t + 2 fails except on D4^3, where
+    the prediction (k = 6 at N = 2) stays below the pair-sum strength 3.
+    D12+, odd extremal at k = 6, gets no prediction: the rule of k_N
+    would give 5, and its 264 roots are a 3-design only."""
     d4, a2 = catalog.lattice("D4"), catalog.lattice("A2")
     above = {"D4^3": direct_sum(direct_sum(d4, d4), d4)}
     exact = {"D4+D4": direct_sum(d4, d4), "A2+A2": direct_sum(a2, a2),
@@ -664,6 +705,13 @@ def test_extremal_minimal_layers_reach_the_predicted_strength(catalog):
         assert check_design(layer, t).verdict == PASS, name
         beyond = PASS if name in above else FAIL
         assert check_design(layer, t + 2).verdict == beyond, name
+    d12 = catalog.lattice("D12plus")
+    assert check_extremal(d12).verdict == PASS and not d12.is_even
+    assert predicted_design_strength(default_level(d12), 6) is None
+    layer = min_layer(d12)
+    assert len(layer) == 264
+    assert check_design(layer, 3).verdict == PASS
+    assert check_design(layer, 5).verdict == FAIL
 
 
 def test_dimension_16_roots_are_3_designs_as_predicted(catalog):
