@@ -38,15 +38,20 @@ from fractions import Fraction
 from .enumeration import (VectorLayer, _collected, _counts, min_layer,
                           minimum, theta_series, window_bound)
 from .errors import ModLatticeError
-from .lattice import Lattice, dual, inner
-from .linalg import (INT64_LIMIT, exact_factors, gram_factors,
+from .lattice import Lattice, dual, inner, level
+from .linalg import (INT64_LIMIT, exact_cast, exact_dtype, exact_factors,
                      inverse, load_numpy, max_abs, rank, rank_mod_p, solve)
 from .qseries import LevelData, QSeries
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 
-# inner products formed per block of rows: bounds the working memory of
-# the pair histogram (about 8 bytes per entry, a few arrays at a time)
-_BLOCK_ENTRIES = 1 << 20
+# products per tile of the pair kernels: at most this many in a tile of
+# _pair_histogram, this many or one row of |H| in _direction_witness.
+# Each call allocates its product buffer (and the histogram's key
+# buffer), 8 bytes an entry, once and reuses it for every tile.
+_BLOCK_ENTRIES = 1 << 16
+
+# entries per block of R or of M in the rank witness of perfection_rank
+_RANK_BLOCK_ENTRIES = 1 << 18
 
 # the rank witness of perfection_rank: a prime below 2^31, so that a
 # product of two residues stays below 2^62; the rows of R beyond the
@@ -103,16 +108,19 @@ def exact_power_sums(dots, degrees) -> dict:
     return {d: sum(c * v ** d for v, c in pairs) for d in degrees}
 
 
-def _packed(cols, base, p):
+def _packed(cols, base, p, dtype):
     """cols (integer array, k x size) with each run of p columns folded
-    into one, column g = sum_j base^j cols[:, g p + j]; the last run is
-    padded with zero columns.  Exact, through exact_factors."""
+    into one, column g = sum_j base^j cols[:, g p + j], as a C-ordered
+    array of dtype, which must hold every partial sum exactly; the last
+    run is padded with zero columns."""
     np = load_numpy()
     k, size = cols.shape
-    runs = np.zeros((k, -(-size // p) * p), dtype=cols.dtype)
-    runs[:, :size] = cols
-    return np.matmul(*exact_factors(runs.reshape(k, -1, p),
-                                    [base ** j for j in range(p)]))
+    out = np.zeros((k, -(-size // p)), dtype=dtype)
+    for j in range(p):
+        part = exact_cast(cols[:, j::p], dtype)
+        part *= base ** j
+        out[:, :part.shape[1]] += part
+    return out
 
 
 def _pair_histogram(gram, half, m: int) -> dict:
@@ -128,60 +136,68 @@ def _pair_histogram(gram, half, m: int) -> dict:
     offset by m: keys lie in [0, base^p), and one bincount of the keys,
     summed onto each axis of the base^p cube, counts every pair once.
 
-    Exactness: exact_factors bounds every partial sum of a row of H G
-    against a packed column by dim * max|H G| * max|packed column| and
-    casts to a dtype in which all of them are exact; p is lowered until
-    that is the dtype of the unpacked product, so packing never moves the
-    product to a slower dtype.  The zero columns that pad the last run of
-    p have value 0 with every row; they are taken off the count of 0.
+    Exactness: every partial sum of a row of H G against a packed column
+    is bounded by dim * max|H G| * max|H| * (base^p - 1) / (base - 1),
+    and exact_dtype of that bound holds all of them; p is lowered until
+    it is the dtype of the unpacked product, so packing never moves the
+    product to a slower dtype.  H G and the packed columns are each cast
+    once, to that dtype.  The zero columns that pad the last run of p
+    have value 0 with every row; they are taken off the count of 0.
 
-    Rows of H go in blocks of _BLOCK_ENTRIES // |H| rows, rounded down to
-    a multiple of p (at least p), each against the columns from its own
-    first row on: the pairs inside a block's square are formed in both
-    orders and counted once, those right of it once and counted twice.
+    Tiles: the products are formed R rows by C packed columns at a time,
+    R = sqrt(_BLOCK_ENTRIES) / 4 rounded down to a multiple of p (at
+    least p) and C = _BLOCK_ENTRIES // R (64 by 1,024 at the default), in
+    one product buffer and one key buffer allocated per call, so a layer
+    of any size gets tiles of the same size.  Each block of R rows meets
+    the columns from its own first row on: the pairs inside the block's
+    square are formed in both orders and counted once, those right of it
+    once and counted twice.
     When 2m + 1 exceeds _BLOCK_ENTRIES, p is 1 and np.unique tallies the
     values instead of bincount, so that a rescaled lattice never
     allocates O(m).
     """
     np = load_numpy()
-    size = len(half)
+    size, n = half.shape
     base = 2 * m + 1
     dense = base <= _BLOCK_ENTRIES
     p = 1
     while dense and base ** (p + 1) <= _PACK_BINS:
         p += 1
-    rows_g = np.matmul(*exact_factors(half, gram))
-    left, right = exact_factors(rows_g, half.T)
-    while p > 1:
-        packed = exact_factors(rows_g, _packed(half.T, base, p))
-        if packed[0].dtype == left.dtype:
-            left, right = packed
-            break
+    left = np.matmul(*exact_factors(half, gram))
+    bound = n * max_abs(left) * max_abs(half)
+    dtype = exact_dtype(bound)
+    while exact_dtype(bound * ((base ** p - 1) // (base - 1))) is not dtype:
         p -= 1
+    left = exact_cast(left, dtype)
+    right = _packed(half.T, base, p, dtype)
     bins = base ** p
     offset = m * (bins - 1) // (base - 1)
-    rows = max(p, _BLOCK_ENTRIES // max(size, 1) // p * p)
-    tally = np.zeros(bins, dtype=np.int64) if dense else {}
-    index = np.empty(rows * right.shape[1], dtype=np.intp) if dense else None
-
-    def add(dots, weight):
-        if dense:
-            idx = index[:dots.size].reshape(dots.shape)
-            np.add(dots, offset, out=idx, casting="unsafe")
-            tally[:] += weight * np.bincount(idx.ravel(), minlength=bins)
-            return
-        values, counts = np.unique(dots, return_counts=True)
-        for v, c in zip(values.tolist(), counts.tolist()):
-            tally[int(v)] = tally.get(int(v), 0) + weight * c
-
+    rows = max(p, math.isqrt(_BLOCK_ENTRIES >> 4) // p * p)
+    cols = max(1, _BLOCK_ENTRIES // rows)
+    width = right.shape[1]
+    out = np.empty(min(rows, size) * min(cols, width), dtype=dtype)
+    keys = np.empty(out.size, dtype=np.intp) if dense else None
+    # tally[w - 1] holds the pairs of weight w
+    tally = np.zeros((2, bins), dtype=np.int64) if dense else {}
     for lo in range(0, size, rows):
         hi = min(lo + rows, size)
         edge = -(-hi // p)
-        add(left[lo:hi] @ right[:, lo // p:edge], 1)
-        add(left[lo:hi] @ right[:, edge:], 2)
+        for start, stop, weight in ((lo // p, edge, 1), (edge, width, 2)):
+            for c0 in range(start, stop, cols):
+                c1 = min(c0 + cols, stop)
+                dots = out[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
+                np.matmul(left[lo:hi], right[:, c0:c1], out=dots)
+                if dense:
+                    idx = keys[:dots.size]
+                    np.add(dots.ravel(), offset, out=idx, casting="unsafe")
+                    tally[weight - 1] += np.bincount(idx, minlength=bins)
+                else:
+                    values, counts = np.unique(dots, return_counts=True)
+                    for v, c in zip(values.tolist(), counts.tolist()):
+                        tally[int(v)] = tally.get(int(v), 0) + weight * c
     if not dense:
         return tally
-    cube = tally.reshape((base,) * p)
+    cube = (tally[0] + 2 * tally[1]).reshape((base,) * p)
     counts = sum(cube.sum(axis=tuple(a for a in range(p) if a != j))
                  for j in range(p))
     # each row of H meets every padding column once: in the square of the
@@ -192,12 +208,28 @@ def _pair_histogram(gram, half, m: int) -> dict:
 
 
 def _direction_witness(lat, arr, half, degree, rhs):
-    """The first layer vector y with sum_{x in X} (x, y)^degree != rhs."""
-    left, right = gram_factors(lat.gram, arr, half)
+    """The first layer vector y, in the order of arr, with
+    sum_{x in X} (x, y)^degree != rhs.
+
+    The rows y are read in blocks of _BLOCK_ENTRIES // |H| rows (at least
+    one), each cast alone and multiplied against all of H G into one
+    reused buffer, so the scan forms at most max(_BLOCK_ENTRIES, |H|)
+    products before it looks at the first row.  All partial sums are
+    bounded by dim * max|H G| * max|X|, X = H u -H, and exact_dtype of
+    that bound holds them.
+    """
+    np = load_numpy()
+    left = np.matmul(*exact_factors(half, lat.gram))
+    dtype = exact_dtype(lat.dim * max_abs(left) * max_abs(half))
+    left = exact_cast(left, dtype)
     rows = max(1, _BLOCK_ENTRIES // max(len(half), 1))
+    out = np.empty(min(rows, len(arr)) * len(half), dtype=dtype)
     for lo in range(0, len(arr), rows):
-        for i, dots in enumerate(left[lo:lo + rows] @ right, lo):
-            lhs = 2 * exact_power_sums(dots, [degree])[degree]
+        block = exact_cast(arr[lo:lo + rows], dtype)
+        dots = out[:len(block) * len(half)].reshape(len(block), len(half))
+        np.matmul(block, left.T, out=dots)
+        for i, row in enumerate(dots, lo):
+            lhs = 2 * exact_power_sums(row, [degree])[degree]
             if lhs != rhs:
                 return {"direction": [int(c) for c in arr[i]],
                         "degree": degree, "lhs": lhs, "rhs": rhs}
@@ -328,7 +360,7 @@ def perfection_rank(lat: Lattice) -> int:
     proves that L is perfect, whatever R is.  A lower rank proves nothing:
     then, as for a layer with fewer than N pairs, the exact rank of M
     (linalg.rank) is returned.  R M is summed over blocks of rows of M
-    small enough that a block of R or of M holds about _BLOCK_ENTRIES / 4
+    small enough that a block of R or of M holds about _RANK_BLOCK_ENTRIES
     entries, so the Leech lattice's 98,280 x 300 matrix M is never formed
     whole.
     """
@@ -340,7 +372,7 @@ def perfection_rank(lat: Lattice) -> int:
     if len(half) >= full:
         size = full + _WITNESS_EXTRA
         acc = np.zeros((size, full), dtype=np.int64)
-        step = max(1, _BLOCK_ENTRIES // 4 // size)
+        step = max(1, _RANK_BLOCK_ENTRIES // size)
         for lo in range(0, len(half), step):
             hi = min(lo + step, len(half))
             part = np.matmul(*exact_factors(
@@ -464,31 +496,34 @@ def coxeter_identity_check(lat: Lattice) -> CertReport:
                       witnesses=wit or [])
 
 
-def predicted_design_strength(n_level: int, weight: int):
-    """Design strength guaranteed for the layers of an even extremal
-    N-modular lattice, by level and weight.
+def predicted_design_strength(lat: Lattice):
+    """Design strength that extremality guarantees for the layers of an
+    even lattice, from its level N and weight k = dim / 2; None for a
+    lattice that is not even, or of a level other than 1, 2 and 3.
 
-    weight is k = dim / 2, the weight of the theta series, and k_N the
-    weight of the level's cusp form Delta_N (12, 8 and 6 at N = 1, 2, 3).
-    An extremal theta series is 1 + O(q^(l+1)) with l = k div k_N, so for
-    a harmonic P of degree 2j > 0 the series theta_{L,P}, a cusp form of
-    weight k + 2j, is divisible by Delta_N^(l+1) and vanishes when
-    k + 2j < (l + 1) k_N.  Every layer is then a design of the largest odd
-    strength t <= k_N - (k mod k_N) (odd degrees hold by antipodality;
-    Leech: k = 12, t = 11).
+    k_N is the weight of the level's cusp form Delta_N (12, 8 and 6 at
+    N = 1, 2, 3).  An extremal theta series is 1 + O(q^(l+1)) with
+    l = k div k_N, so for a harmonic P of degree 2j > 0 the series
+    theta_{L,P}, a cusp form of weight k + 2j, is divisible by
+    Delta_N^(l+1) and vanishes when k + 2j < (l + 1) k_N.  Every layer is
+    then a design of the largest odd strength t <= k_N - (k mod k_N)
+    (odd degrees hold by antipodality; Leech: k = 12, t = 11).  The value
+    is a promise only for an extremal lattice (modular.check_extremal).
 
     The argument needs theta_{L,P} to be a form for Gamma_0(N), which
     holds for even L only: the theta series of an odd unimodular lattice
     is a form for the theta group, not SL2(Z), and D12+, odd extremal at
     k = 6, has a minimal layer of strength 3 where the rule would give 5.
-    So the guarantee is for even lattices, which exist at N = 1 only for
-    4 | k, at N = 2 only for 2 | k, and at N = 3 for every k; other
-    weights, and levels other than 1, 2 and 3, return None.
+    An even lattice has 4 | k at level 1 and 2 | k at level 2, so only
+    the classes of k in which even lattices exist are ever read.
     """
-    if n_level not in (1, 2, 3) or weight % {1: 4, 2: 2, 3: 1}[n_level]:
+    if not lat.is_even:
+        return None
+    n_level = level(lat)
+    if n_level not in (1, 2, 3):
         return None
     k_n = LevelData.for_level(n_level).weight
-    t = k_n - weight % k_n
+    t = k_n - lat.dim // 2 % k_n
     return t if t % 2 else t - 1
 
 

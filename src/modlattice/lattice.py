@@ -137,7 +137,9 @@ def partial_dual(lat: Lattice, m: int, lat_level=None) -> Lattice:
     m must be an exact divisor of the level (gcd(m, N/m) = 1); for even
     lattices the level is recomputed, for odd ones pass lat_level.
     Computed via (A cap B) = (A* + B*)* on coordinate duals, which here
-    reduces to dualizing the HNF of the stack [mI; G].
+    reduces to dualizing the HNF of the stack [mI; G].  The Gram W G W^T
+    of that dual basis W is formed fraction-free: d W is integral, d the
+    lcm of W's denominators, and the integer product is divided by d^2.
     """
     if not lat.is_integral:
         raise IntegralityError("partial dual requires an integral lattice")
@@ -152,10 +154,9 @@ def partial_dual(lat: Lattice, m: int, lat_level=None) -> Lattice:
     stack = [[m if i == j else 0 for j in range(lat.dim)] for i in range(lat.dim)]
     stack += [list(row) for row in lat.gram]
     h = linalg.hnf(stack)
-    w = linalg.dual_basis(h)
-    g = linalg.mat_mul(linalg.mat_mul(w, [list(r) for r in lat.gram]),
-                       linalg.mat_transpose(w))
-    return Lattice(g)
+    w, d = linalg.clear_denominators(linalg.dual_basis(h))
+    g = linalg.mat_mul(linalg.mat_mul(w, lat.gram), linalg.mat_transpose(w))
+    return Lattice([[Fraction(x, d * d) for x in row] for row in g])
 
 
 def even_sublattice(lat: Lattice) -> Lattice:

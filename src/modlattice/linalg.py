@@ -11,10 +11,11 @@ transform recorded.  Also here: Hermite normal form over the integers
 and coordinate duals.  `rank_mod_p` is the rank over a prime field, in
 numpy int64, for rank witnesses.
 
-`exact_factors` is the one rule for the dtype of an exact numpy product
+`exact_dtype` is the one rule for the dtype of an exact numpy product
 of integer matrices (float64, int64 or Python integers, the narrowest);
-`enumeration`, `designs` and `isometry` multiply only through it and
-`gram_factors`.
+`exact_cast` casts an array to such a dtype and `exact_factors` casts two
+factors by the rule.  `enumeration`, `designs` and `isometry` multiply
+only through these and `gram_factors`.
 `load_numpy` is the one place numpy is imported.
 """
 
@@ -98,32 +99,45 @@ def max_abs(x):
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
+def exact_dtype(bound):
+    """The narrowest dtype in which integer sums bounded by bound in
+    absolute value are exact: float64 below 2^53, int64 below 2^62, and
+    Python integers (object dtype) beyond."""
+    np = load_numpy()
+    if bound < FLOAT_EXACT_LIMIT:
+        return np.float64
+    if bound < INT64_LIMIT:
+        return np.int64
+    return object
+
+
+def exact_cast(x, dtype):
+    """x, an integer array or a float64 one holding integers, as a fresh
+    C-ordered array of dtype, which must hold its entries exactly."""
+    np = load_numpy()
+    # float input (integers below 2^53) reaches Python ints through int64;
+    # C order: BLAS reads column blocks of a transposed right factor
+    # contiguously (slices of the F-ordered transpose ran 17 times slower)
+    if dtype is object and x.dtype.kind == "f":
+        x = x.astype(np.int64)
+    return x.astype(dtype, order="C")
+
+
 def exact_factors(a, b):
     """(a, b) cast to the narrowest dtype in which a @ b is exact.
 
     a and b are integer arrays or nested lists of integers; a float64
     array must hold integers, as the product of exact factors does.
     Every partial sum of a row of a against any vector of entries of b
-    is bounded by k * max|a| * max|b|, k the length of a's rows: float64
-    is exact below 2^53, int64 below 2^62, and Python integers (object
-    dtype) beyond.  Both results are fresh C-ordered arrays.
+    is bounded by k * max|a| * max|b|, k the length of a's rows, and the
+    dtype is exact_dtype of that bound.  Both results are fresh C-ordered
+    arrays (exact_cast).
     """
     np = load_numpy()
     a, b = (x if isinstance(x, np.ndarray) else integer_array(x)
             for x in (a, b))
-    bound = a.shape[-1] * max_abs(a) * max_abs(b)
-    if bound < FLOAT_EXACT_LIMIT:
-        dtype = np.float64
-    elif bound < INT64_LIMIT:
-        dtype = np.int64
-    else:
-        dtype = object
-    # float input (integers below 2^53) reaches Python ints through int64;
-    # C order: BLAS reads column blocks of a transposed right factor
-    # contiguously (slices of the F-ordered transpose ran 17 times slower)
-    return tuple(
-        (x.astype(np.int64) if dtype is object and x.dtype.kind == "f"
-         else x).astype(dtype, order="C") for x in (a, b))
+    dtype = exact_dtype(a.shape[-1] * max_abs(a) * max_abs(b))
+    return exact_cast(a, dtype), exact_cast(b, dtype)
 
 
 def gram_factors(gram, rows, cols):

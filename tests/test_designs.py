@@ -3,6 +3,7 @@ from fractions import Fraction
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 from hypothesis import assume, given, settings
@@ -285,9 +286,12 @@ def test_pair_sums_equal_a_double_loop(layer):
 
 
 def test_histogram_does_not_depend_on_the_block_size(catalog, monkeypatch):
-    """Blocks of 1 and 7 rows put block edges everywhere in the triangle;
-    a budget of 1 also switches bincount for np.unique.  Lowered exactness
-    limits send the small layers through int64 and object products."""
+    """A budget of 256 gives tiles of 4 rows by 64 packed columns at
+    p = 4, so K12's minimal layer (95 packed columns) and E8's norm-4
+    shell (270) have tile edges in both rows and columns, and D4's (p = 6)
+    blocks of 6 rows; a budget of 1 gives tiles of one row by one column
+    and switches bincount for np.unique.  Lowered exactness limits send
+    the small layers through int64 and object products."""
     layers = [min_layer(catalog.lattice("D4")),
               min_layer(catalog.lattice("K12")),
               enumerate_vectors(catalog.lattice("E8"), 4,
@@ -297,7 +301,7 @@ def test_histogram_does_not_depend_on_the_block_size(catalog, monkeypatch):
         m = int(layer.norm)
         want = designs._pair_histogram(lat.gram, half, m)
         assert sum(want.values()) == len(half) ** 2
-        for budget in (7 * len(half), 1):
+        for budget in (256, 1):
             monkeypatch.setattr(designs, "_BLOCK_ENTRIES", budget)
             assert designs._pair_histogram(lat.gram, half, m) == want
         monkeypatch.undo()
@@ -318,8 +322,8 @@ def test_histogram_does_not_depend_on_the_block_size(catalog, monkeypatch):
 # Norms on both sides of each step of the packing exponent p at the
 # default _PACK_BINS = 2^14 (base = 2m + 1, base^p <= 2^14): p = 8 at
 # m = 1, 6 at 2, 4 at 3-5, 3 at 6-12, 2 at 13-63, 1 from 64, and the
-# np.unique path once 2m + 1 > _BLOCK_ENTRIES = 2^20.
-PACKING_NORMS = (1, 2, 3, 5, 6, 12, 13, 63, 64, 2 ** 19 - 1, 2 ** 19)
+# np.unique path once 2m + 1 > _BLOCK_ENTRIES = 2^16.
+PACKING_NORMS = (1, 2, 3, 5, 6, 12, 13, 63, 64, 2 ** 15 - 1, 2 ** 15)
 
 
 def test_packed_histogram_on_scaled_z_n():
@@ -346,8 +350,9 @@ def zn_layers(draw):
 def test_packed_histogram_equals_a_double_loop(layer, scale, data):
     """A layer of c G (norm c m) against the oracle's double loop, with
     the bin budget at its default or on either side of base^p, and
-    _BLOCK_ENTRIES at its default, at base (blocks of a few rows) or at 1
-    (the np.unique path)."""
+    _BLOCK_ENTRIES at its default, at base (tiles of p rows, or a few, by
+    a few packed columns: edges in both) or at 1 (one by one, and the
+    np.unique path)."""
     lat, half = designs._half(layer)
     m = scale * int(layer.norm)
     gram = [[scale * g for g in row] for row in lat.gram]
@@ -374,19 +379,72 @@ def test_packing_keeps_the_dtype_of_the_unpacked_product(catalog,
     left, right = linalg.gram_factors(lat.gram, half, half)
     limit = 8 * int(abs(left).max()) * int(abs(right).max()) + 1
     monkeypatch.setattr(linalg, "FLOAT_EXACT_LIMIT", limit)
-    made = []
-    factors = designs.exact_factors
+    made, packed = [], []
+    dtype, pack = designs.exact_dtype, designs._packed
 
-    def counted(a, b):
-        made.append(factors(a, b))
+    def counted(bound):
+        made.append(dtype(bound))
         return made[-1]
-    monkeypatch.setattr(designs, "exact_factors", counted)
+
+    def spied(cols, base, p, dt):
+        packed.append((p, dt))
+        return pack(cols, base, p, dt)
+    monkeypatch.setattr(designs, "exact_dtype", counted)
+    monkeypatch.setattr(designs, "_packed", spied)
     assert designs._pair_histogram(lat.gram, half, 4) == want
-    # the factors of H G itself come first
-    products = [(r.dtype.name, r.shape[1]) for a, r in made[1:]
-                if a.shape == (len(half), 8)]
-    assert products == [("float64", 1080), ("int64", 270), ("int64", 360),
-                        ("int64", 540)]
+    # the unpacked product's dtype first, then p = 4, 3, 2 and 1
+    assert [np.dtype(d).name for d in made] == [
+        "float64", "int64", "int64", "int64", "float64"]
+    assert packed == [(1, np.float64)]
+
+
+def test_direction_witness_is_the_first_deviating_row(catalog, monkeypatch):
+    """The witness is the first row of layer.rows whose degree-d power
+    sum differs from the right side, by a scan of Python-integer inner
+    products, at the default tile size and at one row per tile."""
+    e8 = catalog.lattice("E8")
+    cases = [(min_layer(catalog.lattice("K12")), 6),
+             (enumerate_vectors(e8, 10, collect=True).layers[10], 8)]
+    for layer, d in cases:
+        lat, half = designs._half(layer)
+        m = int(layer.norm)
+        rhs = design_constant(lat.dim, d // 2, len(layer), m) * m ** (d // 2)
+        gram = np.array(lat.gram, dtype=object)
+        rows = layer.rows.astype(object)
+        want = None
+        for y in rows:
+            lhs = sum(int(v) ** d for v in rows @ (gram @ y))
+            if lhs != rhs:
+                want = {"direction": [int(c) for c in y], "degree": d,
+                        "lhs": lhs, "rhs": rhs}
+                break
+        assert want is not None
+        for budget in (designs._BLOCK_ENTRIES, 1):
+            monkeypatch.setattr(designs, "_BLOCK_ENTRIES", budget)
+            got = designs._direction_witness(lat, layer.rows, half, d, rhs)
+            assert got == want, (len(layer), budget)
+        monkeypatch.undo()
+
+
+def test_pair_kernels_trace_bounded_scratch(catalog):
+    """On E8's norm-10 shell (|H| = 15,120), the histogram and the
+    degree-8 witness each trace under 5 MB: their tiles are reused
+    buffers of _BLOCK_ENTRIES products."""
+    layer = enumerate_vectors(catalog.lattice("E8"), 10,
+                              collect=True).layers[10]
+    lat, half = designs._half(layer)
+    rhs = design_constant(8, 4, len(layer), 10) * 10 ** 4
+    kernels = [lambda: designs._pair_histogram(lat.gram, half, 10),
+               lambda: designs._direction_witness(lat, layer.rows, half, 8,
+                                                  rhs)]
+    for kernel in kernels:
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20, peak
 
 
 def _skewed(gram, steps, seed):
@@ -669,21 +727,37 @@ def test_coxeter_identity(catalog):
     assert rep.verdict == "inconclusive"
 
 
-def test_predicted_design_strength():
-    """Every class (N, k mod k_N) of weights k = dim / 2 in which extremal
-    N-modular lattices exist, at its two or three smallest weights."""
+def test_predicted_design_strength(catalog):
+    """Every class (N, k mod k_N) of weights k = dim / 2 in which even
+    N-modular lattices exist, on direct sums of catalogue entries: powers
+    of E8, D4 and A2 (levels 1, 2, 3) at the class's smallest weight, and
+    with E8^3, E8^2 or K12 added (k + k_N, the level unchanged)."""
     want = {(1, 0): 11, (1, 4): 7, (1, 8): 3,
             (2, 0): 7, (2, 2): 5, (2, 4): 3, (2, 6): 1,
             (3, 0): 5, (3, 1): 5, (3, 2): 3, (3, 3): 3, (3, 4): 1, (3, 5): 1}
+    e8, k12 = catalog.lattice("E8"), catalog.lattice("K12")
+
+    def power(lat, j):
+        out = lat
+        for _ in range(j - 1):
+            out = direct_sum(out, lat)
+        return out
+    base = {1: (e8, 4), 2: (catalog.lattice("D4"), 2),
+            3: (catalog.lattice("A2"), 1)}
+    step = {1: power(e8, 3), 2: power(e8, 2), 3: k12}
     for (level, r), t in want.items():
         k_n = {1: 12, 2: 8, 3: 6}[level]
-        for k in {r or k_n, r + k_n, r + 2 * k_n}:
-            assert predicted_design_strength(level, k) == t, (level, k)
-    # no even lattice: 8 does not divide dim at N = 1, 4 at N = 2
-    for level, k in ((1, 2), (1, 6), (1, 13), (1, 18), (2, 1), (2, 7)):
-        assert predicted_design_strength(level, k) is None, (level, k)
-    for level in (5, 7):
-        assert predicted_design_strength(level, 2) is None
+        lat, k = base[level]
+        small = power(lat, (r or k_n) // k)
+        for sample in (small, direct_sum(small, step[level])):
+            assert default_level(sample) == level
+            assert (sample.dim // 2) % k_n == r
+            assert predicted_design_strength(sample) == t, (level, r)
+    assert predicted_design_strength(e8) == 7
+    # odd lattices (Z^8, odd extremal D12+) and even ones of level 5, 7
+    for lat in (zn(8), catalog.lattice("D12plus"), Lattice([[2, 1], [1, 3]]),
+                Lattice([[2, 1], [1, 4]])):
+        assert predicted_design_strength(lat) is None, lat
 
 
 def test_extremal_minimal_layers_reach_the_predicted_strength(catalog):
@@ -700,14 +774,14 @@ def test_extremal_minimal_layers_reach_the_predicted_strength(catalog):
                 for name in ("E8", "K12", "BW16", "D16plus", "A2", "D4")}}
     for name, lat in {**above, **exact}.items():
         assert check_extremal(lat).verdict == PASS, name
-        t = predicted_design_strength(default_level(lat), lat.dim // 2)
+        t = predicted_design_strength(lat)
         layer = min_layer(lat)
         assert check_design(layer, t).verdict == PASS, name
         beyond = PASS if name in above else FAIL
         assert check_design(layer, t + 2).verdict == beyond, name
     d12 = catalog.lattice("D12plus")
     assert check_extremal(d12).verdict == PASS and not d12.is_even
-    assert predicted_design_strength(default_level(d12), 6) is None
+    assert predicted_design_strength(d12) is None
     layer = min_layer(d12)
     assert len(layer) == 264
     assert check_design(layer, 3).verdict == PASS
@@ -716,8 +790,8 @@ def test_extremal_minimal_layers_reach_the_predicted_strength(catalog):
 
 def test_dimension_16_roots_are_3_designs_as_predicted(catalog):
     e8 = catalog.lattice("E8")
-    t = predicted_design_strength(1, 8)
     for lat in (catalog.lattice("D16plus"), direct_sum(e8, e8)):
+        t = predicted_design_strength(lat)
         layer = min_layer(lat)
         assert len(layer) == 480
         assert check_design(layer, t).verdict == PASS

@@ -114,6 +114,26 @@ def test_partial_dual_extremes(catalog):
         partial_dual(n6, 4)
 
 
+def test_partial_dual_gram_equals_the_fraction_product(catalog):
+    """The fraction-free Gram equals W G W^T in Fractions, W the dual
+    basis of the HNF of [mI; G], at every exact divisor m of the level of
+    every catalogue entry (the integral dual scale for odd D12plus)."""
+    from modlattice import linalg
+    for name in catalog.names():
+        lat = catalog.lattice(name)
+        n = lattice.default_level(lat)
+        for m in range(1, n + 1):
+            if n % m or math.gcd(m, n // m) != 1:
+                continue
+            stack = [[m * (i == j) for j in range(lat.dim)]
+                     for i in range(lat.dim)] + [list(r) for r in lat.gram]
+            w = linalg.dual_basis(linalg.hnf(stack))
+            want = linalg.mat_mul(linalg.mat_mul(w, lat.gram),
+                                  linalg.mat_transpose(w))
+            got = partial_dual(lat, m, lat_level=n).gram
+            assert [list(r) for r in got] == want, (name, m)
+
+
 def test_even_sublattice_of_cubic_is_checkerboard():
     d3 = even_sublattice(zn(3))
     assert d3.det == 4
