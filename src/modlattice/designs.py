@@ -44,10 +44,9 @@ from .linalg import (INT64_LIMIT, exact_cast, exact_dtype, exact_factors,
 from .qseries import LevelData, QSeries
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 
-# products per tile of the pair kernels: at most this many in a tile of
-# _pair_histogram, this many or one row of |H| in _direction_witness.
-# Each call allocates its product buffer (and the histogram's key
-# buffer), 8 bytes an entry, once and reuses it for every tile.
+# products per tile of _pair_histogram: each call allocates its product
+# buffer and its key buffer, 8 bytes an entry, once and reuses them for
+# every tile.
 _BLOCK_ENTRIES = 1 << 16
 
 # entries per block of R or of M in the rank witness of perfection_rank
@@ -123,6 +122,13 @@ def _packed(cols, base, p, dtype):
     return out
 
 
+def _pair_bound(gram, half, m: int) -> int:
+    """A bound on every partial sum of (x G) y^T, x of norm m and y a row
+    of H: |(x, b_j)| <= isqrt(m G_jj) by Cauchy-Schwarz."""
+    diag = max(int(gram[j][j]) for j in range(len(gram)))
+    return len(gram) * math.isqrt(m * diag) * max_abs(half)
+
+
 def _pair_histogram(gram, half, m: int) -> dict:
     """{v: number of ordered pairs (x, y) in H x H with (x, y) = v}.
 
@@ -137,12 +143,13 @@ def _pair_histogram(gram, half, m: int) -> dict:
     summed onto each axis of the base^p cube, counts every pair once.
 
     Exactness: every partial sum of a row of H G against a packed column
-    is bounded by dim * max|H G| * max|H| * (base^p - 1) / (base - 1),
+    is bounded by _pair_bound(gram, H, m) * (base^p - 1) / (base - 1),
     and exact_dtype of that bound holds all of them; p is lowered until
     it is the dtype of the unpacked product, so packing never moves the
-    product to a slower dtype.  H G and the packed columns are each cast
-    once, to that dtype.  The zero columns that pad the last run of p
-    have value 0 with every row; they are taken off the count of 0.
+    product to a slower dtype.  The packed columns are cast once to that
+    dtype, each block of R rows of H G after exact_factors formed it.
+    The zero columns that pad the last run of p have value 0 with every
+    row; they are taken off the count of 0.
 
     Tiles: the products are formed R rows by C packed columns at a time,
     R = sqrt(_BLOCK_ENTRIES) / 4 rounded down to a multiple of p (at
@@ -157,18 +164,16 @@ def _pair_histogram(gram, half, m: int) -> dict:
     allocates O(m).
     """
     np = load_numpy()
-    size, n = half.shape
+    size = len(half)
     base = 2 * m + 1
     dense = base <= _BLOCK_ENTRIES
     p = 1
     while dense and base ** (p + 1) <= _PACK_BINS:
         p += 1
-    left = np.matmul(*exact_factors(half, gram))
-    bound = n * max_abs(left) * max_abs(half)
+    bound = _pair_bound(gram, half, m)
     dtype = exact_dtype(bound)
     while exact_dtype(bound * ((base ** p - 1) // (base - 1))) is not dtype:
         p -= 1
-    left = exact_cast(left, dtype)
     right = _packed(half.T, base, p, dtype)
     bins = base ** p
     offset = m * (bins - 1) // (base - 1)
@@ -181,12 +186,13 @@ def _pair_histogram(gram, half, m: int) -> dict:
     tally = np.zeros((2, bins), dtype=np.int64) if dense else {}
     for lo in range(0, size, rows):
         hi = min(lo + rows, size)
+        left = exact_cast(np.matmul(*exact_factors(half[lo:hi], gram)), dtype)
         edge = -(-hi // p)
         for start, stop, weight in ((lo // p, edge, 1), (edge, width, 2)):
             for c0 in range(start, stop, cols):
                 c1 = min(c0 + cols, stop)
                 dots = out[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
-                np.matmul(left[lo:hi], right[:, c0:c1], out=dots)
+                np.matmul(left, right[:, c0:c1], out=dots)
                 if dense:
                     idx = keys[:dots.size]
                     np.add(dots.ravel(), offset, out=idx, casting="unsafe")
@@ -207,32 +213,23 @@ def _pair_histogram(gram, half, m: int) -> dict:
     return {v - m: int(c) for v, c in enumerate(counts.tolist()) if c}
 
 
-def _direction_witness(lat, arr, half, degree, rhs):
-    """The first layer vector y, in the order of arr, with
+def _direction_witness(layer, half, degree, rhs):
+    """The first layer vector y, in the order of layer.rows, with
     sum_{x in X} (x, y)^degree != rhs.
 
-    The rows y are read in blocks of _BLOCK_ENTRIES // |H| rows (at least
-    one), each cast alone and multiplied against all of H G into one
-    reused buffer, so the scan forms at most max(_BLOCK_ENTRIES, |H|)
-    products before it looks at the first row.  All partial sums are
-    bounded by dim * max|H G| * max|X|, X = H u -H, and exact_dtype of
-    that bound holds them.
+    H^T is cast once, to exact_dtype of _pair_bound; the rows y are read
+    one at a time, y G formed under exact_factors and cast to that dtype.
     """
     np = load_numpy()
-    left = np.matmul(*exact_factors(half, lat.gram))
-    dtype = exact_dtype(lat.dim * max_abs(left) * max_abs(half))
-    left = exact_cast(left, dtype)
-    rows = max(1, _BLOCK_ENTRIES // max(len(half), 1))
-    out = np.empty(min(rows, len(arr)) * len(half), dtype=dtype)
-    for lo in range(0, len(arr), rows):
-        block = exact_cast(arr[lo:lo + rows], dtype)
-        dots = out[:len(block) * len(half)].reshape(len(block), len(half))
-        np.matmul(block, left.T, out=dots)
-        for i, row in enumerate(dots, lo):
-            lhs = 2 * exact_power_sums(row, [degree])[degree]
-            if lhs != rhs:
-                return {"direction": [int(c) for c in arr[i]],
-                        "degree": degree, "lhs": lhs, "rhs": rhs}
+    lat, m = layer.lattice, int(layer.norm)
+    dtype = exact_dtype(_pair_bound(lat.gram, half, m))
+    right = exact_cast(half.T, dtype)
+    for y in layer.rows:
+        left = exact_cast(np.matmul(*exact_factors(y, lat.gram)), dtype)
+        lhs = 2 * exact_power_sums(np.matmul(left, right), [degree])[degree]
+        if lhs != rhs:
+            return {"direction": [int(c) for c in y],
+                    "degree": degree, "lhs": lhs, "rhs": rhs}
     raise ModLatticeError("pair sum differs but no direction deviates")
 
 
@@ -263,7 +260,7 @@ def _pair_sum_test(layer: VectorLayer, degrees):
                 "fault" % d)
         verdicts[d] = PASS if pairs == size * rhs else FAIL
         if verdicts[d] == FAIL and witness is None:
-            witness = _direction_witness(lat, layer.rows, half, d, rhs)
+            witness = _direction_witness(layer, half, d, rhs)
     return verdicts, witness
 
 

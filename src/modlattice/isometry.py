@@ -4,9 +4,9 @@ Backtracking over short vectors: the image of the i-th basis vector must
 be a vector of the right norm with the right inner products against the
 images already chosen.  The search runs on the LLL-reduced bases that
 every sweep of the two lattices uses (enumeration._basis), so the needed
-layers stay small and the counts of a are those already kept on it
-(enumeration._counts).  Candidate filtering runs on numpy arrays in the
-dtype that linalg.exact_factors makes exact; any isometry found is
+layers stay small and the counts of a and b are those already kept on
+them (enumeration._counts).  Candidate filtering runs on numpy arrays in
+the dtype that linalg.exact_factors makes exact; any isometry found is
 re-verified in exact integer arithmetic before it is reported.
 """
 
@@ -32,28 +32,28 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
     """Search for U with U G_b U^T = G_a.
 
     Returns (status, u, nodes): u rows are the b-coordinates of the images
-    of a's basis vectors.  `not-isometric` is a proof (invariant mismatch
-    or exhausted search), `inconclusive` means the node budget or the
-    dimension cap DEFAULT_DIM_CAP was hit.
+    of a's basis vectors.  `not-isometric` is a proof (counts that differ,
+    in any dimension, or an exhausted search), `inconclusive` means the
+    node budget or the dimension cap DEFAULT_DIM_CAP was hit.
     """
     if a.dim != b.dim or a.det != b.det:
         return NOT_ISOMETRIC, None, 0
     n = a.dim
     if linalg.mat_eq(a.gram, b.gram):
         return ISOMETRIC, linalg.mat_identity(n), 0
+    (ga_r, ua), (gb_r, ub) = _basis(a), _basis(b)
+    need = [ga_r[i][i] for i in range(n)]
+    bound = max(need + [gb_r[i][i] for i in range(n)])
+    # isometric lattices have one theta series
+    if _counts(a, bound).counts != _counts(b, bound).counts:
+        return NOT_ISOMETRIC, None, 0
     if n > DEFAULT_DIM_CAP:
         return INCONCLUSIVE, None, 0
     np = linalg.load_numpy()
 
-    (ga_r, ua), (gb_r, ub) = _basis(a), _basis(b)
-    need = [ga_r[i][i] for i in range(n)]
-    bound = max(need + [gb_r[i][i] for i in range(n)])
-    ta = _counts(a, bound)
     lb = Lattice(gb_r)      # its own search basis: LLL leaves it as it is
     object.__setattr__(lb, "_lll", (lb.gram, None))
     tb = enumerate_vectors(lb, bound, collect=True)
-    if ta.counts != tb.counts:
-        return NOT_ISOMETRIC, None, 0
     # both Grams scaled by one factor into integers
     both, _ = linalg.clear_denominators([*ga_r, *gb_r])
     ga, gb = both[:n], both[n:]

@@ -308,13 +308,12 @@ def test_histogram_does_not_depend_on_the_block_size(catalog, monkeypatch):
         if len(half) > 500:
             continue
         # bincount over int64 and object products
+        bound = designs._pair_bound(lat.gram, half, m)
         monkeypatch.setattr(linalg, "FLOAT_EXACT_LIMIT", 0)
-        left, _ = linalg.gram_factors(lat.gram, half, half)
-        assert left.dtype.name == "int64"
+        assert np.dtype(linalg.exact_dtype(bound)).name == "int64"
         assert designs._pair_histogram(lat.gram, half, m) == want
         monkeypatch.setattr(linalg, "INT64_LIMIT", 0)
-        left, _ = linalg.gram_factors(lat.gram, half, half)
-        assert left.dtype.name == "object"
+        assert np.dtype(linalg.exact_dtype(bound)).name == "object"
         assert designs._pair_histogram(lat.gram, half, m) == want
         monkeypatch.undo()
 
@@ -369,15 +368,14 @@ def test_packed_histogram_equals_a_double_loop(layer, scale, data):
 
 def test_packing_keeps_the_dtype_of_the_unpacked_product(catalog,
                                                          monkeypatch):
-    """With the float64 limit just above the unpacked product's bound,
-    every packing (p = 4, 3, 2) would leave float64, so p drops to 1 and
-    the products stay float64."""
+    """With the float64 limit just above the unpacked product's bound
+    (_pair_bound), every packing (p = 4, 3, 2) would leave float64, so p
+    drops to 1 and the products stay float64."""
     layer = enumerate_vectors(catalog.lattice("E8"), 4,
                               collect=True).layers[4]
     lat, half = designs._half(layer)
     want = designs._pair_histogram(lat.gram, half, 4)
-    left, right = linalg.gram_factors(lat.gram, half, half)
-    limit = 8 * int(abs(left).max()) * int(abs(right).max()) + 1
+    limit = designs._pair_bound(lat.gram, half, 4) + 1
     monkeypatch.setattr(linalg, "FLOAT_EXACT_LIMIT", limit)
     made, packed = [], []
     dtype, pack = designs.exact_dtype, designs._packed
@@ -398,10 +396,10 @@ def test_packing_keeps_the_dtype_of_the_unpacked_product(catalog,
     assert packed == [(1, np.float64)]
 
 
-def test_direction_witness_is_the_first_deviating_row(catalog, monkeypatch):
+def test_direction_witness_is_the_first_deviating_row(catalog):
     """The witness is the first row of layer.rows whose degree-d power
     sum differs from the right side, by a scan of Python-integer inner
-    products, at the default tile size and at one row per tile."""
+    products."""
     e8 = catalog.lattice("E8")
     cases = [(min_layer(catalog.lattice("K12")), 6),
              (enumerate_vectors(e8, 10, collect=True).layers[10], 8)]
@@ -419,32 +417,30 @@ def test_direction_witness_is_the_first_deviating_row(catalog, monkeypatch):
                         "lhs": lhs, "rhs": rhs}
                 break
         assert want is not None
-        for budget in (designs._BLOCK_ENTRIES, 1):
-            monkeypatch.setattr(designs, "_BLOCK_ENTRIES", budget)
-            got = designs._direction_witness(lat, layer.rows, half, d, rhs)
-            assert got == want, (len(layer), budget)
-        monkeypatch.undo()
+        got = designs._direction_witness(layer, half, d, rhs)
+        assert got == want, len(layer)
 
 
 def test_pair_kernels_trace_bounded_scratch(catalog):
-    """On E8's norm-10 shell (|H| = 15,120), the histogram and the
-    degree-8 witness each trace under 5 MB: their tiles are reused
-    buffers of _BLOCK_ENTRIES products."""
-    layer = enumerate_vectors(catalog.lattice("E8"), 10,
-                              collect=True).layers[10]
-    lat, half = designs._half(layer)
-    rhs = design_constant(8, 4, len(layer), 10) * 10 ** 4
-    kernels = [lambda: designs._pair_histogram(lat.gram, half, 10),
-               lambda: designs._direction_witness(lat, layer.rows, half, 8,
-                                                  rhs)]
-    for kernel in kernels:
-        tracemalloc.start()
-        try:
-            kernel()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 << 20, peak
+    """The histogram and the degree-8 witness each trace under 5 MB on
+    E8's norm-10 shell (|H| = 15,120), their tiles being reused buffers,
+    and under 6 MB on BW16's norm-6 shell (|H| = 30,720), which an
+    |H| x 16 float64 array of H G (3.9 MB) beside its cast would exceed."""
+    for name, m, limit in (("E8", 10, 5 << 20), ("BW16", 6, 6 << 20)):
+        layer = enumerate_vectors(catalog.lattice(name), m,
+                                  collect=True).layers[m]
+        lat, half = designs._half(layer)
+        rhs = design_constant(lat.dim, 4, len(layer), m) * m ** 4
+        kernels = [lambda: designs._pair_histogram(lat.gram, half, m),
+                   lambda: designs._direction_witness(layer, half, 8, rhs)]
+        for kernel in kernels:
+            tracemalloc.start()
+            try:
+                kernel()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (name, peak)
 
 
 def _skewed(gram, steps, seed):
@@ -461,17 +457,26 @@ def _skewed(gram, steps, seed):
 
 
 def test_verdicts_survive_rescaling_on_every_dtype_path(catalog):
-    """A skewed E8 basis makes n max|Gx| max|x| about 2^14, so the scales
-    2^20, 2^40 and 2^60 reach the float64, int64 and object products."""
-    lay = min_layer(_skewed(catalog.lattice("E8").gram, 12, 1))
-    want = check_design(lay, 8)
-    assert want.details["degrees"] == {2: PASS, 4: PASS, 6: PASS, 8: FAIL}
-    for shift, dtype in ((20, "float64"), (40, "int64"), (60, "object")):
+    """A 12-step skew of E8 makes the kernels' bound (_pair_bound) about
+    2^14.8, so the scales 2^20, 2^40 and 2^60 reach the float64, int64
+    and object products.  A 60-step skew scaled by 2^20 forms x G in
+    int64 (bound 2^55.5) and the pair products in float64 (2^45.9)."""
+    e8 = catalog.lattice("E8").gram
+    cases = ((12, 20, "float64", "float64"), (12, 40, "int64", "int64"),
+             (12, 60, "object", "object"), (60, 20, "float64", "int64"))
+    layers = {steps: min_layer(_skewed(e8, steps, 1)) for steps in (12, 60)}
+    for steps, shift, dtype, row_dtype in cases:
+        lay = layers[steps]
+        want = check_design(lay, 8)
+        assert want.details["degrees"] == {2: PASS, 4: PASS, 6: PASS,
+                                           8: FAIL}
         lat = rescale(lay.lattice, 2 ** shift)
         big = VectorLayer(lay.norm * 2 ** shift, lay.vectors, True, lat)
         _, half = designs._half(big)
-        left, right = linalg.gram_factors(lat.gram, half, half)
-        assert left.dtype.name == right.dtype.name == dtype
+        bound = designs._pair_bound(lat.gram, half, int(big.norm))
+        assert np.dtype(linalg.exact_dtype(bound)).name == dtype
+        left, _ = linalg.exact_factors(half, lat.gram)
+        assert left.dtype.name == row_dtype
         rep = check_design(big, 8)
         assert rep.details == want.details, shift
         w = rep.witnesses

@@ -57,12 +57,18 @@ def test_dimension_and_determinant_fast_paths():
     assert find_isometry(Lattice([[3]]), Lattice([[5]]))[0] == NOT_ISOMETRIC
 
 
-def test_theta_mismatch_is_a_disproof():
+def test_theta_mismatch_is_a_disproof(catalog):
+    """Counts that differ are a proof, also above the dimension cap:
+    E8^3 has 720 vectors of norm 2 and Leech none."""
     a = Lattice([[2, 0], [0, 8]])
     b = Lattice([[4, 0], [0, 4]])
     assert a.det == b.det
     status, u, nodes = find_isometry(a, b)
     assert status == NOT_ISOMETRIC and u is None
+    e8 = catalog.lattice("E8")
+    big = direct_sum(direct_sum(e8, e8), e8)
+    status, u, nodes = find_isometry(big, catalog.lattice("Leech"))
+    assert status == NOT_ISOMETRIC and u is None and nodes == 0
 
 
 def test_rational_grams_are_supported(catalog):
@@ -98,7 +104,11 @@ def test_node_budget_inconclusive(catalog):
 
 
 def test_dimension_cap_inconclusive(catalog):
+    """E8^3 and a seeded rebasing of it agree on every count, so the
+    search stops at the dimension cap after 0 nodes."""
     e8 = catalog.lattice("E8")
     big = direct_sum(direct_sum(e8, e8), e8)
-    status, _, nodes = find_isometry(big, catalog.lattice("Leech"))
+    other = transformed(big, unimodular(random.Random(3), 24))
+    assert other.gram != big.gram
+    status, _, nodes = find_isometry(big, other)
     assert status == INCONCLUSIVE and nodes == 0
