@@ -35,12 +35,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .enumeration import (VectorLayer, _collected, _counts, min_layer,
                           minimum, theta_series, window_bound)
 from .errors import ModLatticeError
 from .lattice import Lattice, dual, inner, level
 from .linalg import (INT64_LIMIT, exact_cast, exact_dtype, exact_factors,
-                     inverse, load_numpy, max_abs, rank, rank_mod_p, solve)
+                     integer_array, inverse, load_numpy, max_abs, rank,
+                     rank_mod_p, solve)
 from .qseries import LevelData, QSeries
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 
@@ -129,54 +131,82 @@ def _pair_bound(gram, half, m: int) -> int:
     return len(gram) * math.isqrt(m * diag) * max_abs(half)
 
 
-def _pair_histogram(gram, half, m: int) -> dict:
+def _pair_dtype(bound):
+    """The dtype of the pair kernels' products for partial sums bounded by
+    bound: float32 below linalg.FLOAT32_EXACT_LIMIT = 2^24, else
+    exact_dtype.  Below 2^24 every partial sum is an integer that float32
+    holds exactly, so the product is exact in any summation order, as
+    float64 is below 2^53."""
+    if bound < linalg.FLOAT32_EXACT_LIMIT:
+        return load_numpy().float32
+    return exact_dtype(bound)
+
+
+def _pair_histogram(gram, half, m: int, r: int) -> dict:
     """{v: number of ordered pairs (x, y) in H x H with (x, y) = v}.
 
-    Every value lies in [-m, m] by Cauchy-Schwarz.  Packing: with
-    base = 2m + 1 and p the largest exponent with base^p <= _PACK_BINS
-    (1 when base alone exceeds it), the columns y of the right factor are
-    taken p at a time and folded into one column sum_j base^j y_j
-    (_packed), so that one product entry sum_j base^j (x, y_j) carries p
-    inner products.  Plus m (base^p - 1) / (base - 1) it is the key
-    sum_j base^j ((x, y_j) + m), whose base-`base` digits are the values
-    offset by m: keys lie in [0, base^p), and one bincount of the keys,
+    The diagonal pairs (x, x) have value m, and r bounds every other
+    |(x, y)|: for x != y in H also y != -x, so in a lattice of minimum mu
+    N(x -+ y) = 2m -+ 2(x, y) >= mu gives r = m - ceil(mu / 2)
+    (_pair_sum_test), and any integral layer has r = m - 1.  An r of 0
+    (Z^n at norm 1) is raised to 1: base 1 would pack without end.
+
+    Packing: with base = 2r + 1 and p the largest exponent with
+    base^p <= _PACK_BINS (1 when base alone exceeds it), the columns y of
+    the right factor are taken p at a time and folded into one column
+    sum_j base^j y_j (_packed), so that one product entry
+    sum_j base^j (x, y_j) carries p inner products.  Row i of H meets
+    itself in digit i mod p of packed column i // p; m base^(i mod p) is
+    taken off that entry, so the digit reads 0.  Plus
+    r (base^p - 1) / (base - 1) each entry is then the key
+    sum_j base^j (v_j + r), whose base-`base` digits are the values
+    offset by r: keys lie in [0, base^p), and one bincount of the keys,
     summed onto each axis of the base^p cube, counts every pair once.
+    The |H| diagonal pairs are then moved from the count of 0 to m.
 
     Exactness: every partial sum of a row of H G against a packed column
     is bounded by _pair_bound(gram, H, m) * (base^p - 1) / (base - 1),
-    and exact_dtype of that bound holds all of them; p is lowered until
+    and _pair_dtype of that bound holds all of them (float32 for the
+    Leech minimal layer's 15,467,760 at base 5, p = 6); p is lowered until
     it is the dtype of the unpacked product, so packing never moves the
     product to a slower dtype.  The packed columns are cast once to that
-    dtype, each block of R rows of H G after exact_factors formed it.
-    The zero columns that pad the last run of p have value 0 with every
-    row; they are taken off the count of 0.
+    dtype.  G is cast once, to exact_dtype of n max|H| max|G|, as is each
+    block of R rows of H, so that the block's rows of H G are exact; they
+    are then cast to the pair dtype.  The zero columns that pad the last
+    run of p have value 0 with every row; they are taken off the count
+    of 0.
 
     Tiles: the products are formed R rows by C packed columns at a time,
     R = sqrt(_BLOCK_ENTRIES) / 4 rounded down to a multiple of p (at
-    least p) and C = _BLOCK_ENTRIES // R (64 by 1,024 at the default), in
-    one product buffer and one key buffer allocated per call, so a layer
-    of any size gets tiles of the same size.  Each block of R rows meets
+    least p) and C = _BLOCK_ENTRIES // R (60 by 1,092 at p = 6), in one
+    product buffer and one key buffer allocated per call, so a layer of
+    any size gets tiles of the same size.  Each block of R rows meets
     the columns from its own first row on: the pairs inside the block's
-    square are formed in both orders and counted once, those right of it
-    once and counted twice.
-    When 2m + 1 exceeds _BLOCK_ENTRIES, p is 1 and np.unique tallies the
+    square, the diagonal among them, are formed in both orders and
+    counted once, those right of it once and counted twice.
+    When 2r + 1 exceeds _BLOCK_ENTRIES, p is 1 and np.unique tallies the
     values instead of bincount, so that a rescaled lattice never
-    allocates O(m).
+    allocates O(r).
     """
     np = load_numpy()
-    size = len(half)
-    base = 2 * m + 1
+    size, n = half.shape
+    r = max(r, 1)
+    base = 2 * r + 1
     dense = base <= _BLOCK_ENTRIES
     p = 1
     while dense and base ** (p + 1) <= _PACK_BINS:
         p += 1
     bound = _pair_bound(gram, half, m)
-    dtype = exact_dtype(bound)
-    while exact_dtype(bound * ((base ** p - 1) // (base - 1))) is not dtype:
+    dtype = _pair_dtype(bound)
+    while _pair_dtype(bound * ((base ** p - 1) // (base - 1))) is not dtype:
         p -= 1
     right = _packed(half.T, base, p, dtype)
+    g = integer_array(gram)
+    row_dtype = exact_dtype(n * max_abs(half) * max_abs(g))
+    g = exact_cast(g, row_dtype)
+    diag = np.array([m * base ** j for j in range(p)], dtype=dtype)
     bins = base ** p
-    offset = m * (bins - 1) // (base - 1)
+    offset = r * (bins - 1) // (base - 1)
     rows = max(p, math.isqrt(_BLOCK_ENTRIES >> 4) // p * p)
     cols = max(1, _BLOCK_ENTRIES // rows)
     width = right.shape[1]
@@ -186,13 +216,17 @@ def _pair_histogram(gram, half, m: int) -> dict:
     tally = np.zeros((2, bins), dtype=np.int64) if dense else {}
     for lo in range(0, size, rows):
         hi = min(lo + rows, size)
-        left = exact_cast(np.matmul(*exact_factors(half[lo:hi], gram)), dtype)
+        left = exact_cast(
+            np.matmul(exact_cast(half[lo:hi], row_dtype), g), dtype)
         edge = -(-hi // p)
         for start, stop, weight in ((lo // p, edge, 1), (edge, width, 2)):
             for c0 in range(start, stop, cols):
                 c1 = min(c0 + cols, stop)
                 dots = out[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
                 np.matmul(left, right[:, c0:c1], out=dots)
+                if weight == 1:
+                    i = np.arange(max(lo, c0 * p), min(hi, c1 * p))
+                    dots[i - lo, i // p - c0] -= diag[i % p]
                 if dense:
                     idx = keys[:dots.size]
                     np.add(dots.ravel(), offset, out=idx, casting="unsafe")
@@ -201,28 +235,31 @@ def _pair_histogram(gram, half, m: int) -> dict:
                     values, counts = np.unique(dots, return_counts=True)
                     for v, c in zip(values.tolist(), counts.tolist()):
                         tally[int(v)] = tally.get(int(v), 0) + weight * c
-    if not dense:
-        return tally
-    cube = (tally[0] + 2 * tally[1]).reshape((base,) * p)
-    counts = sum(cube.sum(axis=tuple(a for a in range(p) if a != j))
-                 for j in range(p))
-    # each row of H meets every padding column once: in the square of the
-    # last block (counted once) or right of an earlier one (twice)
-    last = size - (size - 1) // rows * rows
-    counts[m] -= (-size % p) * (2 * size - last)
-    return {v - m: int(c) for v, c in enumerate(counts.tolist()) if c}
+    if dense:
+        cube = (tally[0] + 2 * tally[1]).reshape((base,) * p)
+        counts = sum(cube.sum(axis=tuple(a for a in range(p) if a != j))
+                     for j in range(p))
+        # each row of H meets every padding column once: in the square of
+        # the last block (counted once) or right of an earlier one (twice)
+        last = size - (size - 1) // rows * rows
+        counts[r] -= (-size % p) * (2 * size - last)
+        tally = {v - r: int(c) for v, c in enumerate(counts.tolist())}
+    tally[0] -= size
+    tally[m] = size
+    return {v: c for v, c in sorted(tally.items()) if c}
 
 
 def _direction_witness(layer, half, degree, rhs):
     """The first layer vector y, in the order of layer.rows, with
     sum_{x in X} (x, y)^degree != rhs.
 
-    H^T is cast once, to exact_dtype of _pair_bound; the rows y are read
-    one at a time, y G formed under exact_factors and cast to that dtype.
+    H^T is cast once, to _pair_dtype of _pair_bound (float32 on every
+    catalogue layer); the rows y are read one at a time, y G formed under
+    exact_factors and cast to that dtype.
     """
     np = load_numpy()
     lat, m = layer.lattice, int(layer.norm)
-    dtype = exact_dtype(_pair_bound(lat.gram, half, m))
+    dtype = _pair_dtype(_pair_bound(lat.gram, half, m))
     right = exact_cast(half.T, dtype)
     for y in layer.rows:
         left = exact_cast(np.matmul(*exact_factors(y, lat.gram)), dtype)
@@ -245,8 +282,11 @@ def _pair_sum_test(layer: VectorLayer, degrees):
     lat, half = _half(layer)
     n, m, size = lat.dim, int(layer.norm), len(layer)
     if degrees and layer._histogram is None:
-        object.__setattr__(layer, "_histogram",
-                           _pair_histogram(lat.gram, half, m))
+        # the minimum mu, read off the counts of the sweep that collected
+        # the layer: 2 |(x, y)| <= 2m - mu off the diagonal
+        mu = min(k for k in _counts(lat, m).counts if k > 0)
+        object.__setattr__(layer, "_histogram", _pair_histogram(
+            lat.gram, half, m, int((2 * m - mu) // 2)))
     hist = layer._histogram
     verdicts, witness = {}, None
     for d in degrees:

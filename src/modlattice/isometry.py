@@ -4,8 +4,9 @@ Backtracking over short vectors: the image of the i-th basis vector must
 be a vector of the right norm with the right inner products against the
 images already chosen.  The search runs on the LLL-reduced bases that
 every sweep of the two lattices uses (enumeration._basis), so the needed
-layers stay small and the counts of a and b are those already kept on
-them (enumeration._counts).  Candidate filtering runs on numpy arrays in
+layers stay small; the counts of a are those already kept on it
+(enumeration._counts), and those of b come from the sweep that collects
+its search layers.  Candidate filtering runs on numpy arrays in
 the dtype that linalg.exact_factors makes exact; any isometry found is
 re-verified in exact integer arithmetic before it is reported.
 """
@@ -44,16 +45,18 @@ def find_isometry(a: Lattice, b: Lattice, budget=DEFAULT_BUDGET):
     (ga_r, ua), (gb_r, ub) = _basis(a), _basis(b)
     need = [ga_r[i][i] for i in range(n)]
     bound = max(need + [gb_r[i][i] for i in range(n)])
-    # isometric lattices have one theta series
-    if _counts(a, bound).counts != _counts(b, bound).counts:
-        return NOT_ISOMETRIC, None, 0
+    # isometric lattices have one theta series: above the cap that is all
+    # that is decided, and below it the sweep that collects b's search
+    # layers gives b's counts
     if n > DEFAULT_DIM_CAP:
-        return INCONCLUSIVE, None, 0
-    np = linalg.load_numpy()
-
+        same = _counts(a, bound).counts == _counts(b, bound).counts
+        return (INCONCLUSIVE if same else NOT_ISOMETRIC), None, 0
     lb = Lattice(gb_r)      # its own search basis: LLL leaves it as it is
     object.__setattr__(lb, "_lll", (lb.gram, None))
     tb = enumerate_vectors(lb, bound, collect=True)
+    if _counts(a, bound).counts != tb.counts:
+        return NOT_ISOMETRIC, None, 0
+    np = linalg.load_numpy()
     # both Grams scaled by one factor into integers
     both, _ = linalg.clear_denominators([*ga_r, *gb_r])
     ga, gb = both[:n], both[n:]

@@ -16,6 +16,12 @@ of integer matrices (float64, int64 or Python integers, the narrowest);
 `exact_cast` casts an array to such a dtype and `exact_factors` casts two
 factors by the rule.  `enumeration`, `designs` and `isometry` multiply
 only through these and `gram_factors`.
+The pair kernels of `designs` add one narrower rung through their own
+`_pair_dtype`: float32 below FLOAT32_EXACT_LIMIT = 2^24, where every
+partial sum is an integer float32 holds.  `exact_dtype` keeps its three
+rungs, because its callers may reduce a product in its own dtype:
+`perfection_rank` takes its product modulo a prime near 2^31, which
+float32 cannot hold.
 `load_numpy` is the one place numpy is imported.
 """
 
@@ -23,9 +29,11 @@ import functools
 import os
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import DefinitenessError, ShapeError
 
+FLOAT32_EXACT_LIMIT = 1 << 24
 FLOAT_EXACT_LIMIT = 1 << 53
 INT64_LIMIT = 1 << 62
 LLL_DELTA = Fraction(3, 4)
@@ -44,7 +52,7 @@ def mat_transpose(m):
 
 def mat_mul(a, b):
     bt = mat_transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_identity(n):
@@ -345,7 +353,8 @@ def gram_lll(gram):
     lcm of the denominators: the state is the Gram determinants d[i] of
     the first i rows and lam[i][j] = d[j + 1] * mu[i][j], all integers,
     and every division is exact.  The steps are those of rational LLL
-    with delta = LLL_DELTA; the result is divided by c again at the end.
+    with delta = LLL_DELTA and update u alone; the reduced form
+    u (c gram) u^T is formed once at the end and divided by c.
     """
     n = check_square(gram)
     g, c = clear_denominators(gram)
@@ -371,9 +380,6 @@ def gram_lll(gram):
         if q == 0:
             return
         u[k] = [x - q * y for x, y in zip(u[k], u[l])]
-        g[k] = [x - q * y for x, y in zip(g[k], g[l])]
-        for row in g:
-            row[k] -= q * row[l]
         lk, ll = lam[k], lam[l]
         lk[l] -= q * d[l + 1]
         for i in range(l):
@@ -381,9 +387,6 @@ def gram_lll(gram):
 
     def swap(k):
         u[k], u[k - 1] = u[k - 1], u[k]
-        g[k], g[k - 1] = g[k - 1], g[k]
-        for row in g:
-            row[k], row[k - 1] = row[k - 1], row[k]
         lk, lp = lam[k], lam[k - 1]
         for j in range(k - 1):
             lk[j], lp[j] = lp[j], lk[j]
@@ -408,6 +411,7 @@ def gram_lll(gram):
             swap(k)
             k = max(k - 1, 1)
 
+    g = mat_mul(u, mat_mul(g, mat_transpose(u)))
     if c != 1:
         g = [[Fraction(x, c) for x in row] for row in g]
     return g, u

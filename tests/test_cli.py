@@ -276,13 +276,13 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
-def _python(*args, env=None):
+def _python(*args, env=None, timeout=60):
     """A fresh interpreter running args with this checkout's package."""
     src = os.path.dirname(os.path.dirname(modlattice.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args],
                           env=dict(env or os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import math
 import random
 import re
+import time
 import tracemalloc
 from unittest import mock
 
@@ -36,6 +37,7 @@ from modlattice.report import FAIL, PASS
 from modlattice.shadow import shadow_coset
 from oracles import (finalize_layers, moment_tensor_test, pair_histogram,
                      projector_rank)
+from test_cli import _python
 from test_enumeration import count_sweeps, transformed, unimodular
 
 import numpy as np
@@ -273,7 +275,7 @@ def integral_layers(draw):
 def test_pair_sums_equal_a_double_loop(layer):
     lat, half = designs._half(layer)
     m, n, size = int(layer.norm), lat.dim, len(layer)
-    hist = designs._pair_histogram(lat.gram, half, m)
+    hist = designs._pair_histogram(lat.gram, half, m, m - 1)
     full = pair_histogram(lat.gram, layer.vectors)
     verdicts, _ = designs._pair_sum_test(layer, (2, 4, 6, 8))
     for d in (2, 4, 6, 8):
@@ -285,55 +287,67 @@ def test_pair_sums_equal_a_double_loop(layer):
         assert verdicts[d] == (PASS if pair_sum == bound else FAIL)
 
 
+def _radius(layer):
+    """The radius _pair_sum_test passes for a layer of norm m of a lattice
+    of minimum mu: m - ceil(mu / 2)."""
+    m, mu = int(layer.norm), minimum(layer.lattice).minimum
+    return int((2 * m - mu) // 2)
+
+
 def test_histogram_does_not_depend_on_the_block_size(catalog, monkeypatch):
-    """A budget of 256 gives tiles of 4 rows by 64 packed columns at
-    p = 4, so K12's minimal layer (95 packed columns) and E8's norm-4
-    shell (270) have tile edges in both rows and columns, and D4's (p = 6)
-    blocks of 6 rows; a budget of 1 gives tiles of one row by one column
-    and switches bincount for np.unique.  Lowered exactness limits send
-    the small layers through int64 and object products."""
+    """A budget of 256 gives tiles of 6 rows by 42 packed columns at
+    p = 6, so K12's minimal layer (63 packed columns) has tile edges in
+    both rows and columns, as has E8's norm-4 shell (4 rows by 64 of 270
+    at p = 4), and D4's (p = 8) blocks of 8 rows; a budget of 1 gives
+    tiles of one row by one column and switches bincount for np.unique.
+    Lowered exactness limits send the small layers through float64,
+    int64 and object products."""
     layers = [min_layer(catalog.lattice("D4")),
               min_layer(catalog.lattice("K12")),
               enumerate_vectors(catalog.lattice("E8"), 4,
                                 collect=True).layers[4]]
     for layer in layers:
         lat, half = designs._half(layer)
-        m = int(layer.norm)
-        want = designs._pair_histogram(lat.gram, half, m)
+        m, r = int(layer.norm), _radius(layer)
+        want = designs._pair_histogram(lat.gram, half, m, r)
         assert sum(want.values()) == len(half) ** 2
         for budget in (256, 1):
             monkeypatch.setattr(designs, "_BLOCK_ENTRIES", budget)
-            assert designs._pair_histogram(lat.gram, half, m) == want
+            assert designs._pair_histogram(lat.gram, half, m, r) == want
         monkeypatch.undo()
         if len(half) > 500:
             continue
-        # bincount over int64 and object products
+        # bincount over float64, int64 and object products
         bound = designs._pair_bound(lat.gram, half, m)
-        monkeypatch.setattr(linalg, "FLOAT_EXACT_LIMIT", 0)
-        assert np.dtype(linalg.exact_dtype(bound)).name == "int64"
-        assert designs._pair_histogram(lat.gram, half, m) == want
-        monkeypatch.setattr(linalg, "INT64_LIMIT", 0)
-        assert np.dtype(linalg.exact_dtype(bound)).name == "object"
-        assert designs._pair_histogram(lat.gram, half, m) == want
+        for limit, dtype in (("FLOAT32_EXACT_LIMIT", "float64"),
+                             ("FLOAT_EXACT_LIMIT", "int64"),
+                             ("INT64_LIMIT", "object")):
+            monkeypatch.setattr(linalg, limit, 0)
+            assert np.dtype(designs._pair_dtype(bound)).name == dtype
+            assert designs._pair_histogram(lat.gram, half, m, r) == want
         monkeypatch.undo()
 
 
-# Norms on both sides of each step of the packing exponent p at the
-# default _PACK_BINS = 2^14 (base = 2m + 1, base^p <= 2^14): p = 8 at
-# m = 1, 6 at 2, 4 at 3-5, 3 at 6-12, 2 at 13-63, 1 from 64, and the
-# np.unique path once 2m + 1 > _BLOCK_ENTRIES = 2^16.
+# Radii on both sides of each step of the packing exponent p at the
+# default _PACK_BINS = 2^14 (base = 2r + 1, base^p <= 2^14): p = 8 at
+# r = 1, 6 at 2, 4 at 3-5, 3 at 6-12, 2 at 13-63, 1 from 64, and the
+# np.unique path once 2r + 1 > _BLOCK_ENTRIES = 2^16.
 PACKING_NORMS = (1, 2, 3, 5, 6, 12, 13, 63, 64, 2 ** 15 - 1, 2 ** 15)
 
 
 def test_packed_histogram_on_scaled_z_n():
     """The layer {+-e_i} of c Z^n, n = 1-9, has |H| = n (a multiple of p
-    only for n = 8 at m = 1) and norm c at every packing step."""
+    only for n = 8 at p = 8) and norm c.  Its values off the diagonal are
+    0, so r = c puts it at every packing step, and r = c // 2, the
+    radius from the minimum c, is 0 at c = 1 and raised to 1."""
     for c in PACKING_NORMS:
         for n in range(1, 10):
             gram = [[c * int(i == j) for j in range(n)] for i in range(n)]
             half = np.eye(n, dtype=np.int64)
             want = pair_histogram(gram, half.tolist())
-            assert designs._pair_histogram(gram, half, c) == want, (c, n)
+            for r in (c, c // 2):
+                got = designs._pair_histogram(gram, half, c, r)
+                assert got == want, (c, n, r)
 
 
 @st.composite
@@ -347,38 +361,64 @@ def zn_layers(draw):
 @given(st.one_of(integral_layers(), zn_layers()),
        st.sampled_from(PACKING_NORMS[:9]), st.data())
 def test_packed_histogram_equals_a_double_loop(layer, scale, data):
-    """A layer of c G (norm c m) against the oracle's double loop, with
-    the bin budget at its default or on either side of base^p, and
-    _BLOCK_ENTRIES at its default, at base (tiles of p rows, or a few, by
-    a few packed columns: edges in both) or at 1 (one by one, and the
-    np.unique path)."""
+    """A layer of c G (norm c m) against the oracle's double loop, at
+    radius c m - 1 (raised to 1 at c m = 1) with the bin budget at its
+    default or on either side of base^p, and _BLOCK_ENTRIES at its
+    default, at base (tiles of p rows, or a few, by a few packed columns:
+    edges in both) or at 1 (one by one, and the np.unique path)."""
     lat, half = designs._half(layer)
     m = scale * int(layer.norm)
     gram = [[scale * g for g in row] for row in lat.gram]
-    base = 2 * m + 1
+    base = 2 * max(m - 1, 1) + 1
     bins = data.draw(st.sampled_from(
         [designs._PACK_BINS] + [base ** p + d for p in (1, 2, 3, 4)
                                 for d in (-1, 0) if base ** p <= 1 << 16]))
     block = data.draw(st.sampled_from([designs._BLOCK_ENTRIES, base, 1]))
     with mock.patch.object(designs, "_PACK_BINS", bins), \
             mock.patch.object(designs, "_BLOCK_ENTRIES", block):
-        got = designs._pair_histogram(gram, half, m)
+        got = designs._pair_histogram(gram, half, m, m - 1)
     assert got == pair_histogram(gram, half.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(integral_layers(), zn_layers()))
+def test_radius_from_the_minimum_bounds_the_pair_values(layer):
+    """The radius m - ceil(mu / 2) bounds every value off the diagonal,
+    including on the norm-1 layers of Z^n, where it is 0, and the
+    histogram _pair_sum_test builds with it is the oracle's."""
+    lat, half = designs._half(layer)
+    m, r = int(layer.norm), _radius(layer)
+    want = pair_histogram(lat.gram, half.tolist())
+    designs._pair_sum_test(layer, (2,))
+    assert layer._histogram == want
+    assert want.pop(m) == len(half)
+    assert all(abs(v) <= r for v in want), (r, want)
+
+
+def test_strong_perfection_of_z8_ends():
+    """Z^8's minimal layer has norm 1 and radius 0: a base of 1 would
+    pack without end, so this guards the raise to 1."""
+    start = time.monotonic()
+    proc = _python("-c", "from modlattice import designs, lattice; "
+                   "r = designs.is_strongly_perfect(lattice.zn(8)); "
+                   "print(r.verdict, r.details['failed_degree'])", timeout=5)
+    assert time.monotonic() - start < 5
+    assert proc.stdout.split() == [FAIL, "4"]
 
 
 def test_packing_keeps_the_dtype_of_the_unpacked_product(catalog,
                                                          monkeypatch):
-    """With the float64 limit just above the unpacked product's bound
-    (_pair_bound), every packing (p = 4, 3, 2) would leave float64, so p
-    drops to 1 and the products stay float64."""
+    """With the float32 limit just above the unpacked product's bound
+    (_pair_bound), every packing (p = 4, 3, 2 at radius 3) would leave
+    float32, so p drops to 1 and the products stay float32."""
     layer = enumerate_vectors(catalog.lattice("E8"), 4,
                               collect=True).layers[4]
     lat, half = designs._half(layer)
-    want = designs._pair_histogram(lat.gram, half, 4)
+    want = designs._pair_histogram(lat.gram, half, 4, 3)
     limit = designs._pair_bound(lat.gram, half, 4) + 1
-    monkeypatch.setattr(linalg, "FLOAT_EXACT_LIMIT", limit)
+    monkeypatch.setattr(linalg, "FLOAT32_EXACT_LIMIT", limit)
     made, packed = [], []
-    dtype, pack = designs.exact_dtype, designs._packed
+    dtype, pack = designs._pair_dtype, designs._packed
 
     def counted(bound):
         made.append(dtype(bound))
@@ -387,13 +427,18 @@ def test_packing_keeps_the_dtype_of_the_unpacked_product(catalog,
     def spied(cols, base, p, dt):
         packed.append((p, dt))
         return pack(cols, base, p, dt)
-    monkeypatch.setattr(designs, "exact_dtype", counted)
+    monkeypatch.setattr(designs, "_pair_dtype", counted)
     monkeypatch.setattr(designs, "_packed", spied)
-    assert designs._pair_histogram(lat.gram, half, 4) == want
+    assert designs._pair_histogram(lat.gram, half, 4, 3) == want
     # the unpacked product's dtype first, then p = 4, 3, 2 and 1
     assert [np.dtype(d).name for d in made] == [
-        "float64", "int64", "int64", "int64", "float64"]
-    assert packed == [(1, np.float64)]
+        "float32", "float64", "float64", "float64", "float32"]
+    assert packed == [(1, np.float32)]
+
+
+def test_pair_dtype_narrows_below_2_24():
+    assert designs._pair_dtype((1 << 24) - 1) is np.float32
+    assert designs._pair_dtype(1 << 24) is np.float64
 
 
 def test_direction_witness_is_the_first_deviating_row(catalog):
@@ -431,7 +476,8 @@ def test_pair_kernels_trace_bounded_scratch(catalog):
                                   collect=True).layers[m]
         lat, half = designs._half(layer)
         rhs = design_constant(lat.dim, 4, len(layer), m) * m ** 4
-        kernels = [lambda: designs._pair_histogram(lat.gram, half, m),
+        r = _radius(layer)
+        kernels = [lambda: designs._pair_histogram(lat.gram, half, m, r),
                    lambda: designs._direction_witness(layer, half, 8, rhs)]
         for kernel in kernels:
             tracemalloc.start()
@@ -458,12 +504,14 @@ def _skewed(gram, steps, seed):
 
 def test_verdicts_survive_rescaling_on_every_dtype_path(catalog):
     """A 12-step skew of E8 makes the kernels' bound (_pair_bound) about
-    2^14.8, so the scales 2^20, 2^40 and 2^60 reach the float64, int64
-    and object products.  A 60-step skew scaled by 2^20 forms x G in
-    int64 (bound 2^55.5) and the pair products in float64 (2^45.9)."""
+    2^14.8, so unscaled it takes the float32 products, and the scales
+    2^20, 2^40 and 2^60 reach the float64, int64 and object products.
+    A 60-step skew scaled by 2^20 forms x G in int64 (bound 2^55.5) and
+    the pair products in float64 (2^45.9)."""
     e8 = catalog.lattice("E8").gram
-    cases = ((12, 20, "float64", "float64"), (12, 40, "int64", "int64"),
-             (12, 60, "object", "object"), (60, 20, "float64", "int64"))
+    cases = ((12, 0, "float32", "float64"), (12, 20, "float64", "float64"),
+             (12, 40, "int64", "int64"), (12, 60, "object", "object"),
+             (60, 20, "float64", "int64"))
     layers = {steps: min_layer(_skewed(e8, steps, 1)) for steps in (12, 60)}
     for steps, shift, dtype, row_dtype in cases:
         lay = layers[steps]
@@ -474,7 +522,7 @@ def test_verdicts_survive_rescaling_on_every_dtype_path(catalog):
         big = VectorLayer(lay.norm * 2 ** shift, lay.vectors, True, lat)
         _, half = designs._half(big)
         bound = designs._pair_bound(lat.gram, half, int(big.norm))
-        assert np.dtype(linalg.exact_dtype(bound)).name == dtype
+        assert np.dtype(designs._pair_dtype(bound)).name == dtype
         left, _ = linalg.exact_factors(half, lat.gram)
         assert left.dtype.name == row_dtype
         rep = check_design(big, 8)
