@@ -3,8 +3,19 @@
 The shadow of an integral lattice L collects the vectors w/2 where w runs
 over the characteristic vectors of L, i.e. the w in the dual with
 (w, x) = (x, x) mod 2 for all x in L.  These w form a single coset of 2L*
-inside L*, so the shadow is a coset of L* in (1/2)L* and can be enumerated
-exactly by a shifted sweep of the dual lattice.
+inside L*, so the shadow is a coset of L* in (1/2)L*.
+
+For det 1 its theta series follows from theta_L (J. H. Conway and
+N. J. A. Sloane, Bull. AMS 23, 1990; E. M. Rains and N. J. A. Sloane,
+J. Number Theory 73, 1998).  With Delta_8 = theta_2^4 theta_4^4 / 16,
+
+    theta_L = sum_(j <= n/8) a_j theta_3^(n-8j) Delta_8^j,
+    theta_S = sum_(j <= n/8) (-1/16)^j a_j theta_2^(n-8j) theta_4(2z)^(8j),
+
+and Delta_8 = q + O(q^2), so the a_j are fixed by the counts of L up to
+norm n/8: one small sweep of L, whatever the size of the shadow.  Any
+other integral lattice has its shadow coset enumerated exactly by a
+shifted sweep of the dual lattice (shadow_coset).
 
 For even L the zero vector is characteristic and the shadow degenerates to
 the dual itself; the functions below accept that case but the extremality
@@ -17,10 +28,10 @@ from fractions import Fraction
 import math
 
 from .arith import int_or_fraction
-from .enumeration import enumerate_vectors
+from .enumeration import _counts, enumerate_vectors
 from .errors import IntegralityError, ModLatticeError, ParityError
 from .lattice import Lattice, default_level, dual
-from .qseries import LevelData
+from .qseries import LevelData, QSeries
 
 
 def shadow_coset(lat: Lattice):
@@ -82,11 +93,62 @@ class ShadowTheta:
         return body + " + O(q^(%s))" % (self.bound,)
 
 
+def _theta(scale, odd, sign, precision):
+    """sum_k sign^k q^(scale k^2), or with odd sum_k q^(scale (k + 1/2)^2),
+    over all integers k, below the u-precision: t = 2k (+ 1) has
+    u-exponent 3 scale t^2, reached by k and by -k (- 1)."""
+    coeffs, t = {}, int(odd)
+    while 3 * scale * t * t < precision:
+        coeffs[3 * scale * t * t] = (2 if t else 1) * sign ** (t // 2)
+        t += 2
+    return QSeries(coeffs, precision)
+
+
+def _unimodular_shadow(lat: Lattice, bound, threads):
+    """Shadow counts by norm up to bound of a det-1 integral lattice, by
+    the transform of the module docstring.  The a_j are peeled off theta_L
+    one norm at a time, each basis form starting with q^j; a shadow
+    coefficient that is not a nonnegative integer is an arithmetic fault
+    and raises."""
+    n, top = lat.dim, lat.dim // 8
+    window = 12 * top + 1
+    theta3, theta2, theta4 = (_theta(1, odd, sign, window)
+                              for odd, sign in ((0, 1), (1, 1), (0, -1)))
+    delta8 = theta2 ** 4 * theta4 ** 4 * Fraction(1, 16)
+    rest = QSeries({12 * k: v for k, v in
+                    _counts(lat, top, threads).counts.items()}, window)
+    a = []
+    for j in range(top + 1):
+        a.append(rest.coefficient_q(j))
+        rest -= theta3 ** (n - 8 * j) * delta8 ** j * a[j]
+    prec = math.floor(12 * bound) + 1
+    theta2, theta4_2z = _theta(1, 1, 1, prec), _theta(2, 0, -1, prec)
+    series = QSeries.zero(prec)
+    for j, a_j in enumerate(a):
+        series += (theta2 ** (n - 8 * j) * theta4_2z ** (8 * j)
+                   * (a_j * Fraction(-1, 16) ** j))
+    counts = {}
+    for e, c in sorted(series.coeffs.items()):
+        if c.denominator != 1 or c < 0:
+            raise ModLatticeError(
+                "arithmetic fault: shadow theta coefficient %s at q^(%s) "
+                "is not a nonnegative integer" % (c, Fraction(e, 12)))
+        counts[int_or_fraction(Fraction(e, 12))] = int(c)
+    return counts
+
+
 def shadow_theta(lat: Lattice, bound, threads=1) -> ShadowTheta:
-    """Counts of shadow vectors with norm <= bound, by exact enumeration."""
-    dl, shift = shadow_coset(lat)
-    tc = enumerate_vectors(dl, bound, shift=shift, threads=threads)
-    return ShadowTheta(int_or_fraction(bound), dict(tc.counts))
+    """Counts of shadow vectors with norm <= bound: from theta_L for det 1
+    (_unimodular_shadow), otherwise by a shifted sweep of the dual."""
+    bound = Fraction(bound)
+    if lat.det != 1 or not lat.is_integral:
+        dl, shift = shadow_coset(lat)
+        counts = enumerate_vectors(dl, bound, shift, threads=threads).counts
+    elif bound < 0:
+        raise ValueError("bound must be nonnegative")
+    else:
+        counts = _unimodular_shadow(lat, bound, threads)
+    return ShadowTheta(int_or_fraction(bound), dict(counts))
 
 
 @dataclass(frozen=True)
@@ -126,14 +188,19 @@ def shadow_min(lat: Lattice, n_level=None, threads=1) -> ShadowReport:
         raise ModLatticeError(reason)
     l = lat.dim // data.sigma0
     # the shadow minimum of an n-dim odd lattice is at most n/4 (Z^n case),
-    # so sweeping the one coset up to that bound always finds it
-    dl, shift = shadow_coset(lat)
+    # so the shadow up to that bound always holds it: for det 1 read off
+    # theta_S, otherwise swept on the one coset with a doubling bound
     top = Fraction(lat.dim, 4)
-    bound = Fraction(1)
-    counts = enumerate_vectors(dl, bound, shift, threads=threads).counts
-    while not counts and bound < top:
-        bound = min(2 * bound, top)
+    if lat.det == 1:
+        counts = shadow_theta(lat, top, threads).counts
+    else:
+        dl, shift = shadow_coset(lat)
+        bound = Fraction(1)
         counts = enumerate_vectors(dl, bound, shift, threads=threads).counts
+        while not counts and bound < top:
+            bound = min(2 * bound, top)
+            counts = enumerate_vectors(dl, bound, shift,
+                                       threads=threads).counts
     if not counts:
         raise ModLatticeError("no shadow vector of norm <= dim/4 found")
     m0 = min(counts)

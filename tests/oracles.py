@@ -6,7 +6,8 @@ import math
 
 from modlattice import linalg
 from modlattice.arith import int_or_fraction
-from modlattice.enumeration import VectorLayer, minimum, theta_series
+from modlattice.enumeration import (VectorLayer, enumerate_vectors, minimum,
+                                    theta_series)
 from modlattice.errors import (CapacityError, DefinitenessError,
                                ModLatticeError)
 from modlattice.lattice import Lattice, _sqrt_fraction, inner
@@ -14,6 +15,7 @@ from modlattice.linalg import FLOAT_EXACT_LIMIT, INT64_LIMIT
 from modlattice.modular import extremal_form, extremal_min_bound
 from modlattice.qseries import QSeries
 from modlattice.report import FAIL, PASS, CertReport
+from modlattice.shadow import ShadowTheta, shadow_coset
 
 TENSOR_MAX_DEGREE = 6
 
@@ -41,6 +43,15 @@ def box_counts(lat: Lattice, bound, guard=10 ** 8) -> dict:
             key = int_or_fraction(nrm)
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def coset_shadow_theta(lat: Lattice, bound) -> ShadowTheta:
+    """Shadow counts up to bound by a shifted sweep of the dual over the
+    shadow coset (shadow_coset): what shadow_theta computes from theta_L
+    for det 1."""
+    dl, shift = shadow_coset(lat)
+    tc = enumerate_vectors(dl, bound, shift)
+    return ShadowTheta(int_or_fraction(bound), dict(tc.counts))
 
 
 def eta_pentagonal(scale, precision):

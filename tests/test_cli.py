@@ -314,6 +314,15 @@ def test_start_up_skips_numpy_and_process_pool(args):
             "modlattice"}
 
 
+def test_unimodular_shadow_skips_numpy_and_process_pool():
+    """Z16's shadow comes from theta_L to norm 2, a sweep small enough for
+    the Python scan, not from its 2^16 shadow vectors."""
+    loaded = _imported_modules("-m", "modlattice", "shadow", "--lattice",
+                               "Z16", "--json")
+    assert "modlattice.shadow" in loaded
+    assert not loaded & {"numpy", "concurrent.futures.process"}
+
+
 def test_parallel_sweep_exits_cleanly():
     """The pool outlives the sweep and is shut down by an exit handler,
     before the interpreter tears its modules down, so nothing is printed

@@ -2,16 +2,20 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from modlattice import linalg
+from modlattice import enumeration, linalg, shadow
 from modlattice.enumeration import enumerate_vectors
 from modlattice.errors import (IntegralityError, LevelError, ModLatticeError,
                                ParityError)
-from modlattice.lattice import c_n_lattice, dual, zn
+from modlattice.lattice import (c_n_lattice, direct_sum, dual, load_catalog,
+                                zn)
 from modlattice.shadow import (odd_min_bound, shadow_coset, shadow_min,
                                shadow_theta)
 
+from oracles import coset_shadow_theta
 from test_enumeration import random_gram, transformed, unimodular
 
 
@@ -69,22 +73,118 @@ def test_shadow_min_of_cubic_lattices():
         assert rep.m == 0
 
 
+def _c3_sum():
+    """C3^4, odd with det 81: level 3, shadow minimum 4/3, so shadow_min
+    sweeps its coset to 1 and then to 2."""
+    c3 = c_n_lattice(3)
+    return direct_sum(direct_sum(c3, c3), direct_sum(c3, c3))
+
+
 def test_shadow_min_reduces_its_coset_once(monkeypatch):
-    """Every doubling step of shadow_min sweeps the one dual that
-    shadow_coset built, so its basis is LLL-reduced once: Z12 and a
-    rebased Z12 (sweeps to norm 1, 2 and 3) and Z16 (1, 2 and 4)."""
+    """Every doubling step of shadow_min on a lattice of det != 1 sweeps
+    the one dual that shadow_coset built, so its basis is LLL-reduced
+    once: C3^4 and a rebasing of it (sweeps to norm 1 and 2)."""
     calls, lll = [], linalg.gram_lll
+    bounds, sweep = [], shadow.enumerate_vectors
 
     def counted(gram):
         calls.append(len(gram))
         return lll(gram)
+
+    def swept(lat, bound, *args, **kwargs):
+        bounds.append(bound)
+        return sweep(lat, bound, *args, **kwargs)
     monkeypatch.setattr(linalg, "gram_lll", counted)
+    monkeypatch.setattr(shadow, "enumerate_vectors", swept)
+    rebased = transformed(_c3_sum(), unimodular(random.Random(7), 8))
+    for lat in (_c3_sum(), rebased):
+        rep = shadow_min(lat)
+        assert (rep.level, rep.min_norm, rep.count, rep.m) == (
+            3, Fraction(4, 3), 256, 0)
+        assert (calls, bounds) == ([8], [1, 2])
+        calls.clear()
+        bounds.clear()
+
+
+def test_unimodular_shadow_min_sweeps_the_lattice_once(monkeypatch):
+    """For det 1, shadow_min reads theta_S off theta_L: no shifted sweep,
+    and one count sweep of L to norm n // 8 (Z12, a rebased Z12, Z16)."""
+    sweeps, sweep = [], enumeration.enumerate_vectors
+
+    def swept(lat, bound, shift=None, *args, **kwargs):
+        sweeps.append((bound, shift))
+        return sweep(lat, bound, shift, *args, **kwargs)
+
+    def shifted(*args, **kwargs):
+        raise AssertionError("shifted sweep")
+    monkeypatch.setattr(enumeration, "enumerate_vectors", swept)
+    monkeypatch.setattr(shadow, "enumerate_vectors", shifted)
     rebased = transformed(zn(12), unimodular(random.Random(7), 12))
     for lat, n in ((zn(12), 12), (rebased, 12), (zn(16), 16)):
         rep = shadow_min(lat)
         assert (rep.min_norm, rep.count, rep.m) == (Fraction(n, 4), 2 ** n, 0)
-        assert calls == [n]
-        calls.clear()
+        assert sweeps == [(n // 8, None)]
+        sweeps.clear()
+
+
+# det-1 lattices and the bounds to which the transform is checked
+UNIMODULAR = ([("Z%d" % n, Fraction(n, 4)) for n in range(1, 17)]
+              + [("D12plus", 3)]
+              + [("D12plus+Z%d" % k, Fraction(12 + k, 4)) for k in (1, 2, 3)]
+              + [("E8", 4), ("E8+Z1", Fraction(9, 4))])
+
+
+def _unimodular(name):
+    base, _, k = name.partition("+Z")
+    lat = (zn(int(base[1:])) if base.startswith("Z")
+           else load_catalog().lattice(base))
+    return direct_sum(lat, zn(int(k))) if k else lat
+
+
+@pytest.mark.parametrize("name, bound", UNIMODULAR,
+                         ids=[name for name, _ in UNIMODULAR])
+def test_transform_equals_the_coset_sweep(name, bound):
+    lat = _unimodular(name)
+    got, want = shadow_theta(lat, bound), coset_shadow_theta(lat, bound)
+    assert got == want
+    assert (str(got), got.to_dict()) == (str(want), want.to_dict())
+
+
+def test_even_unimodular_shadow_is_the_lattice(catalog):
+    """E8 is even: 0 is characteristic, so theta_S = theta_L."""
+    e8 = catalog.lattice("E8")
+    assert shadow_theta(e8, 4).counts == enumerate_vectors(e8, 4).counts
+
+
+@pytest.mark.parametrize("name, bound", UNIMODULAR,
+                         ids=[name for name, _ in UNIMODULAR])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_transform_equals_the_coset_sweep_on_rebasings(name, bound, seed):
+    lat = _unimodular(name)
+    rebased = transformed(lat, unimodular(random.Random(seed), lat.dim))
+    assert shadow_theta(rebased, bound) == coset_shadow_theta(rebased, bound)
+
+
+@pytest.mark.parametrize("n, norm, term", [(12, 1, "-1 at q^(1)"),
+                                           (16, 1, "-1/32 at q^(0)"),
+                                           (16, 2, "1/256 at q^(0)")])
+def test_corrupted_theta_count_is_an_arithmetic_fault(monkeypatch, n, norm,
+                                                      term):
+    """One count of theta_L off by one makes a shadow coefficient negative
+    (norm 1 in Z12) or fractional (norms 1 and 2 in Z16): raised."""
+    counts = shadow._counts
+
+    def corrupted(lat, bound, threads=1):
+        tc = counts(lat, bound, threads)
+        tc.counts[norm] = tc.counts.get(norm, 0) + 1
+        return tc
+    monkeypatch.setattr(shadow, "_counts", corrupted)
+    with pytest.raises(ModLatticeError) as exc:
+        shadow_theta(zn(n), Fraction(n, 4))
+    assert str(exc.value) == (
+        "arithmetic fault: shadow theta coefficient %s is not a nonnegative "
+        "integer" % term)
 
 
 def test_shadow_min_report_fields():
