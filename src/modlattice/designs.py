@@ -51,15 +51,12 @@ from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 # every tile.
 _BLOCK_ENTRIES = 1 << 16
 
-# entries per block of R or of M in the rank witness of perfection_rank
+# entries per block of M in the rank witness of perfection_rank
 _RANK_BLOCK_ENTRIES = 1 << 18
 
-# the rank witness of perfection_rank: a prime below 2^31, so that a
-# product of two residues stays below 2^62; the rows of R beyond the
-# projector space; and the seed of R's entries
+# the modulus of that rank witness: a prime below 2^31, so that a product
+# of two residues stays below 2^62
 _WITNESS_PRIME = 2147483629
-_WITNESS_EXTRA = 8
-_WITNESS_SEED = 0x6D6F646C
 
 # bins of one pair-histogram tally: the packed keys of _pair_histogram
 # range over base^p <= _PACK_BINS values
@@ -363,26 +360,6 @@ def _projector_rows(rows):
     return out
 
 
-def _witness_block(size, lo, hi):
-    """Columns lo..hi-1 of the fixed matrix R of the rank witness: size
-    rows, entries in {-1, 0, 1}, each a splitmix64 hash of its (row,
-    column) position and _WITNESS_SEED, so R is the same for any blocking
-    and draws on no random state."""
-    np = load_numpy()
-    u64 = np.uint64
-    z = np.arange(size, dtype=u64)[:, None] << u64(32)
-    z = z + (np.arange(lo, hi, dtype=u64) + u64(_WITNESS_SEED))
-    z ^= z >> u64(30)
-    z *= u64(0xBF58476D1CE4E5B9)
-    z ^= z >> u64(27)
-    z *= u64(0x94D049BB133111EB)
-    z ^= z >> u64(31)
-    z %= u64(3)
-    out = z.astype(np.int8)
-    out -= 1
-    return out
-
-
 def perfection_rank(lat: Lattice) -> int:
     """Rank of the span of the projectors x x^T over minimal vectors x.
 
@@ -390,16 +367,14 @@ def perfection_rank(lat: Lattice) -> int:
     under base change, so coordinate rows are used directly.
 
     Rank witness: with M the integer matrix of projector rows
-    (_projector_rows), one per antipodal pair, and R the fixed integer
-    matrix of _witness_block with N + _WITNESS_EXTRA rows, R M is formed
-    exactly (exact_factors) and reduced mod the prime p = _WITNESS_PRIME.
-    Since rank_p(R M) <= rank_Q(R M) <= rank_Q(M) <= N, a rank of N mod p
-    proves that L is perfect, whatever R is.  A lower rank proves nothing:
-    then, as for a layer with fewer than N pairs, the exact rank of M
-    (linalg.rank) is returned.  R M is summed over blocks of rows of M
-    small enough that a block of R or of M holds about _RANK_BLOCK_ENTRIES
-    entries, so the Leech lattice's 98,280 x 300 matrix M is never formed
-    whole.
+    (_projector_rows), one per antipodal pair, the N x N Gram M^T M is
+    summed exactly (exact_factors) over blocks of rows of M and reduced
+    mod the prime p = _WITNESS_PRIME.  Since rank_p(M^T M) <=
+    rank_Q(M^T M) = rank_Q(M) <= N, a rank of N mod p proves that L is
+    perfect.  A lower rank proves nothing: then, as for a layer with
+    fewer than N pairs, the exact rank of M (linalg.rank) is returned.
+    A block of M holds about _RANK_BLOCK_ENTRIES entries, so the Leech
+    lattice's 98,280 x 300 matrix M is never formed whole.
     """
     np = load_numpy()
     layer = min_layer(lat)
@@ -407,14 +382,12 @@ def perfection_rank(lat: Lattice) -> int:
     n = lat.dim
     full = n * (n + 1) // 2
     if len(half) >= full:
-        size = full + _WITNESS_EXTRA
-        acc = np.zeros((size, full), dtype=np.int64)
-        step = max(1, _RANK_BLOCK_ENTRIES // size)
+        acc = np.zeros((full, full), dtype=np.int64)
+        step = max(1, _RANK_BLOCK_ENTRIES // full)
         for lo in range(0, len(half), step):
-            hi = min(lo + step, len(half))
-            part = np.matmul(*exact_factors(
-                _witness_block(size, lo, hi), _projector_rows(half[lo:hi])))
-            acc += (part % _WITNESS_PRIME).astype(np.int64)
+            part = _projector_rows(half[lo:lo + step])
+            acc += (np.matmul(*exact_factors(part.T, part))
+                    % _WITNESS_PRIME).astype(np.int64)
             acc %= _WITNESS_PRIME
         if rank_mod_p(acc, _WITNESS_PRIME) == full:
             return full

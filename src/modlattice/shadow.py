@@ -55,10 +55,14 @@ class ShadowTheta:
 
     Norms are rationals; exp_denominator is the lcm of their denominators,
     useful when printing the series in powers of q^(1/exp_denominator).
+    Every norm is a multiple of step, 1/(4 det) for an integral lattice
+    (det (w, w) is an integer for w in the dual), so the first norm the
+    series leaves out is the first multiple of step above the bound.
     """
 
     bound: object
     counts: dict
+    step: object
 
     @property
     def exp_denominator(self):
@@ -90,7 +94,8 @@ class ShadowTheta:
             else:
                 terms.append("%d*q^(%s)" % (c, k))
         body = " + ".join(terms) if terms else "0"
-        return body + " + O(q^(%s))" % (self.bound,)
+        above = (math.floor(self.bound / self.step) + 1) * self.step
+        return body + " + O(q^(%s))" % (int_or_fraction(above),)
 
 
 def _theta(scale, odd, sign, precision):
@@ -148,7 +153,8 @@ def shadow_theta(lat: Lattice, bound, threads=1) -> ShadowTheta:
         raise ValueError("bound must be nonnegative")
     else:
         counts = _unimodular_shadow(lat, bound, threads)
-    return ShadowTheta(int_or_fraction(bound), dict(counts))
+    return ShadowTheta(int_or_fraction(bound), dict(counts),
+                       Fraction(1, 4 * lat.det))
 
 
 @dataclass(frozen=True)

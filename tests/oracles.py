@@ -51,7 +51,8 @@ def coset_shadow_theta(lat: Lattice, bound) -> ShadowTheta:
     for det 1."""
     dl, shift = shadow_coset(lat)
     tc = enumerate_vectors(dl, bound, shift)
-    return ShadowTheta(int_or_fraction(bound), dict(tc.counts))
+    return ShadowTheta(int_or_fraction(bound), dict(tc.counts),
+                       Fraction(1, 4 * lat.det))
 
 
 def eta_pentagonal(scale, precision):

@@ -113,7 +113,9 @@ def test_shadow_verbs(capsys):
     assert (code, out) == (0, "shadow min 1, count 24, m = 1\n")
     code, out, _ = run(capsys, ["shadow", "--lattice", "Z3", "--bound", "3"])
     assert code == 0
-    assert out == "8*q^(3/4) + 24*q^(11/4) + O(q^(3))\n"
+    assert out == "8*q^(3/4) + 24*q^(11/4) + O(q^(13/4))\n"
+    code, out, _ = run(capsys, ["shadow", "--lattice", "E8", "--bound", "2"])
+    assert (code, out) == (0, "1 + 240*q^(2) + O(q^(9/4))\n")
 
 
 def test_shadow_level_defaults_to_the_lattice_level(capsys):

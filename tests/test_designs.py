@@ -618,25 +618,35 @@ def test_rank_of_zn_is_n(n, exact_ranks):
     assert exact_ranks == ([] if n == 1 else [n])
 
 
-def test_degenerate_witness_falls_back(catalog, exact_ranks, monkeypatch):
-    """R = 0 proves nothing, so the exact rank decides."""
+def test_undercounting_witness_falls_back(catalog, exact_ranks,
+                                          monkeypatch):
+    """A rank mod p below N proves nothing, so the exact rank decides."""
     e8 = catalog.lattice("E8")
     assert perfection_rank(e8) == 36 and exact_ranks == []
-    monkeypatch.setattr(designs, "_witness_block",
-                        lambda size, lo, hi: np.zeros((size, hi - lo),
-                                                      dtype=np.int8))
+    monkeypatch.setattr(designs, "rank_mod_p", lambda a, p: len(a) - 1)
     assert perfection_rank(e8) == 36 and exact_ranks == [120]
     exact_ranks.clear()
     assert perfection_rank(catalog.lattice("E6")) == 21
     assert exact_ranks == [36]
 
 
-def test_witness_matrix_does_not_depend_on_the_blocking():
-    whole = designs._witness_block(44, 0, 100)
-    assert set(np.unique(whole).tolist()) == {-1, 0, 1}
-    parts = [designs._witness_block(44, lo, min(lo + 7, 100))
-             for lo in range(0, 100, 7)]
-    assert np.array_equal(np.hstack(parts), whole)
+def test_rank_witness_does_not_depend_on_the_blocking(catalog, exact_ranks,
+                                                      monkeypatch):
+    """M^T M summed over many small blocks of rows of M still proves K12
+    and BW16 perfect."""
+    blocks = []
+    projector_rows = designs._projector_rows
+
+    def counted(rows):
+        blocks.append(len(rows))
+        return projector_rows(rows)
+    monkeypatch.setattr(designs, "_RANK_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(designs, "_projector_rows", counted)
+    for name, full, pairs in (("K12", 78, 378), ("BW16", 136, 2160)):
+        blocks.clear()
+        assert perfection_rank(catalog.lattice(name)) == full
+        assert sum(blocks) == pairs and len(blocks) > 30, name
+    assert exact_ranks == []
 
 
 def test_leech_is_perfect_by_the_witness(catalog, leech_layer, exact_ranks,

@@ -56,13 +56,27 @@ def test_diagonal_parity_is_characteristic():
 
 def test_shadow_theta_of_z3():
     st = shadow_theta(zn(3), 3)
-    assert str(st) == "8*q^(3/4) + 24*q^(11/4) + O(q^(3))"
+    assert str(st) == "8*q^(3/4) + 24*q^(11/4) + O(q^(13/4))"
     assert st.exp_denominator == 4
     assert st.min_norm == Fraction(3, 4)
     assert st.count(Fraction(3, 4)) == 8
     d = st.to_dict()
     assert d["exp_denominator"] == 4
     assert d["counts"]["3/4"] == 8
+
+
+def test_error_term_is_the_first_norm_above_the_bound(catalog):
+    """Counts include the bound, so O(q^k) names the first norm the shadow
+    can have above it: a multiple of 1/(4 det)."""
+    e8 = shadow_theta(catalog.lattice("E8"), 2)
+    assert str(e8) == "1 + 240*q^(2) + O(q^(9/4))"
+    c3 = shadow_theta(c_n_lattice(3), 3)
+    assert str(c3) == ("4*q^(1/3) + 4*q^(1) + 8*q^(7/3) + 4*q^(3)"
+                       " + O(q^(37/12))")
+    assert str(coset_shadow_theta(c_n_lattice(3), 3)) == str(c3)
+    assert str(shadow_theta(zn(3), Fraction(1, 3))) == "0 + O(q^(1/2))"
+    assert c3.to_dict() == {"bound": "3", "exp_denominator": 3, "counts": {
+        "1": 4, "1/3": 4, "3": 4, "7/3": 8}}
 
 
 def test_shadow_min_of_cubic_lattices():
