@@ -8,11 +8,25 @@ modular.check_modular (a Sturm-window theta identity plus an exact
 isometry for every exact divisor of the level).  Only a fully validated
 set is written to src/modlattice/data/lattices.json.
 
+The entries D4, E6, E7, E8, K12, BW16, D16plus and Leech also store
+three automorphisms each: integer matrices g in the entry's basis, acting
+on coordinate rows x -> x g, with g G g^T = G.  The design tests sum over
+their orbits (modlattice.designs).  Below dimension 24 each is a seeded
+self-isometry (self_isometries): find_isometry(L, U G U^T) for a seeded
+unimodular rebasing U, composed with U.  The Leech lattice is above the
+isometry search's dimension cap, so its three come from the Golay
+coordinates of leech_basis() (leech_automorphisms): two automorphisms of
+the Golay code, drawn by a seeded backtrack that maps octads to octads,
+and the sign change on one octad, conjugated into the catalogue basis.
+Validation checks every one exactly and prints the number of orbits it
+and -1 make on the minimal layer.
+
 Run from the repository root with the package importable.
 """
 
 import itertools
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -20,8 +34,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from modlattice import linalg
-from modlattice.enumeration import minimum
+from modlattice import designs, linalg
+from modlattice.enumeration import min_layer, minimum
 from modlattice.isometry import ISOMETRIC, find_isometry
 from modlattice.lattice import Catalog, Lattice, level
 from modlattice.modular import check_modular
@@ -126,11 +140,11 @@ def rm_1_4_generators():
     return rows
 
 
-def leech_gram():
-    """Scaled code lattice: congruence conditions mod 8 on Z^24.
+def leech_basis():
+    """Scaled code lattice: congruence conditions mod 8 on Z^24, with
+    inner products divided by 8 (leech_gram).
 
-    Generators: doubled Golay lifts, 4 D24, and one odd-class vector;
-    inner products divided by 8.
+    Generators: doubled Golay lifts, 4 D24, and one odd-class vector.
     """
     gens = []
     for row in golay_generators():
@@ -138,8 +152,89 @@ def leech_gram():
     for row in dn_rows(24):
         gens.append([4 * x for x in row])
     gens.append([-3] + [1] * 23)
-    basis = basis_from_generators(gens, 24)
-    return gram_of_rows(basis, scale=Fraction(1, 8))
+    return basis_from_generators(gens, 24)
+
+
+def leech_gram():
+    return gram_of_rows(leech_basis(), scale=Fraction(1, 8))
+
+
+def code_words(rows):
+    """Every codeword of the binary code spanned by rows, as bitmasks."""
+    words = [0]
+    for row in rows:
+        mask = sum(b << i for i, b in enumerate(row))
+        words += [w ^ mask for w in words]
+    return words
+
+
+def golay_automorphism(rows, rng):
+    """A permutation p of the 24 coordinates that maps the Golay code
+    onto itself, drawn by a seeded backtrack: points 0, 1, ... get images
+    in random order, and a partial map is kept only while, for every
+    octad with at least five points mapped, their images lie in the one
+    octad through the first five (the octads are a Steiner system
+    S(5, 8, 24)).  The result is checked on every codeword."""
+    words = code_words(rows)
+    code = set(words)
+    octads = [w for w in words if bin(w).count("1") == 8]
+    through = {}
+    for o in octads:
+        points = [i for i in range(24) if o >> i & 1]
+        for five in itertools.combinations(points, 5):
+            through[sum(1 << i for i in five)] = o
+    image = [None] * 24
+
+    def consistent(i):
+        for o in octads:
+            points = [j for j in range(i + 1) if o >> j & 1]
+            if o >> i & 1 and len(points) >= 5:
+                octad = through[sum(1 << image[j] for j in points[:5])]
+                if any(not octad >> image[j] & 1 for j in points[5:]):
+                    return False
+        return True
+
+    def extend(i):
+        if i == 24:
+            return True
+        free = [c for c in range(24) if c not in image[:i]]
+        rng.shuffle(free)
+        for c in free:
+            image[i] = c
+            if consistent(i) and extend(i + 1):
+                return True
+        image[i] = None
+        return False
+
+    assert extend(0)
+    for w in words:
+        assert sum(1 << image[j] for j in range(24) if w >> j & 1) in code
+    return image
+
+
+def leech_automorphisms(seed):
+    """Two automorphisms of the Golay code and the sign change on one
+    octad, each an automorphism of the Leech lattice in the coordinates
+    of leech_basis(), conjugated into its basis: g = B P B^-1 acts on the
+    coordinate rows x -> x g."""
+    rng = random.Random(seed)
+    rows = golay_generators()
+    basis = leech_basis()
+    n = len(basis)
+    moves = []
+    for _ in range(2):
+        p = golay_automorphism(rows, rng)
+        moves.append([[int(p[i] == j) for j in range(n)] for i in range(n)])
+    octad = next(w for w in code_words(rows) if bin(w).count("1") == 8)
+    moves.append([[(-1 if octad >> i & 1 else 1) * int(i == j)
+                   for j in range(n)] for i in range(n)])
+    inv = linalg.inverse(basis)
+    out = []
+    for move in moves:
+        g = linalg.mat_mul(linalg.mat_mul(basis, move), inv)
+        assert all(Fraction(x).denominator == 1 for row in g for x in row)
+        out.append([[int(x) for x in row] for row in g])
+    return out
 
 
 def bw16_gram():
@@ -310,6 +405,36 @@ def search_level5_base():
     return first.gram
 
 
+# -- automorphisms ----------------------------------------------------------
+
+def seeded_rebasing(n, seed):
+    """A unimodular n x n matrix: 3n seeded elementary row operations
+    on the identity."""
+    rng = random.Random(seed)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-1, 1))
+        u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def self_isometries(gram, seeds=(1, 2, 3)):
+    """One automorphism of L per seed: find_isometry(L, R) for the seeded
+    rebasing R = U G U^T gives v with v (U G U^T) v^T = G, so g = v U
+    maps L onto itself (x -> x g)."""
+    lat = Lattice(gram)
+    out = []
+    for seed in seeds:
+        u = seeded_rebasing(lat.dim, seed)
+        rebased = Lattice(linalg.mat_mul(linalg.mat_mul(u, gram),
+                                         linalg.mat_transpose(u)))
+        status, v, _ = find_isometry(lat, rebased)
+        assert status == ISOMETRIC
+        out.append(linalg.mat_mul(v, u))
+    return out
+
+
 # -- assembly ---------------------------------------------------------------
 
 def entry(name, lvl, gram, note, **claims):
@@ -319,7 +444,9 @@ def entry(name, lvl, gram, note, **claims):
 
 def validate(entries):
     """Definiteness, det, evenness and level through Catalog, then minimum,
-    kissing number and the strong modularity certificate."""
+    kissing number, the strong modularity certificate, and the exact
+    check of the automorphisms (with the number of orbits they and -1
+    make on the minimal layer)."""
     for e in Catalog(entries):
         lat, c = e.lattice, e.claims
         t0 = time.time()
@@ -328,9 +455,14 @@ def validate(entries):
         assert rep.kissing == c["kissing"], (e.name, rep.kissing)
         if c.get("strongly_modular"):
             assert check_modular(lat).verdict == PASS, e.name
-        print("  %-10s dim %2d det %-6s min %s kissing %-6d level %-2d  %.1fs"
-              % (e.name, lat.dim, lat.det, rep.minimum, rep.kissing, e.level,
-                 time.time() - t0))
+        orbits = ""
+        if lat._automorphisms is not None:
+            label = designs._orbits(min_layer(lat).rows,
+                                    designs._automorphisms(lat))
+            orbits = "  %d orbits" % len(set(label.tolist()))
+        print("  %-10s dim %2d det %-6s min %s kissing %-6d level %-2d  "
+              "%.1fs%s" % (e.name, lat.dim, lat.det, rep.minimum, rep.kissing,
+                           e.level, time.time() - t0, orbits))
 
 
 def main():
@@ -439,6 +571,15 @@ def main():
                                   if isinstance(rep.minimum, Fraction)
                                   else int(rep.minimum))
             e["claims"]["kissing"] = rep.kissing
+
+    print("finding automorphisms ...")
+    automorphisms = {e["name"]: self_isometries(e["gram"]) for e in entries
+                     if e["name"] in ("E8", "K12", "BW16", "D16plus", "D4",
+                                      "E6", "E7")}
+    automorphisms["Leech"] = leech_automorphisms(seed=1)
+    for e in entries:
+        if e["name"] in automorphisms:
+            e["automorphisms"] = automorphisms[e["name"]]
 
     print("validating ...")
     validate(entries)

@@ -18,9 +18,18 @@ rest of T, so equality holds exactly when T is invariant, that is when
     sum_{x in X} (a, x)^(2j)  =  c_j * (a, a)^j,
     c_j = |X| * m^j * (2j-1)!! / (n (n+2) ... (n+2j-2)),
 
-for every a: the degree-2j design identity.  The pair sums are read from
-one histogram of the integer inner products over the antipodal half of X,
-so every even degree is proved or disproved at once in exact integers.
+for every a: the degree-2j design identity.  The pair sums come, for
+every even degree at once and in exact integers, from one of two tallies
+of the integer inner products, chosen by the data (_pair_sum_test):
+
+- when the layer's lattice carries automorphisms (the catalogue stores
+  them; Lattice._automorphisms), from one row of inner products per
+  orbit of X under them and -1, weighted by the orbit's size: an
+  automorphism g maps X onto X, so sum_y (gx, y)^(2j) = sum_y (x,
+  y)^(2j) (SPLAG ch. 4 section 11 and ch. 10).  The generators are
+  checked exactly on first use, and an image off the layer raises;
+- otherwise from one histogram of the inner products over the pairs of
+  the antipodal half of X.
 
 Everything downstream (strong perfection, eutaxy, the Coxeter identity,
 harmonic theta truncations) reduces to these moment computations.  Each
@@ -32,6 +41,7 @@ cusp form alone (predicted_design_strength).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +49,7 @@ from . import linalg
 from .enumeration import (VectorLayer, _collected, _counts, min_layer,
                           minimum, theta_series, window_bound)
 from .errors import ModLatticeError
+from .isometry import _check
 from .lattice import Lattice, dual, inner, level
 from .linalg import (INT64_LIMIT, exact_cast, exact_dtype, exact_factors,
                      integer_array, inverse, load_numpy, max_abs, rank,
@@ -267,38 +278,217 @@ def _direction_witness(layer, half, degree, rhs):
     raise ModLatticeError("pair sum differs but no direction deviates")
 
 
+def _automorphisms(lat: Lattice):
+    """The automorphisms stored on lat (Lattice._automorphisms) as one
+    (k, n, n) int64 array, or None when it has none.
+
+    Each matrix g acts on coordinate rows by x -> x g and is checked on
+    first use, exactly: n x n of Python integers with g G g^T = G, which
+    makes g an isometry of L onto itself (det g = +-1).  The checked
+    array replaces the stored matrices, so the check runs once per
+    lattice object.  Anything else raises ModLatticeError.
+    """
+    np = load_numpy()
+    gens = lat._automorphisms
+    if gens is None or isinstance(gens, np.ndarray):
+        return gens
+    n = lat.dim
+    for i, g in enumerate(gens):
+        square = (isinstance(g, list) and len(g) == n and all(
+            isinstance(row, list) and len(row) == n
+            and all(type(x) is int for x in row) for row in g))
+        if not (square and _check(g, lat.gram, lat.gram)):
+            raise ModLatticeError(
+                "stored automorphism %d is not an integer %d x %d matrix "
+                "g with g G g^T = G" % (i, n, n))
+    checked = integer_array(gens).reshape(len(gens), n, n)
+    object.__setattr__(lat, "_automorphisms", checked)
+    return checked
+
+
+def _orbits(rows, gens):
+    """The orbit of each row of a layer under the group that the integer
+    matrices gens (x -> x g) and -1 generate, as the index of the orbit's
+    first row.
+
+    Each generator becomes a permutation of the rows by sorting.  Every
+    row gets a key, x w for fixed seeded integers 1 <= w_j <= 2^53 //
+    (n top), top = max |x_j|, which float64 holds exactly; if two rows
+    share a key, the row's bytes are the key instead.  The images of the
+    rows are formed in blocks of about _BLOCK_ENTRIES / 4 entries, in
+    _pair_dtype of n top max|g| (float32 on the catalogue), and must keep
+    |x_j| <= top.  If the sorted keys of the
+    images are the sorted keys of the rows, the image of the row with the
+    k-th key is taken to be the row with the k-th key, and then checked
+    to equal it entry by entry, so membership is decided by exact row
+    equality whatever the key.  Any failure proves that a generator does
+    not permute the layer, which no automorphism can do, and raises
+    ModLatticeError.
+
+    Orbits then spread by label propagation: each round every row takes
+    the least label among itself and its neighbours under each
+    permutation and its inverse, then the label of its label, until
+    nothing moves.
+    """
+    np = load_numpy()
+    size, n = rows.shape
+    top = max_abs(rows)
+    span = linalg.FLOAT_EXACT_LIMIT // (n * max(top, 1))
+    rng = random.Random(0)
+    w = np.array([rng.randint(1, span) for _ in range(n)], dtype=float)
+    void = np.dtype((np.void, n * rows.dtype.itemsize))
+    step = max(1, _BLOCK_ENTRIES // (4 * n))
+    blocks = [slice(lo, lo + step) for lo in range(0, size, step)]
+    # every partial sum of x g is at most n top max|g|
+    dtype = _pair_dtype(n * top * max_abs(gens))
+    for key in (lambda z: np.matmul(z, w),
+                lambda z: np.ascontiguousarray(
+                    z.astype(rows.dtype)).view(void).ravel()):
+        keys = np.concatenate([key(rows[b].astype(float)) for b in blocks])
+        order = np.argsort(keys)
+        keys = keys[order]
+        if not (keys[1:] == keys[:-1]).any():
+            break
+    perms = []
+    image = np.empty_like(rows)
+    image_keys = np.empty_like(keys)
+    for g in [None, *gens]:
+        perm = np.empty(size, dtype=np.intp)
+        g = None if g is None else exact_cast(g, dtype)
+        for b in blocks:
+            z = (-rows[b] if g is None
+                 else np.matmul(exact_cast(rows[b], dtype), g))
+            if max_abs(z) > top:
+                break
+            image[b] = z
+            image_keys[b] = key(z)
+        else:
+            at = np.argsort(image_keys)
+            if np.array_equal(image_keys[at], keys):
+                perm[at] = order
+                if all((rows[perm[b]] == image[b]).all() for b in blocks):
+                    perms.append(perm)
+                    continue
+        raise ModLatticeError(
+            "a stored automorphism does not permute the layer")
+    label = np.arange(size)
+    while True:
+        low = label.copy()
+        for perm in perms:
+            np.minimum(low, label[perm], out=low)
+            low[perm] = np.minimum(low[perm], label)
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def _row_tallies(gram, half, reps, m: int) -> list:
+    """[{v: number of y in H with (x, y) = v} for each row x of reps],
+    x of norm m.
+
+    The products are exact as in _pair_histogram: reps G under
+    exact_factors, then both factors cast to _pair_dtype of _pair_bound.
+    They are formed in tiles of about _BLOCK_ENTRIES entries, and each
+    tile tallied by np.unique of the keys (2m + 1) i + v + m, i the row
+    within the tile, so no tally is dense in m.
+    """
+    np = load_numpy()
+    dtype = _pair_dtype(_pair_bound(gram, half, m))
+    left = exact_cast(np.matmul(*exact_factors(reps, gram)), dtype)
+    width = 2 * m + 1
+    rows = max(1, min(len(reps), math.isqrt(_BLOCK_ENTRIES)))
+    cols = max(1, _BLOCK_ENTRIES // rows)
+    tallies = [{} for _ in range(len(reps))]
+    for c0 in range(0, len(half), cols):
+        right = exact_cast(half[c0:c0 + cols].T, dtype)
+        for r0 in range(0, len(reps), rows):
+            dots = np.matmul(left[r0:r0 + rows], right).astype(np.int64)
+            dots += m + width * np.arange(len(dots))[:, None]
+            keys, counts = np.unique(dots, return_counts=True)
+            for key, c in zip(keys.tolist(), counts.tolist()):
+                i, v = divmod(key, width)
+                tally = tallies[r0 + i]
+                tally[v - m] = tally.get(v - m, 0) + c
+    return tallies
+
+
+def _orbit_sums(layer, half, gens):
+    """((first row, orbit size, {v: number of y in H with (x, y) = v}),
+    ...) over the orbits of the layer under gens and -1, in the order of
+    their first rows x (_orbits, _row_tallies)."""
+    np = load_numpy()
+    label = _orbits(layer.rows, gens)
+    reps = np.flatnonzero(label == np.arange(len(label)))
+    sizes = np.bincount(label)[reps]
+    tallies = _row_tallies(layer.lattice.gram, half, layer.rows[reps],
+                           int(layer.norm))
+    return tuple(zip(reps.tolist(), sizes.tolist(), tallies))
+
+
 def _pair_sum_test(layer: VectorLayer, degrees):
     """Venkov pair-sum verdict of each even degree (ascending) on a layer.
 
     Returns ({degree: PASS or FAIL}, witness), where the witness names a
     direction for the first failed degree and is None when all pass.  A
     pair sum below its bound is impossible and raises ModLatticeError.
-    The histogram is built once per layer object, when there are degrees
-    to test, and kept on it.
+
+    The route is chosen by the data.  When the layer's lattice carries
+    automorphisms (a catalogue entry; _automorphisms), the sum over the
+    pairs is one row per orbit of the layer under them and -1: an
+    automorphism g maps X onto X, so sum_y (gx, y)^d = sum_y (x, y)^d,
+    and the pair sum is sum over orbits O of |O| sum_y (x_O, y)^d
+    (_orbit_sums).  Every row of an orbit has that orbit's row sum, so
+    the first row of layer.rows whose sum deviates, the witness, is the
+    first row of the first deviating orbit.  Otherwise the pair sum is
+    read from _pair_histogram, and the witness found by
+    _direction_witness.  Either result is built once per layer object,
+    when there are degrees to test, and kept on it (_histogram).
     """
     lat, half = _half(layer)
     n, m, size = lat.dim, int(layer.norm), len(layer)
     if degrees and layer._histogram is None:
-        # the minimum mu, read off the counts of the sweep that collected
-        # the layer: 2 |(x, y)| <= 2m - mu off the diagonal
-        mu = min(k for k in _counts(lat, m).counts if k > 0)
-        object.__setattr__(layer, "_histogram", _pair_histogram(
-            lat.gram, half, m, int((2 * m - mu) // 2)))
-    hist = layer._histogram
+        gens = _automorphisms(lat)
+        if gens is not None and size:
+            kept = _orbit_sums(layer, half, gens)
+        else:
+            # the minimum mu, read off the counts of the sweep that
+            # collected the layer: 2 |(x, y)| <= 2m - mu off the diagonal
+            mu = min(k for k in _counts(lat, m).counts if k > 0)
+            kept = _pair_histogram(lat.gram, half, m,
+                                   int((2 * m - mu) // 2))
+        object.__setattr__(layer, "_histogram", kept)
+    kept = layer._histogram
     verdicts, witness = {}, None
     for d in degrees:
         # degree d holds when sum_x (x, y)^d = rhs for each y in X
         rhs = design_constant(n, d // 2, size, m) * m ** (d // 2)
-        # (+-x, +-y) are four pairs of one value
-        pairs = 4 * sum(c * v ** d for v, c in hist.items())
+        if isinstance(kept, dict):
+            # (+-x, +-y) are four pairs of one value
+            pairs = 4 * _power_sum(kept, d)
+        else:
+            # an orbit's row sum over X is twice its sum over H
+            lhs = [2 * _power_sum(tally, d) for _, _, tally in kept]
+            pairs = sum(w * s for (_, w, _), s in zip(kept, lhs))
         if pairs < size * rhs:
             raise ModLatticeError(
                 "degree-%d pair sum below the design bound: arithmetic "
                 "fault" % d)
         verdicts[d] = PASS if pairs == size * rhs else FAIL
         if verdicts[d] == FAIL and witness is None:
-            witness = _direction_witness(layer, half, d, rhs)
+            if isinstance(kept, dict):
+                witness = _direction_witness(layer, half, d, rhs)
+            else:
+                x, s = next((x, s) for (x, _, _), s in zip(kept, lhs)
+                            if s != rhs)
+                witness = {"direction": [int(c) for c in layer.rows[x]],
+                           "degree": d, "lhs": s, "rhs": rhs}
     return verdicts, witness
+
+
+def _power_sum(tally, d):
+    """sum of c v^d over the items v: c of a tally."""
+    return sum(c * v ** d for v, c in tally.items())
 
 
 @dataclass(frozen=True)
@@ -318,9 +508,13 @@ def check_design(layer: VectorLayer, strength: int,
 
     Every even degree 2j <= t gets its own exact pair-sum verdict (odd
     degrees hold by antipodality), so the report is a proof either way;
-    config has no effect.
+    config has no effect.  A strength below 1 raises ValueError, once
+    the layer has passed its own checks (_half).
     """
     verdicts, wit = _pair_sum_test(layer, range(2, strength + 1, 2))
+    if strength < 1:
+        raise ValueError("design strength must be positive, got %r"
+                         % (strength,))
     return CertReport(check="design-strength",
                       verdict=FAIL if wit else PASS,
                       inputs={"layer_norm": layer.norm,

@@ -109,8 +109,10 @@ class VectorLayer:
     divide), is made from them on first read and kept, and len() does
     not make it.  Layers compare on (norm, den, complete, lattice) and
     the values of rows, which with den determine the vectors, and hash on
-    those fields and len(); neither makes tuples.  _histogram is the pair
-    histogram, kept once a design test has built it.
+    those fields and len(); neither makes tuples.  _histogram is what the
+    design tests sum over, kept once one has built it: the pair histogram
+    {v: pairs}, or, when the lattice carries automorphisms, the orbit
+    sums ((first row, orbit size, row tally), ...) (designs._pair_sum_test).
     """
 
     norm: object
@@ -118,7 +120,7 @@ class VectorLayer:
     den: int
     complete: bool
     lattice: object = None
-    _histogram: dict = field(default=None, repr=False)
+    _histogram: object = field(default=None, repr=False)
 
     def __init__(self, norm, vectors, complete, lattice=None, den=1):
         """vectors: coordinate tuples of integers and Fractions, whose

@@ -20,10 +20,16 @@ from .errors import (CatalogError, DivisorError, IntegralityError,
 
 
 class Lattice:
-    """Positive definite lattice given by an exact Gram matrix."""
+    """Positive definite lattice given by an exact Gram matrix.
+
+    _automorphisms holds the integer matrices g (acting x -> x g) that a
+    catalogue entry lists as automorphisms, unchecked, or None; the
+    design tests check them exactly on first use (designs._automorphisms).
+    A lattice built from a Gram matrix has none.
+    """
 
     __slots__ = ("gram", "dim", "det", "_level", "_lll", "_sweep",
-                 "_layers")
+                 "_layers", "_automorphisms")
 
     def __init__(self, gram):
         rows = [tuple(int_or_fraction(x) for x in row) for row in gram]
@@ -35,6 +41,7 @@ class Lattice:
         object.__setattr__(self, "_lll", None)
         object.__setattr__(self, "_sweep", None)
         object.__setattr__(self, "_layers", None)
+        object.__setattr__(self, "_automorphisms", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
@@ -259,7 +266,8 @@ class Catalog:
     Each entry's cheap claims (definiteness, determinant, evenness, level)
     are checked the first time the entry is read, once; later reads return
     the same CatalogEntry, so work kept on its Lattice is kept.  Iterating
-    validates every entry.
+    validates every entry.  An entry's "automorphisms" go onto its Lattice
+    unchecked; the design tests check them on first use.
     """
 
     def __init__(self, raw_entries):
@@ -326,6 +334,7 @@ def _validate_entry(raw) -> CatalogEntry:
                            % (name, lat.det, claims["det"]))
     if "even" in claims and lat.is_even != claims["even"]:
         raise CatalogError("entry %r: evenness mismatch" % name)
+    object.__setattr__(lat, "_automorphisms", raw.get("automorphisms"))
     return CatalogEntry(name, claimed_level, lat, raw["note"], claims)
 
 

@@ -159,6 +159,15 @@ def test_library_value_errors_are_usage_errors(capsys, argv, message):
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("t", ["0", "-3"])
+def test_check_design_strength_below_one_is_a_usage_error(capsys, t):
+    """The CLI refuses --t below 1 before any sweep, with its own message
+    (check_design raises ValueError for it too)."""
+    code, out, err = run(capsys, ["check-design", "--lattice", "E8",
+                                  "--t", t])
+    assert (code, out, err) == (2, "", "error: --t must be positive\n")
+
+
 def test_unknown_lattice_lists_catalogue(capsys):
     code, _, err = run(capsys, ["min", "--lattice", "E9"])
     assert code == 2

@@ -1,5 +1,6 @@
 """Design strength, perfection, eutaxy and harmonic theta series."""
 from fractions import Fraction
+import json
 import math
 import random
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import pytest
 
 from modlattice import designs, enumeration, linalg
+from modlattice import lattice as lattice_module
 from modlattice.designs import (DesignTestConfig, EUTACTIC_CERT,
                                 NOT_EUTACTIC, STRONGLY_EUTACTIC,
                                 check_design, coxeter_identity_check,
@@ -29,7 +31,7 @@ from modlattice.errors import (CapacityError, DefinitenessError,
                                ModLatticeError)
 from modlattice.isometry import ISOMETRIC, find_isometry
 from modlattice.lattice import (Lattice, bundled_catalog, direct_sum, dual,
-                                inner, rescale, zn)
+                                inner, load_catalog, rescale, zn)
 from modlattice.modular import (check_extremal, default_level,
                                transformation_check)
 from modlattice.qseries import delta_level
@@ -864,6 +866,8 @@ def test_dimension_16_roots_are_3_designs_as_predicted(catalog):
 
 
 def test_one_histogram_per_layer(catalog, monkeypatch):
+    """A lattice without stored automorphisms (a copy of E8 by its Gram
+    matrix) builds one pair histogram per layer object."""
     built = []
     histogram = designs._pair_histogram
 
@@ -871,17 +875,43 @@ def test_one_histogram_per_layer(catalog, monkeypatch):
         built.append(args)
         return histogram(*args)
     monkeypatch.setattr(designs, "_pair_histogram", counted)
-    tc = enumerate_vectors(catalog.lattice("E8"), 6, collect=True)
+    e8 = Lattice(catalog.lattice("E8").gram)
+    tc = enumerate_vectors(e8, 6, collect=True)
     layer = tc.layers[6]
     seven, eleven = check_design(layer, 7), check_design(layer, 11)
     assert len(built) == 1
     assert seven.verdict == PASS and eleven.verdict == FAIL
     assert eleven.witnesses["degree"] == 8
     # a fresh layer with the same vectors builds its own
-    fresh = enumerate_vectors(catalog.lattice("E8"), 6, collect=True)
+    fresh = enumerate_vectors(e8, 6, collect=True)
     assert check_design(fresh.layers[6], 11).to_dict()["witnesses"] == (
         eleven.to_dict()["witnesses"])
     assert len(built) == 2
+
+
+def test_one_orbit_sum_per_layer(catalog, monkeypatch):
+    """The catalogue's E8 carries automorphisms: its layers build their
+    orbit sums once per layer object and no pair histogram, with the
+    verdicts and witness of the copy without automorphisms."""
+    built = []
+    orbit_sums = designs._orbit_sums
+
+    def counted(*args):
+        built.append(args)
+        return orbit_sums(*args)
+    monkeypatch.setattr(designs, "_orbit_sums", counted)
+    monkeypatch.setattr(designs, "_pair_histogram", None)
+    e8 = catalog.lattice("E8")
+    layer = enumerate_vectors(e8, 6, collect=True).layers[6]
+    seven, eleven = check_design(layer, 7), check_design(layer, 11)
+    assert len(built) == 1
+    fresh = enumerate_vectors(e8, 6, collect=True)
+    assert check_design(fresh.layers[6], 11) == eleven
+    assert len(built) == 2
+    monkeypatch.undo()
+    copy = enumerate_vectors(Lattice(e8.gram), 6, collect=True).layers[6]
+    assert seven.to_dict() == check_design(copy, 7).to_dict()
+    assert eleven.to_dict() == check_design(copy, 11).to_dict()
 
 
 def test_layer_certificates_share_one_collected_sweep(catalog, monkeypatch):
@@ -1151,3 +1181,241 @@ def test_harmonic_theta_rejects_a_rational_gram(catalog):
     """dual(A2) has Gram entries 2/3 and -1/3: no silent truncation."""
     with pytest.raises(ValueError, match="not integral"):
         harmonic_theta_truncation(dual(catalog.lattice("A2")), (1, 0), 6, 4)
+
+
+# -- design sums over automorphism orbits -----------------------------------
+
+# the catalogue entries that carry automorphisms
+ORBIT_ENTRIES = ("D4", "E6", "E7", "E8", "K12", "BW16", "Leech", "D16plus")
+
+
+def _orbit_layers(catalog):
+    """(label, layer) for the layers with automorphisms that the design
+    tests read: the E8 shells of norm 2-10, the K12 shells of norm 4-8
+    and the minimal layers of BW16, D16plus, D4, E6 and E7."""
+    for name, bound in (("E8", 10), ("K12", 8)):
+        tc = enumerate_vectors(catalog.lattice(name), bound, collect=True)
+        for norm, layer in sorted(tc.layers.items()):
+            if norm:
+                yield "%s norm %s" % (name, norm), layer
+    for name in ("BW16", "D16plus", "D4", "E6", "E7"):
+        yield name, min_layer(catalog.lattice(name))
+
+
+def _orbit_pair_sums(layer):
+    """({d: sum over X x X of (x, y)^d} for d = 2-12 from the orbit sums,
+    the orbit sums)."""
+    lat, half = designs._half(layer)
+    sums = designs._orbit_sums(layer, half, designs._automorphisms(lat))
+    return {d: sum(2 * w * designs._power_sum(tally, d)
+                   for _, w, tally in sums)
+            for d in range(2, 14, 2)}, sums
+
+
+def test_orbit_sums_equal_the_pair_histogram(catalog):
+    """At every even degree through 12, the orbit-weighted pair sums are
+    the pair histogram's, and the double-loop oracle's where |H| <= 400."""
+    orbits = {}
+    for label, layer in _orbit_layers(catalog):
+        lat, half = designs._half(layer)
+        got, sums = _orbit_pair_sums(layer)
+        m = int(layer.norm)
+        hists = [designs._pair_histogram(lat.gram, half, m, m - 1)]
+        if len(half) <= 400:
+            hists.append(pair_histogram(lat.gram, half.tolist()))
+        for hist in hists:
+            assert got == {d: 4 * designs._power_sum(hist, d)
+                           for d in got}, label
+        assert sum(w for _, w, _ in sums) == len(layer), label
+        orbits[label] = len(sums)
+    assert orbits == {"E8 norm 2": 1, "E8 norm 4": 1, "E8 norm 6": 1,
+                      "E8 norm 8": 2, "E8 norm 10": 1, "K12 norm 4": 1,
+                      "K12 norm 6": 1, "K12 norm 8": 1, "BW16": 1,
+                      "D16plus": 1, "D4": 2, "E6": 1, "E7": 1}
+
+
+@pytest.mark.slow
+def test_leech_orbit_sums(leech_layer):
+    """Three orbits, the three shapes of minimal vector (SPLAG ch. 4
+    section 11), each of whose rows meets the layer in Leech's distance
+    distribution: (x, y) = +-4 once each, +-2 4,600 times each, +-1
+    47,104 times each and 0 93,150 times.  The sums equal the pair
+    histogram's."""
+    got, sums = _orbit_pair_sums(leech_layer)
+    assert sorted(w for _, w, _ in sums) == [1104, 97152, 98304]
+    for d in got:
+        row = 2 * 4 ** d + 2 * 4600 * 2 ** d + 2 * 47104
+        assert all(2 * designs._power_sum(tally, d) == row
+                   for _, _, tally in sums)
+        assert got[d] == 196560 * row
+    lat, half = designs._half(leech_layer)
+    hist = designs._pair_histogram(lat.gram, half, 4, 2)
+    assert got == {d: 4 * designs._power_sum(hist, d) for d in got}
+
+
+def test_orbit_route_gives_the_histogram_verdicts_and_witnesses(catalog):
+    """Every catalogue lattice with automorphisms gives the reports of a
+    copy without them, which takes the pair histogram: check_design at
+    t = 1-11 on the layers of _orbit_layers, is_strongly_perfect and
+    coxeter_identity_check."""
+    for label, layer in _orbit_layers(catalog):
+        copy = Lattice(layer.lattice.gram)
+        twin = enumerate_vectors(copy, layer.norm,
+                                 collect=True).layers[layer.norm]
+        assert designs._automorphisms(layer.lattice) is not None
+        assert designs._automorphisms(copy) is None
+        for t in range(1, 12, 2):
+            assert check_design(layer, t) == check_design(twin, t), (
+                label, t)
+    for name in ("D4", "E6", "E7", "E8", "K12", "BW16", "D16plus"):
+        lat = catalog.lattice(name)
+        copy = Lattice(lat.gram)
+        for cert in (is_strongly_perfect, coxeter_identity_check):
+            assert cert(lat) == cert(copy), (name, cert)
+
+
+def test_orbit_witnesses_are_pinned(catalog):
+    """The first failed degree's witness: the first row of the layer
+    whose orbit deviates, with the parent route's lhs and rhs."""
+    k12 = check_design(min_layer(catalog.lattice("K12")), 7)
+    assert k12.witnesses == {
+        "direction": [-2, -2, 0, 0, 0, 0, 1, 1, 2, 1, 1, 2], "degree": 6,
+        "lhs": 19008, "rhs": 17280}
+    e8 = catalog.lattice("E8")
+    assert check_design(min_layer(e8), 11).witnesses == {
+        "direction": [-2, -3, -4, -6, -5, -4, -3, -2], "degree": 8,
+        "lhs": 624, "rhs": 480}
+    ten = enumerate_vectors(e8, 10, collect=True).layers[10]
+    assert check_design(ten, 11).witnesses == {
+        "direction": [-6, -8, -11, -16, -13, -10, -7, -4], "degree": 8,
+        "lhs": 23651661600, "rhs": 23625000000}
+    # D4's two orbits: the first row's deviates at degree 6
+    d4 = min_layer(catalog.lattice("D4"))
+    assert check_design(d4, 7).witnesses == {
+        "direction": [-1, -2, -1, -1], "degree": 6, "lhs": 144, "rhs": 120}
+    assert [int(c) for c in d4.rows[0]] == [-1, -2, -1, -1]
+
+
+def _with_automorphisms(lat, gens):
+    """A copy of lat carrying gens as its stored automorphisms."""
+    copy = Lattice(lat.gram)
+    object.__setattr__(copy, "_automorphisms", gens)
+    return copy
+
+
+def test_a_bad_stored_automorphism_raises(catalog, monkeypatch):
+    """A stored matrix that is no integer isometry (g G g^T != G, a
+    non-integer entry, the wrong shape) is refused by the exact check,
+    and past that check (the test seam: designs._check says yes) an
+    integral map that moves a vector off the layer is refused by the
+    orbit search; no design test passes or fails on either."""
+    e8 = catalog.lattice("E8")
+    n = e8.dim
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    swap = [one[1], one[0]] + one[2:]
+    double = [[2 * x for x in row] for row in one]
+    assert linalg.mat_mul(swap, linalg.mat_mul(
+        e8.gram, linalg.mat_transpose(swap))) != [list(r) for r in e8.gram]
+    layer_of = lambda lat: enumerate_vectors(lat, 4, collect=True).layers[4]
+    bad = (swap, double, [[1.0 * x for x in row] for row in one],
+           [[Fraction(x) for x in row] for row in one[:-1]], one[:-1])
+    for g in bad:
+        lat = _with_automorphisms(e8, [one, g])
+        with pytest.raises(ModLatticeError, match="stored automorphism 1 "):
+            check_design(layer_of(lat), 7)
+        with pytest.raises(ModLatticeError):
+            is_strongly_perfect(lat)
+    monkeypatch.setattr(designs, "_check", lambda *args: True)
+    for g in (swap, double):
+        lat = _with_automorphisms(e8, [one, g])
+        for layer in (layer_of(lat), min_layer(lat)):
+            with pytest.raises(ModLatticeError, match="does not permute"):
+                check_design(layer, 7)
+    # the orbit search alone, on the integer arrays
+    rows = min_layer(e8).rows
+    for g in (swap, double):
+        with pytest.raises(ModLatticeError, match="does not permute"):
+            designs._orbits(rows, np.array([g]))
+
+
+def test_orbits_fall_back_to_byte_keys(catalog, monkeypatch):
+    """With every key weight 1 the keys x w are coordinate sums, which
+    rows of one layer share; the orbit search then keys the rows by
+    their bytes and finds the same orbits."""
+    layers = [min_layer(catalog.lattice("D4")),
+              enumerate_vectors(catalog.lattice("E8"), 8,
+                                collect=True).layers[8]]
+    want = [designs._orbits(layer.rows,
+                            designs._automorphisms(layer.lattice))
+            for layer in layers]
+    sorts = []
+    argsort = np.argsort
+
+    def spied(keys, *args, **kwargs):
+        sorts.append(keys.dtype.kind)
+        return argsort(keys, *args, **kwargs)
+
+    class Ones:
+        def __init__(self, seed):
+            pass
+
+        def randint(self, lo, hi):
+            return 1
+    monkeypatch.setattr(designs.random, "Random", Ones)
+    monkeypatch.setattr(np, "argsort", spied)
+    for layer, labels in zip(layers, want):
+        sorts.clear()
+        got = designs._orbits(layer.rows,
+                              designs._automorphisms(layer.lattice))
+        assert np.array_equal(got, labels)
+        assert sorts[:2] == ["f", "V"] and set(sorts[2:]) == {"V"}
+
+
+def test_every_stored_automorphism_is_exact():
+    """Every matrix that the bundled catalogue stores is an integer
+    isometry g G g^T = G of its entry, by a Python-integer triple loop;
+    the entries that store them store three each."""
+    raw = json.loads(lattice_module._bundled_text())
+    stored = {e["name"]: e["automorphisms"] for e in raw
+              if "automorphisms" in e}
+    assert sorted(stored) == sorted(ORBIT_ENTRIES)
+    for e in raw:
+        gram = e["gram"]
+        n = len(gram)
+        for g in stored.get(e["name"], ()):
+            assert len(g) == n and all(len(row) == n for row in g)
+            assert all(type(x) is int for row in g for x in row)
+            gg = [[sum(g[i][k] * gram[k][l] * g[j][l]
+                       for k in range(n) for l in range(n))
+                   for j in range(n)] for i in range(n)]
+            assert gg == gram, e["name"]
+    assert all(len(gens) == 3 for gens in stored.values())
+
+
+def test_automorphisms_are_checked_on_first_use_not_at_load(tmp_path):
+    """A catalogue file whose entry stores a bad matrix loads, and the
+    design test raises; good matrices are checked once, into one array
+    kept on the lattice."""
+    raw = json.loads(lattice_module._bundled_text())
+    e8 = next(e for e in raw if e["name"] == "E8")
+    bad = dict(e8, name="E8bad",
+               automorphisms=[[[2 * int(i == j) for j in range(8)]
+                               for i in range(8)]])
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([e8, bad]))
+    cat = load_catalog(str(path))
+    with pytest.raises(ModLatticeError, match="stored automorphism 0 "):
+        check_design(min_layer(cat.lattice("E8bad")), 7)
+    lat = cat.lattice("E8")
+    assert isinstance(lat._automorphisms, list)
+    first = designs._automorphisms(lat)
+    assert first.shape == (3, 8, 8) and first.tolist() == e8["automorphisms"]
+    assert designs._automorphisms(lat) is first
+    assert lat._automorphisms is first
+
+
+def test_check_design_refuses_a_strength_below_one(catalog):
+    layer = min_layer(catalog.lattice("E8"))
+    for t in (0, -3):
+        with pytest.raises(ValueError, match="must be positive"):
+            check_design(layer, t)
