@@ -19,8 +19,8 @@ rest of T, so equality holds exactly when T is invariant, that is when
     c_j = |X| * m^j * (2j-1)!! / (n (n+2) ... (n+2j-2)),
 
 for every a: the degree-2j design identity.  The pair sums come, for
-every even degree at once and in exact integers, from one of two tallies
-of the integer inner products, chosen by the data (_pair_sum_test):
+every even degree at once and in exact integers, from a tally of the
+integer inner products, chosen by the data (_pair_sum_test):
 
 - when the layer's lattice carries automorphisms (the catalogue stores
   them; Lattice._automorphisms), from one row of inner products per
@@ -29,7 +29,12 @@ of the integer inner products, chosen by the data (_pair_sum_test):
   y)^(2j) (SPLAG ch. 4 section 11 and ch. 10).  The generators are
   checked exactly on first use, and an image off the layer raises;
 - otherwise from one histogram of the inner products over the pairs of
-  the antipodal half of X.
+  the antipodal half of X (_pair_histogram).
+
+Two kernels form inner products against a layer: _pair_histogram, and
+_row_tallies, which tallies the inner products of a few chosen rows with
+the layer.  _row_tallies serves the orbit rows, the failure witness of
+either route and the harmonic theta series.
 
 Everything downstream (strong perfection, eutaxy, the Coxeter identity,
 harmonic theta truncations) reduces to these moment computations.  Each
@@ -57,9 +62,9 @@ from .linalg import (INT64_LIMIT, exact_cast, exact_dtype, exact_factors,
 from .qseries import LevelData, QSeries
 from .report import FAIL, INCONCLUSIVE, PASS, CertReport
 
-# products per tile of _pair_histogram: each call allocates its product
-# buffer and its key buffer, 8 bytes an entry, once and reuses them for
-# every tile.
+# products per tile of _pair_histogram and _row_tallies: each call of
+# _pair_histogram allocates its product buffer and its key buffer, 8 bytes
+# an entry, once and reuses them for every tile.
 _BLOCK_ENTRIES = 1 << 16
 
 # entries per block of M in the rank witness of perfection_rank
@@ -107,14 +112,6 @@ def _half(layer: VectorLayer):
     if 2 * len(half) != len(arr):
         raise ModLatticeError("layer is not antipodal")
     return lat, half
-
-
-def exact_power_sums(dots, degrees) -> dict:
-    """sum_i dots[i]^d for each d, exactly (values compressed, then int)."""
-    np = load_numpy()
-    values, counts = np.unique(dots, return_counts=True)
-    pairs = [(int(v), int(c)) for v, c in zip(values, counts)]
-    return {d: sum(c * v ** d for v, c in pairs) for d in degrees}
 
 
 def _packed(cols, base, p, dtype):
@@ -257,27 +254,6 @@ def _pair_histogram(gram, half, m: int, r: int) -> dict:
     return {v: c for v, c in sorted(tally.items()) if c}
 
 
-def _direction_witness(layer, half, degree, rhs):
-    """The first layer vector y, in the order of layer.rows, with
-    sum_{x in X} (x, y)^degree != rhs.
-
-    H^T is cast once, to _pair_dtype of _pair_bound (float32 on every
-    catalogue layer); the rows y are read one at a time, y G formed under
-    exact_factors and cast to that dtype.
-    """
-    np = load_numpy()
-    lat, m = layer.lattice, int(layer.norm)
-    dtype = _pair_dtype(_pair_bound(lat.gram, half, m))
-    right = exact_cast(half.T, dtype)
-    for y in layer.rows:
-        left = exact_cast(np.matmul(*exact_factors(y, lat.gram)), dtype)
-        lhs = 2 * exact_power_sums(np.matmul(left, right), [degree])[degree]
-        if lhs != rhs:
-            return {"direction": [int(c) for c in y],
-                    "degree": degree, "lhs": lhs, "rhs": rhs}
-    raise ModLatticeError("pair sum differs but no direction deviates")
-
-
 def _automorphisms(lat: Lattice):
     """The automorphisms stored on lat (Lattice._automorphisms) as one
     (k, n, n) int64 array, or None when it has none.
@@ -383,47 +359,35 @@ def _orbits(rows, gens):
         label = low
 
 
-def _row_tallies(gram, half, reps, m: int) -> list:
-    """[{v: number of y in H with (x, y) = v} for each row x of reps],
-    x of norm m.
+def _row_tallies(gram, rows, cols) -> list:
+    """[{v: number of y in cols with (x, y) = v} for each row x of rows],
+    rows and cols integer arrays.
 
-    The products are exact as in _pair_histogram: reps G under
-    exact_factors, then both factors cast to _pair_dtype of _pair_bound.
-    They are formed in tiles of about _BLOCK_ENTRIES entries, and each
-    tile tallied by np.unique of the keys (2m + 1) i + v + m, i the row
-    within the tile, so no tally is dense in m.
+    x G is formed exactly (exact_factors), and every partial sum of
+    (x G) y^T is bounded by n max|x G| max|cols|, so the products are
+    exact in _pair_dtype of that bound (float32 for the orbit rows of
+    every catalogue layer).  They are formed in tiles: about
+    _BLOCK_ENTRIES entries of cols, cast once to that dtype, against as
+    many rows as keep the tile of products near _BLOCK_ENTRIES.  Each row
+    of a tile is tallied by np.unique of its values, so no tally is dense
+    in the norm and no key can overflow.
     """
     np = load_numpy()
-    dtype = _pair_dtype(_pair_bound(gram, half, m))
-    left = exact_cast(np.matmul(*exact_factors(reps, gram)), dtype)
-    width = 2 * m + 1
-    rows = max(1, min(len(reps), math.isqrt(_BLOCK_ENTRIES)))
-    cols = max(1, _BLOCK_ENTRIES // rows)
-    tallies = [{} for _ in range(len(reps))]
-    for c0 in range(0, len(half), cols):
-        right = exact_cast(half[c0:c0 + cols].T, dtype)
-        for r0 in range(0, len(reps), rows):
-            dots = np.matmul(left[r0:r0 + rows], right).astype(np.int64)
-            dots += m + width * np.arange(len(dots))[:, None]
-            keys, counts = np.unique(dots, return_counts=True)
-            for key, c in zip(keys.tolist(), counts.tolist()):
-                i, v = divmod(key, width)
-                tally = tallies[r0 + i]
-                tally[v - m] = tally.get(v - m, 0) + c
+    left = np.matmul(*exact_factors(rows, gram))
+    dtype = _pair_dtype(left.shape[1] * max_abs(left) * max_abs(cols))
+    left = exact_cast(left, dtype)
+    step = max(1, _BLOCK_ENTRIES // cols.shape[1])
+    block = max(1, _BLOCK_ENTRIES // step)
+    tallies = [{} for _ in range(len(rows))]
+    for c0 in range(0, len(cols), step):
+        right = exact_cast(cols[c0:c0 + step], dtype).T
+        for r0 in range(0, len(rows), block):
+            dots = np.matmul(left[r0:r0 + block], right)
+            for tally, row in zip(tallies[r0:r0 + block], dots):
+                values, counts = np.unique(row, return_counts=True)
+                for v, c in zip(values.tolist(), counts.tolist()):
+                    tally[int(v)] = tally.get(int(v), 0) + c
     return tallies
-
-
-def _orbit_sums(layer, half, gens):
-    """((first row, orbit size, {v: number of y in H with (x, y) = v}),
-    ...) over the orbits of the layer under gens and -1, in the order of
-    their first rows x (_orbits, _row_tallies)."""
-    np = load_numpy()
-    label = _orbits(layer.rows, gens)
-    reps = np.flatnonzero(label == np.arange(len(label)))
-    sizes = np.bincount(label)[reps]
-    tallies = _row_tallies(layer.lattice.gram, half, layer.rows[reps],
-                           int(layer.norm))
-    return tuple(zip(reps.tolist(), sizes.tolist(), tallies))
 
 
 def _pair_sum_test(layer: VectorLayer, degrees):
@@ -433,56 +397,70 @@ def _pair_sum_test(layer: VectorLayer, degrees):
     direction for the first failed degree and is None when all pass.  A
     pair sum below its bound is impossible and raises ModLatticeError.
 
+    The pair sums over X x X are read from one tally {v: pairs with
+    (x, y) = v}, built once per layer object, when there are degrees to
+    test, and kept on it (_histogram) with the candidate witness rows.
     The route is chosen by the data.  When the layer's lattice carries
-    automorphisms (a catalogue entry; _automorphisms), the sum over the
-    pairs is one row per orbit of the layer under them and -1: an
-    automorphism g maps X onto X, so sum_y (gx, y)^d = sum_y (x, y)^d,
-    and the pair sum is sum over orbits O of |O| sum_y (x_O, y)^d
-    (_orbit_sums).  Every row of an orbit has that orbit's row sum, so
-    the first row of layer.rows whose sum deviates, the witness, is the
-    first row of the first deviating orbit.  Otherwise the pair sum is
-    read from _pair_histogram, and the witness found by
-    _direction_witness.  Either result is built once per layer object,
-    when there are degrees to test, and kept on it (_histogram).
+    automorphisms (a catalogue entry; _automorphisms), the tally is one
+    row per orbit of the layer under them and -1 (_orbits, _row_tallies):
+    an automorphism g maps X onto X, so sum_y (gx, y)^d = sum_y (x, y)^d,
+    and the pair sum is sum over orbits O of |O| sum_y (x_O, y)^d.  Every
+    row of an orbit has its orbit's row sum, so the candidates are the
+    orbits' first rows.  Otherwise the tally is four times
+    _pair_histogram's, and every row is a candidate.  The witness is the
+    first candidate, in the order of layer.rows, whose row sum over X
+    deviates (_row_tallies), so it is the first deviating row of the
+    layer either way.
     """
+    np = load_numpy()
     lat, half = _half(layer)
     n, m, size = lat.dim, int(layer.norm), len(layer)
-    if degrees and layer._histogram is None:
+    if not degrees:
+        return {}, None
+    if layer._histogram is None:
         gens = _automorphisms(lat)
         if gens is not None and size:
-            kept = _orbit_sums(layer, half, gens)
+            label = _orbits(layer.rows, gens)
+            firsts = np.flatnonzero(label == np.arange(size))
+            sizes = np.bincount(label)[firsts].tolist()
+            total = {}
+            for w, tally in zip(sizes, _row_tallies(
+                    lat.gram, layer.rows[firsts], half)):
+                # an orbit's row sum over X is twice its sum over H
+                for v, c in tally.items():
+                    total[v] = total.get(v, 0) + 2 * w * c
+            candidates = firsts.tolist()
         else:
             # the minimum mu, read off the counts of the sweep that
             # collected the layer: 2 |(x, y)| <= 2m - mu off the diagonal
             mu = min(k for k in _counts(lat, m).counts if k > 0)
-            kept = _pair_histogram(lat.gram, half, m,
-                                   int((2 * m - mu) // 2))
-        object.__setattr__(layer, "_histogram", kept)
-    kept = layer._histogram
+            hist = _pair_histogram(lat.gram, half, m, int((2 * m - mu) // 2))
+            # (+-x, +-y) are four pairs of one value
+            total = {v: 4 * c for v, c in hist.items()}
+            candidates = range(size)
+        object.__setattr__(layer, "_histogram", (total, candidates))
+    total, candidates = layer._histogram
     verdicts, witness = {}, None
     for d in degrees:
         # degree d holds when sum_x (x, y)^d = rhs for each y in X
         rhs = design_constant(n, d // 2, size, m) * m ** (d // 2)
-        if isinstance(kept, dict):
-            # (+-x, +-y) are four pairs of one value
-            pairs = 4 * _power_sum(kept, d)
-        else:
-            # an orbit's row sum over X is twice its sum over H
-            lhs = [2 * _power_sum(tally, d) for _, _, tally in kept]
-            pairs = sum(w * s for (_, w, _), s in zip(kept, lhs))
+        pairs = _power_sum(total, d)
         if pairs < size * rhs:
             raise ModLatticeError(
                 "degree-%d pair sum below the design bound: arithmetic "
                 "fault" % d)
         verdicts[d] = PASS if pairs == size * rhs else FAIL
         if verdicts[d] == FAIL and witness is None:
-            if isinstance(kept, dict):
-                witness = _direction_witness(layer, half, d, rhs)
+            for i in candidates:
+                y = layer.rows[i:i + 1]
+                lhs = 2 * _power_sum(_row_tallies(lat.gram, y, half)[0], d)
+                if lhs != rhs:
+                    witness = {"direction": [int(c) for c in y[0]],
+                               "degree": d, "lhs": lhs, "rhs": rhs}
+                    break
             else:
-                x, s = next((x, s) for (x, _, _), s in zip(kept, lhs)
-                            if s != rhs)
-                witness = {"direction": [int(c) for c in layer.rows[x]],
-                           "degree": d, "lhs": s, "rhs": rhs}
+                raise ModLatticeError(
+                    "pair sum differs but no direction deviates")
     return verdicts, witness
 
 
@@ -797,14 +775,18 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
 
     Coefficient of q^a is sum over the norm-a layer of Z_degree(x); these
     sums vanish for every axis when the layer is a degree-strong design.
-    Exact: power sums of the dot products are taken over compressed
-    integer values, so for degree > 0 the Gram must be integral
-    (ValueError otherwise).
+    Exact: the axis must have integer entries (ValueError names the first
+    that is not), and for degree > 0 the Gram must be integral (ValueError
+    otherwise).  Each layer's power sums of (x, a) come from one row
+    tally of a against the layer (_row_tallies), in Python integers.
     """
-    np = load_numpy()
     if precision_q < 1:
         raise ValueError("precision must be at least 1")
     z = zonal_harmonic(lat.dim, degree)
+    alpha = list(alpha)
+    for c in alpha:
+        if Fraction(c).denominator != 1:
+            raise ValueError("axis entry %r is not an integer" % (c,))
     alpha = [int(c) for c in alpha]
     if len(alpha) != lat.dim:
         raise ValueError("axis needs %d coordinates" % lat.dim)
@@ -820,17 +802,14 @@ def harmonic_theta_truncation(lat: Lattice, alpha, degree: int,
     coeffs = {}
     if bound > 0:
         tc = _collected(lat, bound)
-        # (x, a) = x . Ga, with Ga and (a, a) in Python integers
-        ga = [sum(g * c for g, c in zip(row, alpha)) for row in lat.gram]
+        axis = integer_array([alpha])
         w_of_a = inner(lat.gram, alpha, alpha)
-        degrees = [degree - 2 * j for j in range(len(z.coefficients))]
         for norm, layer in tc.layers.items():
             if norm == 0:
                 continue
-            dots = np.matmul(*exact_factors(layer.rows, ga))
-            sums = exact_power_sums(dots, degrees)
+            tally = _row_tallies(lat.gram, axis, layer.rows)[0]
             w = int(norm) * w_of_a
-            total = sum(c * (w ** j) * sums[degree - 2 * j]
+            total = sum(c * (w ** j) * _power_sum(tally, degree - 2 * j)
                         for j, c in enumerate(z.coefficients))
             if total:
                 coeffs[12 * int(norm)] = Fraction(total)

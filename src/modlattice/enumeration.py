@@ -110,9 +110,10 @@ class VectorLayer:
     not make it.  Layers compare on (norm, den, complete, lattice) and
     the values of rows, which with den determine the vectors, and hash on
     those fields and len(); neither makes tuples.  _histogram is what the
-    design tests sum over, kept once one has built it: the pair histogram
-    {v: pairs}, or, when the lattice carries automorphisms, the orbit
-    sums ((first row, orbit size, row tally), ...) (designs._pair_sum_test).
+    design tests sum over, kept once one has built it: (total,
+    candidates), total the tally {v: ordered pairs (x, y) in X x X with
+    (x, y) = v} and candidates the indices of the rows that may witness a
+    failure, in order (designs._pair_sum_test).
     """
 
     norm: object

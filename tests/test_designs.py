@@ -19,7 +19,7 @@ from modlattice.designs import (DesignTestConfig, EUTACTIC_CERT,
                                 check_design, coxeter_identity_check,
                                 coxeter_number, design_constant,
                                 double_factorial_odd, eutaxy_check,
-                                even_min_lower_bound, exact_power_sums,
+                                even_min_lower_bound,
                                 harmonic_theta_truncation, is_perfect,
                                 is_strongly_perfect, min_product_check,
                                 perfection_rank, predicted_design_strength,
@@ -52,10 +52,13 @@ def test_double_factorial_and_design_constant():
     assert design_constant(8, 2, 240, 2) == 36
 
 
-def test_exact_power_sums_against_direct_loop():
+def test_row_tally_power_sums_against_direct_loop():
+    """The power sums of one row's tally, against the 1 x 1 Gram (1), are
+    the power sums of the column values."""
     dots = np.array([3, -1, -1, 0, 2, 3, -4])
     want = {d: sum(int(x) ** d for x in dots) for d in (1, 2, 3, 6)}
-    assert exact_power_sums(dots, (1, 2, 3, 6)) == want
+    tally, = designs._row_tallies([[1]], np.array([[1]]), dots[:, None])
+    assert {d: designs._power_sum(tally, d) for d in want} == want
 
 
 def _recompute(layer, witness):
@@ -392,7 +395,9 @@ def test_radius_from_the_minimum_bounds_the_pair_values(layer):
     m, r = int(layer.norm), _radius(layer)
     want = pair_histogram(lat.gram, half.tolist())
     designs._pair_sum_test(layer, (2,))
-    assert layer._histogram == want
+    total, candidates = layer._histogram
+    assert total == {v: 4 * c for v, c in want.items()}
+    assert candidates == range(len(layer))
     assert want.pop(m) == len(half)
     assert all(abs(v) <= r for v in want), (r, want)
 
@@ -443,15 +448,19 @@ def test_pair_dtype_narrows_below_2_24():
     assert designs._pair_dtype(1 << 24) is np.float64
 
 
-def test_direction_witness_is_the_first_deviating_row(catalog):
+def test_witness_is_the_first_deviating_row(catalog):
     """The witness is the first row of layer.rows whose degree-d power
     sum differs from the right side, by a scan of Python-integer inner
-    products."""
+    products: on the catalogue's layers (orbit rows as candidates) and
+    on copies without automorphisms (every row a candidate)."""
     e8 = catalog.lattice("E8")
     cases = [(min_layer(catalog.lattice("K12")), 6),
              (enumerate_vectors(e8, 10, collect=True).layers[10], 8)]
+    cases += [(enumerate_vectors(Lattice(layer.lattice.gram), layer.norm,
+                                 collect=True).layers[layer.norm], d)
+              for layer, d in cases]
     for layer, d in cases:
-        lat, half = designs._half(layer)
+        lat = layer.lattice
         m = int(layer.norm)
         rhs = design_constant(lat.dim, d // 2, len(layer), m) * m ** (d // 2)
         gram = np.array(lat.gram, dtype=object)
@@ -464,23 +473,72 @@ def test_direction_witness_is_the_first_deviating_row(catalog):
                         "lhs": lhs, "rhs": rhs}
                 break
         assert want is not None
-        got = designs._direction_witness(layer, half, d, rhs)
+        verdicts, got = designs._pair_sum_test(layer, (d,))
+        assert verdicts == {d: FAIL}
         assert got == want, len(layer)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(0, "float32"), (30, "float64"), (56, "int64"),
+                        (62, "object")]),
+       st.sampled_from([1, 5, 16, 1 << 16]), st.data())
+def test_row_tallies_equal_a_double_loop(target, block, data):
+    """_row_tallies against a Python-integer double loop, on rows, columns
+    and a Gram of entries in [-1, 1], the Gram scaled by 2^shift: every
+    partial sum is then at most 16 * 2^shift, and at least 2^shift for
+    some, so the products take the target dtype.  Small budgets tile the
+    columns and the rows."""
+    shift, dtype = target
+    n = data.draw(st.integers(1, 4))
+    entries = st.integers(-1, 1)
+    gram = [[data.draw(entries) << shift for _ in range(n)]
+            for _ in range(n)]
+    rows = [[data.draw(entries) for _ in range(n)]
+            for _ in range(data.draw(st.integers(1, 5)))]
+    cols = [[data.draw(entries) for _ in range(n)]
+            for _ in range(data.draw(st.integers(0, 40)))]
+    xg = [[sum(a * g for a, g in zip(x, col)) for col in zip(*gram)]
+          for x in rows]
+    assume(any(map(any, xg)) and any(map(any, cols)))
+    want = []
+    for gx in xg:
+        tally = {}
+        for y in cols:
+            v = sum(a * b for a, b in zip(gx, y))
+            tally[v] = tally.get(v, 0) + 1
+        want.append(tally)
+    made = []
+    pair_dtype = designs._pair_dtype
+
+    def spied(bound):
+        made.append(np.dtype(pair_dtype(bound)).name)
+        return pair_dtype(bound)
+    with mock.patch.object(designs, "_BLOCK_ENTRIES", block), \
+            mock.patch.object(designs, "_pair_dtype", spied):
+        got = designs._row_tallies(
+            gram, linalg.integer_array(rows),
+            linalg.integer_array(cols).reshape(len(cols), n))
+    assert made == [dtype]
+    assert got == want
+    assert all(type(v) is int for tally in got for v in tally)
+
+
 def test_pair_kernels_trace_bounded_scratch(catalog):
-    """The histogram and the degree-8 witness each trace under 5 MB on
-    E8's norm-10 shell (|H| = 15,120), their tiles being reused buffers,
-    and under 6 MB on BW16's norm-6 shell (|H| = 30,720), which an
-    |H| x 16 float64 array of H G (3.9 MB) beside its cast would exceed."""
+    """The histogram and the degree-8 witness search each trace under 5 MB
+    on E8's norm-10 shell (|H| = 15,120), their tiles being reused or
+    bounded buffers, and under 6 MB on BW16's norm-6 shell (|H| = 30,720),
+    which an |H| x 16 float64 array of H G (3.9 MB) beside its cast would
+    exceed.  The layers are of copies without automorphisms, so the
+    witness search scans every row from the first, with its pair sums
+    already built."""
     for name, m, limit in (("E8", 10, 5 << 20), ("BW16", 6, 6 << 20)):
-        layer = enumerate_vectors(catalog.lattice(name), m,
-                                  collect=True).layers[m]
+        copy = Lattice(catalog.lattice(name).gram)
+        layer = enumerate_vectors(copy, m, collect=True).layers[m]
         lat, half = designs._half(layer)
-        rhs = design_constant(lat.dim, 4, len(layer), m) * m ** 4
         r = _radius(layer)
+        assert designs._pair_sum_test(layer, (2,)) == ({2: PASS}, None)
         kernels = [lambda: designs._pair_histogram(lat.gram, half, m, r),
-                   lambda: designs._direction_witness(layer, half, 8, rhs)]
+                   lambda: designs._pair_sum_test(layer, (8,))]
         for kernel in kernels:
             tracemalloc.start()
             try:
@@ -890,16 +948,16 @@ def test_one_histogram_per_layer(catalog, monkeypatch):
 
 
 def test_one_orbit_sum_per_layer(catalog, monkeypatch):
-    """The catalogue's E8 carries automorphisms: its layers build their
-    orbit sums once per layer object and no pair histogram, with the
-    verdicts and witness of the copy without automorphisms."""
+    """The catalogue's E8 carries automorphisms: its layers search their
+    orbits (_orbits) once per layer object and build no pair histogram,
+    with the verdicts and witness of the copy without automorphisms."""
     built = []
-    orbit_sums = designs._orbit_sums
+    orbits = designs._orbits
 
     def counted(*args):
         built.append(args)
-        return orbit_sums(*args)
-    monkeypatch.setattr(designs, "_orbit_sums", counted)
+        return orbits(*args)
+    monkeypatch.setattr(designs, "_orbits", counted)
     monkeypatch.setattr(designs, "_pair_histogram", None)
     e8 = catalog.lattice("E8")
     layer = enumerate_vectors(e8, 6, collect=True).layers[6]
@@ -1177,6 +1235,24 @@ def test_harmonic_theta_rejects_an_axis_of_the_wrong_length(catalog):
         harmonic_theta_truncation(catalog.lattice("E8"), (1, 2, 3), 8, 4)
 
 
+def test_harmonic_theta_rejects_a_non_integral_axis(catalog):
+    """An axis entry is never truncated: the first non-integral entry is
+    named, and integral floats and Fractions are read as integers."""
+    e8 = catalog.lattice("E8")
+    zeros = [0] * 7
+    for axis, shown in (([Fraction(3, 2)] + zeros, "Fraction(3, 2)"),
+                        ([0.5] + zeros, "0.5"),
+                        ([1, Fraction(1, 3), 0.5] + zeros[2:],
+                         "Fraction(1, 3)")):
+        with pytest.raises(ValueError, match=re.escape(
+                "axis entry %s is not an integer" % shown)):
+            harmonic_theta_truncation(e8, axis, 8, 4)
+    want = harmonic_theta_truncation(e8, [2] + zeros, 8, 4)
+    assert want.coeffs
+    for axis in ([2.0] + zeros, [Fraction(4, 2)] + zeros):
+        assert harmonic_theta_truncation(e8, axis, 8, 4) == want
+
+
 def test_harmonic_theta_rejects_a_rational_gram(catalog):
     """dual(A2) has Gram entries 2/3 and -1/3: no silent truncation."""
     with pytest.raises(ValueError, match="not integral"):
@@ -1203,13 +1279,13 @@ def _orbit_layers(catalog):
 
 
 def _orbit_pair_sums(layer):
-    """({d: sum over X x X of (x, y)^d} for d = 2-12 from the orbit sums,
-    the orbit sums)."""
-    lat, half = designs._half(layer)
-    sums = designs._orbit_sums(layer, half, designs._automorphisms(lat))
-    return {d: sum(2 * w * designs._power_sum(tally, d)
-                   for _, w, tally in sums)
-            for d in range(2, 14, 2)}, sums
+    """({d: sum over X x X of (x, y)^d} for d = 2-12 from the total tally
+    that _pair_sum_test keeps on the layer, that tally, the candidate
+    rows)."""
+    designs._pair_sum_test(layer, (2,))
+    total, candidates = layer._histogram
+    return ({d: designs._power_sum(total, d) for d in range(2, 14, 2)},
+            total, candidates)
 
 
 def test_orbit_sums_equal_the_pair_histogram(catalog):
@@ -1218,7 +1294,7 @@ def test_orbit_sums_equal_the_pair_histogram(catalog):
     orbits = {}
     for label, layer in _orbit_layers(catalog):
         lat, half = designs._half(layer)
-        got, sums = _orbit_pair_sums(layer)
+        got, total, candidates = _orbit_pair_sums(layer)
         m = int(layer.norm)
         hists = [designs._pair_histogram(lat.gram, half, m, m - 1)]
         if len(half) <= 400:
@@ -1226,8 +1302,11 @@ def test_orbit_sums_equal_the_pair_histogram(catalog):
         for hist in hists:
             assert got == {d: 4 * designs._power_sum(hist, d)
                            for d in got}, label
-        assert sum(w for _, w, _ in sums) == len(layer), label
-        orbits[label] = len(sums)
+        assert sum(total.values()) == len(layer) ** 2, label
+        label_of = designs._orbits(layer.rows, designs._automorphisms(lat))
+        assert candidates == np.flatnonzero(
+            label_of == np.arange(len(layer))).tolist(), label
+        orbits[label] = len(candidates)
     assert orbits == {"E8 norm 2": 1, "E8 norm 4": 1, "E8 norm 6": 1,
                       "E8 norm 8": 2, "E8 norm 10": 1, "K12 norm 4": 1,
                       "K12 norm 6": 1, "K12 norm 8": 1, "BW16": 1,
@@ -1241,14 +1320,17 @@ def test_leech_orbit_sums(leech_layer):
     distribution: (x, y) = +-4 once each, +-2 4,600 times each, +-1
     47,104 times each and 0 93,150 times.  The sums equal the pair
     histogram's."""
-    got, sums = _orbit_pair_sums(leech_layer)
-    assert sorted(w for _, w, _ in sums) == [1104, 97152, 98304]
+    got, _, candidates = _orbit_pair_sums(leech_layer)
+    lat, half = designs._half(leech_layer)
+    label = designs._orbits(leech_layer.rows, designs._automorphisms(lat))
+    assert sorted(np.bincount(label)[candidates]) == [1104, 97152, 98304]
+    tallies = designs._row_tallies(lat.gram, leech_layer.rows[candidates],
+                                   half)
     for d in got:
         row = 2 * 4 ** d + 2 * 4600 * 2 ** d + 2 * 47104
         assert all(2 * designs._power_sum(tally, d) == row
-                   for _, _, tally in sums)
+                   for tally in tallies)
         assert got[d] == 196560 * row
-    lat, half = designs._half(leech_layer)
     hist = designs._pair_histogram(lat.gram, half, 4, 2)
     assert got == {d: 4 * designs._power_sum(hist, d) for d in got}
 
@@ -1294,6 +1376,25 @@ def test_orbit_witnesses_are_pinned(catalog):
     assert check_design(d4, 7).witnesses == {
         "direction": [-1, -2, -1, -1], "degree": 6, "lhs": 144, "rhs": 120}
     assert [int(c) for c in d4.rows[0]] == [-1, -2, -1, -1]
+
+
+def test_orbit_route_at_any_norm(catalog):
+    """D4 and E8 scaled by 2^61, carrying the catalogue's automorphisms as
+    a loaded entry does (unchecked nested lists): the orbit route gives
+    the report of a copy without them, though (x, y) and the norm pass
+    2^62."""
+    raw = {e["name"]: e for e in json.loads(lattice_module._bundled_text())}
+    for name, t, degrees in (("D4", 7, {2: PASS, 4: PASS, 6: FAIL}),
+                             ("E8", 11, {2: PASS, 4: PASS, 6: PASS,
+                                         8: FAIL, 10: FAIL})):
+        big = rescale(catalog.lattice(name), 2 ** 61)
+        lat = _with_automorphisms(big, raw[name]["automorphisms"])
+        rep = check_design(min_layer(lat), t)
+        assert designs._automorphisms(lat) is not None
+        assert rep == check_design(min_layer(Lattice(big.gram)), t), name
+        assert rep.details["degrees"] == degrees
+        assert _recompute(min_layer(lat), rep.witnesses) == (
+            rep.witnesses["lhs"])
 
 
 def _with_automorphisms(lat, gens):
