@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .enumeration import (VectorLayer, _collected, _counts, min_layer,
-                          minimum, theta_series, window_bound)
+from .enumeration import (VectorLayer, _collected, _counts, _first_positive,
+                          min_layer, minimum, theta_series, window_bound)
 from .errors import ModLatticeError
 from .isometry import _check
 from .lattice import Lattice, dual, inner, level
@@ -105,11 +105,8 @@ def _half(layer: VectorLayer):
         raise ModLatticeError(
             "layer lies in a coset of the lattice (entries over %d); design "
             "tests need lattice vectors" % layer.den)
-    np = load_numpy()
-    arr = layer.rows
-    first = (arr != 0).argmax(axis=1)
-    half = arr[arr[np.arange(len(arr)), first] > 0]
-    if 2 * len(half) != len(arr):
+    half = layer.rows[_first_positive(layer.rows)]
+    if 2 * len(half) != len(layer):
         raise ModLatticeError("layer is not antipodal")
     return lat, half
 
@@ -283,80 +280,120 @@ def _automorphisms(lat: Lattice):
 
 
 def _orbits(rows, gens):
-    """The orbit of each row of a layer under the group that the integer
-    matrices gens (x -> x g) and -1 generate, as the index of the orbit's
-    first row.
+    """The orbit of each row of an antipodal layer X under the group that
+    the integer matrices gens (x -> x g) and -1 generate, as the index
+    of the orbit's first row.
 
-    Each generator becomes a permutation of the rows by sorting.  Every
-    row gets a key, x w for fixed seeded integers 1 <= w_j <= 2^53 //
-    (n top), top = max |x_j|, which float64 holds exactly; if two rows
-    share a key, the row's bytes are the key instead.  The images of the
-    rows are formed in blocks of about _BLOCK_ENTRIES / 4 entries, in
-    _pair_dtype of n top max|g| (float32 on the catalogue), and must keep
-    |x_j| <= top.  If the sorted keys of the
-    images are the sorted keys of the rows, the image of the row with the
-    k-th key is taken to be the row with the k-th key, and then checked
-    to equal it entry by entry, so membership is decided by exact row
+    That group permutes the pairs {x, -x}, so the search runs on H, one
+    row per pair: the rows whose first nonzero entry is positive, in the
+    order of rows.  Each row of H gets a key, x w for fixed seeded
+    integers 1 <= w_j <= 2^53 // (n top), top = max |x_j|, which float64
+    holds exactly; if two rows of H share a key, the row's bytes are the
+    key instead.  The images of H under each generator are formed in
+    blocks of about _BLOCK_ENTRIES / 4 entries, in _pair_dtype of n top
+    max|g| (float32 on the catalogue), must keep |x_j| <= top and are
+    turned to first nonzero > 0 (gx or -gx).  If the sorted keys of the
+    images are the sorted keys of H, the image of the row with the k-th
+    key is taken to be the row with the k-th key, and then checked to
+    equal it entry by entry, so membership is decided by exact row
     equality whatever the key.  Any failure proves that a generator does
     not permute the layer, which no automorphism can do, and raises
-    ModLatticeError.
+    ModLatticeError.  Each row x outside H finds -x among the sorted keys
+    of H in the same way, confirmed entry by entry, so any order of rows
+    works; a missing -x raises.  (A collected layer is -H reversed
+    followed by H, enumeration._finalize_layers: every vector whose first
+    nonzero is negative sorts before every vector whose first nonzero is
+    positive, and negation reverses lexicographic order.)
 
-    Orbits then spread by label propagation: each round every row takes
-    the least label among itself and its neighbours under each
-    permutation and its inverse, then the label of its label, until
-    nothing moves.
+    Orbits of pairs then spread by label propagation over the |X| / 2
+    rows of H: each round every row takes the least label among itself
+    and its neighbours under each permutation and its inverse, then the
+    label of its label, until nothing moves.  A row's orbit is the union
+    of the pairs in its pair's orbit, so its first row is the least index
+    of x or -x over them.
     """
     np = load_numpy()
     size, n = rows.shape
+    pos = _first_positive(rows)
+    ones, others = np.flatnonzero(pos), np.flatnonzero(~pos)
+    if 2 * len(ones) != size:
+        raise ModLatticeError("layer is not antipodal")
+    half = np.take(rows, ones, axis=0)
+    h = len(half)
     top = max_abs(rows)
     span = linalg.FLOAT_EXACT_LIMIT // (n * max(top, 1))
     rng = random.Random(0)
     w = np.array([rng.randint(1, span) for _ in range(n)], dtype=float)
     void = np.dtype((np.void, n * rows.dtype.itemsize))
     step = max(1, _BLOCK_ENTRIES // (4 * n))
-    blocks = [slice(lo, lo + step) for lo in range(0, size, step)]
+    blocks = [slice(lo, lo + step) for lo in range(0, h, step)]
     # every partial sum of x g is at most n top max|g|
     dtype = _pair_dtype(n * top * max_abs(gens))
     for key in (lambda z: np.matmul(z, w),
                 lambda z: np.ascontiguousarray(
                     z.astype(rows.dtype)).view(void).ravel()):
-        keys = np.concatenate([key(rows[b].astype(float)) for b in blocks])
+        keys = np.concatenate([key(half[b].astype(float)) for b in blocks])
         order = np.argsort(keys)
         keys = keys[order]
         if not (keys[1:] == keys[:-1]).any():
             break
+
+    def match(image, image_keys):
+        """perm with image[i] = half[perm[i]] for every i, or None."""
+        at = np.argsort(image_keys)
+        if not np.array_equal(image_keys[at], keys):
+            return None
+        perm = np.empty(h, dtype=np.intp)
+        perm[at] = order
+        if not np.array_equal(np.take(half, perm, axis=0), image):
+            return None
+        return perm
+
+    minus = -np.take(rows, others, axis=0)
+    perm = match(minus, np.concatenate(
+        [key(minus[b].astype(float)) for b in blocks]))
+    if perm is None:
+        raise ModLatticeError("layer is not antipodal")
+    # rows[mate[k]] = -half[k]
+    mate = np.empty(h, dtype=np.intp)
+    mate[perm] = others
     perms = []
-    image = np.empty_like(rows)
+    image = np.empty_like(half)
     image_keys = np.empty_like(keys)
-    for g in [None, *gens]:
-        perm = np.empty(size, dtype=np.intp)
-        g = None if g is None else exact_cast(g, dtype)
+    for g in gens:
+        g = exact_cast(g, dtype)
         for b in blocks:
-            z = (-rows[b] if g is None
-                 else np.matmul(exact_cast(rows[b], dtype), g))
+            z = np.matmul(exact_cast(half[b], dtype), g)
             if max_abs(z) > top:
                 break
             image[b] = z
-            image_keys[b] = key(z)
+            # gx or -gx, whichever lies in H
+            np.negative(image[b], out=image[b],
+                        where=~_first_positive(image[b])[:, None])
+            image_keys[b] = key(image[b].astype(float))
         else:
-            at = np.argsort(image_keys)
-            if np.array_equal(image_keys[at], keys):
-                perm[at] = order
-                if all((rows[perm[b]] == image[b]).all() for b in blocks):
-                    perms.append(perm)
-                    continue
+            perm = match(image, image_keys)
+            if perm is not None:
+                inverse = np.empty_like(perm)
+                inverse[perm] = np.arange(h)
+                perms += [perm, inverse]
+                continue
         raise ModLatticeError(
             "a stored automorphism does not permute the layer")
-    label = np.arange(size)
+    label = np.arange(h)
     while True:
         low = label.copy()
         for perm in perms:
             np.minimum(low, label[perm], out=low)
-            low[perm] = np.minimum(low[perm], label)
         low = low[low]
         if np.array_equal(low, label):
-            return label
+            break
         label = low
+    least = np.full(h, size)
+    np.minimum.at(least, label, np.minimum(ones, mate))
+    out = np.empty(size, dtype=np.intp)
+    out[ones] = out[mate] = least[label]
+    return out
 
 
 def _row_tallies(gram, rows, cols) -> list:

@@ -597,10 +597,15 @@ def _finalize_layers(counts, leaves, form, u_rows, lat, canonical):
     Y = e x + t = ys[i], narrowed (_narrow) by the search.  Its row is
     y = Y u, u the LLL transform, formed for every leaf by one exact
     product (linalg.exact_factors) and narrowed again; with no transform
-    y is Y.  Its vector is y / e.  A canonical leaf other than the origin
-    also stands for -y.  One np.lexsort orders the rows by key position,
-    then lexicographically, which within a layer is the order of the
-    tuples y / e, since e > 0.  Each layer is the VectorLayer of its rows
+    y is Y.  Its vector is y / e.  One np.lexsort orders the rows by key
+    position, then lexicographically, which within a layer is the order
+    of the tuples y / e, since e > 0.  A canonical leaf other than the
+    origin also stands for -y, so the leaves of a canonical sweep are
+    first turned to first nonzero > 0 and only they are sorted, into H;
+    the layer is then -H reversed followed by H, which is its sorted
+    order: every vector whose first nonzero is negative sorts before
+    every vector whose first nonzero is positive, and negation reverses
+    lexicographic order.  Each layer is the VectorLayer of its rows
     over den e, as one built by hand from its vectors would be: e, the
     order of the shift modulo Z^n, which the unimodular u keeps, is the
     lcm of the denominators of every vector.
@@ -614,17 +619,25 @@ def _finalize_layers(counts, leaves, form, u_rows, lat, canonical):
         # entries below 2^62 (or Python integers), and then a dtype that
         # holds their negatives: -y cannot wrap
         y = _narrow(y.astype(np.int64) if y.dtype.kind == "f" else y)
-    if canonical:       # a canonical sweep always reaches the origin
-        pair = ids != keys.index(0)
-        y = np.concatenate([y, -y[pair]])
-        ids = np.concatenate([ids, ids[pair]])
+    if canonical:
+        # each leaf as the one of y, -y whose first nonzero is positive
+        y = y * np.where(_first_positive(y), 1, -1).astype(y.dtype)[:, None]
     order = np.lexsort((*y.T[::-1], ids))
     cuts = np.cumsum(np.bincount(ids, minlength=len(keys)))[:-1]
     layers = {}
     for key, rows in zip(keys, np.split(y[order], cuts)):
+        if canonical and key:
+            rows = np.concatenate([-rows[::-1], rows])
         norm = int_or_fraction(Fraction(key, form.scale))
         layers[norm] = VectorLayer(norm, rows, True, lat, e)
     return layers
+
+
+def _first_positive(arr):
+    """Whether the first nonzero entry of each row of arr is positive
+    (False for a zero row)."""
+    np = linalg.load_numpy()
+    return arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)] > 0
 
 
 def _tuples(rows, e):

@@ -285,6 +285,34 @@ def pair_histogram(gram, rows) -> dict:
     return hist
 
 
+def orbit_labels(rows, gens) -> list:
+    """The orbit of each row under the group that the integer matrices
+    gens (x -> x g) and -1 generate, as the index of the orbit's first
+    row: a closure of coordinate tuples in Python integers, one orbit at
+    a time, in the order of rows.  An image that is not a row raises
+    ValueError."""
+    rows = [tuple(int(v) for v in x) for x in rows]
+    index = {x: i for i, x in enumerate(rows)}
+    cols = [list(zip(*[[int(v) for v in r] for r in g])) for g in gens]
+    label = [None] * len(rows)
+    for i, x in enumerate(rows):
+        if label[i] is not None:
+            continue
+        label[i] = i
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for z in [tuple(-v for v in y)] + [
+                    tuple(sum(a * b for a, b in zip(y, col)) for col in c)
+                    for c in cols]:
+                if z not in index:
+                    raise ValueError("%r leaves the rows" % (z,))
+                if label[index[z]] is None:
+                    label[index[z]] = i
+                    todo.append(z)
+    return label
+
+
 def search_nodes(gram, bound) -> int:
     """Nodes of a plain recursive Fincke-Pohst search of `gram` to `bound`.
 

@@ -37,8 +37,8 @@ from modlattice.modular import (check_extremal, default_level,
 from modlattice.qseries import delta_level
 from modlattice.report import FAIL, PASS
 from modlattice.shadow import shadow_coset
-from oracles import (finalize_layers, moment_tensor_test, pair_histogram,
-                     projector_rank)
+from oracles import (finalize_layers, moment_tensor_test, orbit_labels,
+                     pair_histogram, projector_rank)
 from test_cli import _python
 from test_enumeration import count_sweeps, transformed, unimodular
 
@@ -1470,6 +1470,57 @@ def test_orbits_fall_back_to_byte_keys(catalog, monkeypatch):
                               designs._automorphisms(layer.lattice))
         assert np.array_equal(got, labels)
         assert sorts[:2] == ["f", "V"] and set(sorts[2:]) == {"V"}
+
+
+def test_orbits_equal_a_closure_oracle(catalog):
+    """On every layer of _orbit_layers of at most 7,000 rows, in the
+    collected order and in a seeded shuffle, each row's label is the one
+    a pure-Python closure of coordinate tuples under the generators and
+    -1 gives it."""
+    checked = []
+    for label, layer in _orbit_layers(catalog):
+        if len(layer) > 7000:
+            continue
+        gens = designs._automorphisms(layer.lattice)
+        shuffled = layer.rows[
+            np.random.default_rng(len(layer)).permutation(len(layer))]
+        for rows in (layer.rows, shuffled):
+            assert designs._orbits(rows, gens).tolist() == orbit_labels(
+                rows.tolist(), gens.tolist()), label
+        checked.append(label)
+    assert checked == ["E8 norm 2", "E8 norm 4", "E8 norm 6", "K12 norm 4",
+                       "K12 norm 6", "BW16", "D16plus", "D4", "E6", "E7"]
+
+
+def _orbit_sizes(layer):
+    """The sizes of the orbits of a layer's rows, ascending."""
+    label = designs._orbits(layer.rows,
+                            designs._automorphisms(layer.lattice))
+    firsts = np.flatnonzero(label == np.arange(len(label)))
+    return sorted(np.bincount(label)[firsts].tolist())
+
+
+def test_orbit_route_does_not_depend_on_the_row_order(catalog):
+    """A layer built by hand from a seeded shuffle of a collected layer's
+    vectors (E8's norm-8 shell and D4's minimal layer, two orbits each)
+    gets the collected layer's orbit sizes and verdicts, and the report,
+    witness included, of a layer of a Lattice(gram) copy built from the
+    same shuffled vectors, which takes the pair histogram."""
+    e8 = enumerate_vectors(catalog.lattice("E8"), 8, collect=True).layers[8]
+    for layer, strength in ((e8, 11), (min_layer(catalog.lattice("D4")), 7)):
+        vectors = list(layer.vectors)
+        random.Random(len(vectors)).shuffle(vectors)
+        hand = VectorLayer(layer.norm, vectors, True, layer.lattice)
+        copy = VectorLayer(layer.norm, vectors, True,
+                           Lattice(layer.lattice.gram))
+        assert hand.rows.tolist() != layer.rows.tolist()
+        assert _orbit_sizes(hand) == _orbit_sizes(layer)
+        assert len(_orbit_sizes(hand)) == 2
+        for t in range(1, strength + 1, 2):
+            rep = check_design(hand, t)
+            assert rep.details == check_design(layer, t).details, t
+            assert rep == check_design(copy, t), t
+        assert rep.verdict == FAIL and rep.witnesses
 
 
 def test_every_stored_automorphism_is_exact():

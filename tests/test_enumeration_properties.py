@@ -183,7 +183,9 @@ def test_finalized_layers_equal_the_tuple_oracle(data, kind, shifted):
     """The array finalisation against one Python integer at a time, on
     small integral and rational Grams and on LLL-transformed forms of
     dimension 10-12, with and without shifts of denominator 2, 3 or 6;
-    the vector search and _run give the same layers."""
+    the vector search and _run give the same layers.  An unshifted
+    layer other than the origin's is -H reversed followed by H, H its
+    rows whose first nonzero is positive."""
     lat = data.draw(rebased() if kind == "rebased"
                     else lattices(kind == "rational"))
     shift = data.draw(shifts(lat.dim)) if shifted else None
@@ -207,6 +209,12 @@ def test_finalized_layers_equal_the_tuple_oracle(data, kind, shifted):
     _same_layers(one.layers, seen[0])
     _same_layers(two.layers, seen[0])
     same_searches(searched_form(lat, shift), bound, shift is None)
+    for norm, layer in one.layers.items():
+        if shift is None and norm:
+            rows = layer.rows.tolist()
+            assert rows[::-1] == [[-v for v in x] for x in rows]
+            assert all(next(v for v in x if v) > 0
+                       for x in rows[len(rows) // 2:])
 
 
 def _design(layer):
