@@ -93,7 +93,8 @@ def design_constant(dim: int, k: int, count: int, norm) -> Fraction:
 
 def _half(layer: VectorLayer):
     """(lattice, H) for a layer of lattice vectors, H one vector out of
-    each antipodal pair {x, -x} (first nonzero > 0)."""
+    each antipodal pair {x, -x} (first nonzero > 0); a layer that is not
+    closed under -1 is refused (_mates)."""
     if layer.lattice is None:
         raise ModLatticeError("layer carries no lattice reference")
     if not layer.complete:
@@ -105,10 +106,8 @@ def _half(layer: VectorLayer):
         raise ModLatticeError(
             "layer lies in a coset of the lattice (entries over %d); design "
             "tests need lattice vectors" % layer.den)
-    half = layer.rows[_first_positive(layer.rows)]
-    if 2 * len(half) != len(layer):
-        raise ModLatticeError("layer is not antipodal")
-    return lat, half
+    ones, _ = _mates(layer.rows)
+    return lat, layer.rows[ones]
 
 
 def _packed(cols, base, p, dtype):
@@ -279,31 +278,102 @@ def _automorphisms(lat: Lattice):
     return checked
 
 
+def _blocks(h, n):
+    """Slices of about _BLOCK_ENTRIES / 4 entries over h rows of n."""
+    step = max(1, _BLOCK_ENTRIES // (4 * n))
+    return [slice(lo, lo + step) for lo in range(0, h, step)]
+
+
+def _matcher(half, top):
+    """match(image): the perm with image[i] = half[perm[i]] for every i,
+    or None, for H = half, distinct integer rows, and images whose
+    entries are at most top in absolute value.
+
+    Each row of H gets a key, x w for fixed seeded integers
+    1 <= w_j <= 2^53 // (n top), which float64 holds exactly; if two rows
+    of H share a key, the row's bytes are the key instead.  If the sorted
+    keys of the image are the sorted keys of H, the image row with the
+    k-th key is taken to be the row of H with the k-th key, and then
+    checked to equal it entry by entry, so a match is decided by exact
+    row equality whatever the key.
+    """
+    np = load_numpy()
+    h, n = half.shape
+    span = linalg.FLOAT_EXACT_LIMIT // (n * max(top, 1))
+    rng = random.Random(0)
+    w = np.array([rng.randint(1, span) for _ in range(n)], dtype=float)
+    void = np.dtype((np.void, n * half.dtype.itemsize))
+    blocks = _blocks(h, n)
+    for key in (lambda z: np.matmul(z, w),
+                lambda z: np.ascontiguousarray(
+                    z.astype(half.dtype)).view(void).ravel()):
+        keys = np.concatenate([key(half[b].astype(float)) for b in blocks])
+        order = np.argsort(keys)
+        keys = keys[order]
+        if not (keys[1:] == keys[:-1]).any():
+            break
+
+    def match(image):
+        image_keys = np.concatenate(
+            [key(image[b].astype(float)) for b in blocks])
+        at = np.argsort(image_keys)
+        if not np.array_equal(image_keys[at], keys):
+            return None
+        perm = np.empty(h, dtype=np.intp)
+        perm[at] = order
+        if not np.array_equal(np.take(half, perm, axis=0), image):
+            return None
+        return perm
+    return match
+
+
+def _mates(rows):
+    """(ones, mate) for a layer X of integer rows: ones the indices of H,
+    the rows whose first nonzero entry is positive, one per pair
+    {x, -x}, and rows[mate[k]] = -rows[ones[k]].  Raises ModLatticeError
+    when X is not antipodal.
+
+    A collected layer is -H reversed followed by H
+    (enumeration._finalize_layers: every vector whose first nonzero is
+    negative sorts before every vector whose first nonzero is positive,
+    and negation reverses lexicographic order), which rows[::-1] = -rows
+    decides in O(|X|).  Rows in any other order find -x among H by key
+    (_matcher), confirmed entry by entry; a missing -x raises.
+    """
+    np = load_numpy()
+    size = len(rows)
+    pos = _first_positive(rows)
+    ones = np.flatnonzero(pos)
+    h = len(ones)
+    if 2 * h != size:
+        raise ModLatticeError("layer is not antipodal")
+    if np.array_equal(rows[h:][::-1], -rows[:h]):
+        return ones, size - 1 - ones
+    others = np.flatnonzero(~pos)
+    perm = _matcher(np.take(rows, ones, axis=0), max_abs(rows))(
+        -np.take(rows, others, axis=0))
+    if perm is None:
+        raise ModLatticeError("layer is not antipodal")
+    mate = np.empty(h, dtype=np.intp)
+    mate[perm] = others
+    return ones, mate
+
+
 def _orbits(rows, gens):
     """The orbit of each row of an antipodal layer X under the group that
     the integer matrices gens (x -> x g) and -1 generate, as the index
     of the orbit's first row.
 
     That group permutes the pairs {x, -x}, so the search runs on H, one
-    row per pair: the rows whose first nonzero entry is positive, in the
-    order of rows.  Each row of H gets a key, x w for fixed seeded
-    integers 1 <= w_j <= 2^53 // (n top), top = max |x_j|, which float64
-    holds exactly; if two rows of H share a key, the row's bytes are the
-    key instead.  The images of H under each generator are formed in
-    blocks of about _BLOCK_ENTRIES / 4 entries, in _pair_dtype of n top
-    max|g| (float32 on the catalogue), must keep |x_j| <= top and are
-    turned to first nonzero > 0 (gx or -gx).  If the sorted keys of the
-    images are the sorted keys of H, the image of the row with the k-th
-    key is taken to be the row with the k-th key, and then checked to
-    equal it entry by entry, so membership is decided by exact row
-    equality whatever the key.  Any failure proves that a generator does
-    not permute the layer, which no automorphism can do, and raises
-    ModLatticeError.  Each row x outside H finds -x among the sorted keys
-    of H in the same way, confirmed entry by entry, so any order of rows
-    works; a missing -x raises.  (A collected layer is -H reversed
-    followed by H, enumeration._finalize_layers: every vector whose first
-    nonzero is negative sorts before every vector whose first nonzero is
-    positive, and negation reverses lexicographic order.)
+    row per pair (_mates: the rows whose first nonzero entry is positive,
+    in the order of rows, each with the index of -x).  The images of H
+    under each generator are formed in blocks of about
+    _BLOCK_ENTRIES / 4 entries, in _pair_dtype of n top max|g| (float32
+    on the catalogue), top = max |x_j|, must keep |x_j| <= top and are
+    turned to first nonzero > 0 (gx or -gx); each must then be a
+    reordering of H (_matcher).  Any failure proves that a generator
+    does not permute the layer, which no automorphism can do, and raises
+    ModLatticeError.
 
     Orbits of pairs then spread by label propagation over the |X| / 2
     rows of H: each round every row takes the least label among itself
@@ -314,55 +384,18 @@ def _orbits(rows, gens):
     """
     np = load_numpy()
     size, n = rows.shape
-    pos = _first_positive(rows)
-    ones, others = np.flatnonzero(pos), np.flatnonzero(~pos)
-    if 2 * len(ones) != size:
-        raise ModLatticeError("layer is not antipodal")
+    ones, mate = _mates(rows)
     half = np.take(rows, ones, axis=0)
     h = len(half)
     top = max_abs(rows)
-    span = linalg.FLOAT_EXACT_LIMIT // (n * max(top, 1))
-    rng = random.Random(0)
-    w = np.array([rng.randint(1, span) for _ in range(n)], dtype=float)
-    void = np.dtype((np.void, n * rows.dtype.itemsize))
-    step = max(1, _BLOCK_ENTRIES // (4 * n))
-    blocks = [slice(lo, lo + step) for lo in range(0, h, step)]
+    match = _matcher(half, top)
     # every partial sum of x g is at most n top max|g|
     dtype = _pair_dtype(n * top * max_abs(gens))
-    for key in (lambda z: np.matmul(z, w),
-                lambda z: np.ascontiguousarray(
-                    z.astype(rows.dtype)).view(void).ravel()):
-        keys = np.concatenate([key(half[b].astype(float)) for b in blocks])
-        order = np.argsort(keys)
-        keys = keys[order]
-        if not (keys[1:] == keys[:-1]).any():
-            break
-
-    def match(image, image_keys):
-        """perm with image[i] = half[perm[i]] for every i, or None."""
-        at = np.argsort(image_keys)
-        if not np.array_equal(image_keys[at], keys):
-            return None
-        perm = np.empty(h, dtype=np.intp)
-        perm[at] = order
-        if not np.array_equal(np.take(half, perm, axis=0), image):
-            return None
-        return perm
-
-    minus = -np.take(rows, others, axis=0)
-    perm = match(minus, np.concatenate(
-        [key(minus[b].astype(float)) for b in blocks]))
-    if perm is None:
-        raise ModLatticeError("layer is not antipodal")
-    # rows[mate[k]] = -half[k]
-    mate = np.empty(h, dtype=np.intp)
-    mate[perm] = others
     perms = []
     image = np.empty_like(half)
-    image_keys = np.empty_like(keys)
     for g in gens:
         g = exact_cast(g, dtype)
-        for b in blocks:
+        for b in _blocks(h, n):
             z = np.matmul(exact_cast(half[b], dtype), g)
             if max_abs(z) > top:
                 break
@@ -370,9 +403,8 @@ def _orbits(rows, gens):
             # gx or -gx, whichever lies in H
             np.negative(image[b], out=image[b],
                         where=~_first_positive(image[b])[:, None])
-            image_keys[b] = key(image[b].astype(float))
         else:
-            perm = match(image, image_keys)
+            perm = match(image)
             if perm is not None:
                 inverse = np.empty_like(perm)
                 inverse[perm] = np.arange(h)

@@ -30,7 +30,8 @@ _finalize_layers transforms the rows back to the original coordinates.
 _sweep picks the search and the schedule.  A collecting sweep runs
 _vector_search in this process.  A count-only sweep picks from one
 estimate of its nodes (_nodes): the process pool runs _vector_search on
-runs of the search tree's top prefixes, and this process runs it from
+runs of the search tree's top prefixes, one per RUN_NODES estimated
+nodes and at least one per worker, and this process runs it from
 VECTOR_MIN_NODES on and _run below it, so a small count-only sweep
 imports no numpy.  _cut alone finds where a collecting sweep passed its
 capacity, wherever the search stopped after it.
@@ -64,9 +65,21 @@ DEFAULT_CAPACITY = 10 ** 7
 # loaded, 0.68-1.56 times it.  perfbench's `sweep` was slower with 5*10^4.
 PARALLEL_MIN_NODES = 10 ** 4
 
-# Runs of prefixes per worker: the pool's queue hands them out, so one
-# slow run does not leave the other workers idle.
-RUNS_PER_WORKER = 6
+# Estimated nodes (_nodes) of one run of prefixes on the pool: a pooled
+# sweep gets one cut point per RUN_NODES, at least one per worker and at
+# most one per prefix (_split).  Each run costs its own set-up and a round
+# trip to a worker (on a 2-vCPU Linux VM a trivial map on a warm pool of 2
+# took 1.7 ms for 12 tasks and 0.35 ms for 2), so the short sweeps of
+# perfbench's `sweep` (1.2*10^4 to 1.1*10^5 nodes) take one run per
+# worker from about 5.1*10^4 on.  The value then sets the mid-size sweeps:
+# 16 seeded rebasings of BW16 at q^8 (1.6*10^6 nodes, 22-24 prefixes),
+# threads 2 on a warm pool, took 0.27 s (median of 6; 0.25-0.27 s) with
+# 2*10^5, against 0.28 s with 10^5, 0.28 s with 4*10^5, 0.26 s with 10^6
+# (0.23-0.35 s) and 0.29 s with 6 runs per worker.  The long sweeps (BW16
+# to q^13: 2.5*10^7 nodes, 31 prefixes; D16plus to q^9: 1.2*10^7, 25) get
+# one cut point per prefix up to 4*10^5; with 10^6 (25 and 12 cut
+# points), D16plus to q^9 took 1.15-1.36 s against 1.09-1.14 s.
+RUN_NODES = 2 * 10 ** 5
 
 # A count-only sweep run in this process whose estimated node count
 # (_nodes) reaches this runs _vector_search; below it, _run, which needs
@@ -731,11 +744,14 @@ def _split(form, bound, canonical, threads):
     """(jobs, workers) of a parallel sweep, or None to sweep serially.
 
     workers is min(threads, cores), so the pool keeps its size from one
-    sweep to the next.  A sweep with fewer than 2 workers or a single job
-    is serial.  Otherwise the prefixes, in DFS order, are cut into
-    contiguous runs of about equal estimated cost, RUNS_PER_WORKER per
-    worker; a job is the (outer_range, inner_range) pair of one run (see
-    _vector_search).
+    sweep to the next.  A sweep with fewer than 2 workers, no prefix or a
+    single job is serial.  Otherwise the prefixes, in DFS order, are cut
+    into contiguous runs of about equal estimated cost (_nodes below each
+    prefix, plus one), at cut points by cumulative cost: one per
+    RUN_NODES of their total, at least one per worker and at most one per
+    prefix.  Cut points that fall in one prefix give one run, so a sweep
+    whose cost sits in a few prefixes gets fewer runs.  A job is the
+    (outer_range, inner_range) pair of one run (see _vector_search).
     """
     workers = min(threads, _cores())
     if workers < 2:
@@ -745,7 +761,9 @@ def _split(form, bound, canonical, threads):
     below = top - 2 if top >= 2 else top - 1
     cost = list(accumulate(1 + _nodes(form, below, r)
                            for _, _, r in prefixes))
-    nruns = min(RUNS_PER_WORKER * workers, len(prefixes))
+    if not cost:
+        return None
+    nruns = min(len(prefixes), max(workers, int(cost[-1] // RUN_NODES)))
     edges = ([0] + [bisect_left(cost, cost[-1] * j / nruns) + 1
                     for j in range(1, nruns)] + [len(prefixes)])
     jobs = []
@@ -861,7 +879,8 @@ def enumerate_vectors(lat: Lattice, bound, shift=None, collect=False,
     _sweep picks the search and the schedule.  A collecting sweep runs in
     this process whatever threads is, so `capacity` bounds the one search
     that collects.  With threads > 1 a large count-only sweep is cut into
-    runs of the search tree's prefixes (x_top, x_(top-1)), which the
+    runs of the search tree's prefixes (x_top, x_(top-1)), one per
+    RUN_NODES estimated nodes and at least one per worker, which the
     process pool of this process (see _Pool; min(threads, cores) workers)
     sweeps and which are merged in DFS order: the counts and their key
     order are the same either way.

@@ -144,7 +144,38 @@ _BAD_LAYERS = {
               "design tests need lattice vectors"),
     "not antipodal": (lambda: VectorLayer(1, [(1, 0), (0, 1)], True, zn(2)),
                       "layer is not antipodal"),
+    # one row of each sign, as in an antipodal layer, but -x is missing
+    "unpaired": (lambda: VectorLayer(1, [(1, 0), (0, -1)], True, zn(2)),
+                 "layer is not antipodal"),
 }
+
+
+def test_antipodal_pairs_are_matched_row_by_row(catalog):
+    """_mates pairs each row x of H (first nonzero > 0) with the row -x:
+    on a collected layer (-H reversed, then H) and on a seeded shuffle of
+    it.  A copy of the shuffle in which one row repeats another keeps as
+    many rows of each sign but loses a -x, and is refused, as is a layer
+    built from it, on the orbit route and on the histogram route."""
+    e8 = catalog.lattice("E8")
+    layer = enumerate_vectors(e8, 4, collect=True).layers[4]
+    rows = layer.rows
+    shuffled = rows[np.random.default_rng(4).permutation(len(rows))]
+    for r in (rows, shuffled):
+        ones, mate = designs._mates(r)
+        assert np.array_equal(r[mate], -r[ones])
+        assert np.array_equal(np.sort(np.concatenate([ones, mate])),
+                              np.arange(len(r)))
+        assert designs._first_positive(r[ones]).all()
+    bad = shuffled.copy()
+    negative = np.flatnonzero(~designs._first_positive(bad))
+    bad[negative[0]] = bad[negative[1]]
+    with pytest.raises(ModLatticeError, match="^layer is not antipodal$"):
+        designs._mates(bad)
+    for lat in (e8, Lattice(e8.gram)):
+        hand = VectorLayer(4, [tuple(map(int, x)) for x in bad], True, lat)
+        with pytest.raises(ModLatticeError,
+                           match="^layer is not antipodal$"):
+            check_design(hand, 7)
 
 
 @pytest.mark.parametrize("strength", [0, 2])

@@ -135,6 +135,57 @@ def test_node_estimate_within_factor_four(data, rational, scale):
     assert nodes / 4 <= est <= 4 * nodes
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.booleans(), st.booleans(),
+       st.fractions(min_value=0, max_value=3, max_denominator=4),
+       st.integers(2, 8), st.sampled_from((1, 10, 100, 10 ** 3, 2 * 10 ** 5)))
+def test_split_runs_cover_the_prefixes_in_order(data, rational, shifted,
+                                                scale, workers, run_nodes):
+    """_split to `scale` times the largest diagonal entry, on `workers`
+    cores with runs of `run_nodes` estimated nodes, makes
+    n = min(#prefixes, max(workers, cost // run_nodes)) cut points by
+    cumulative cost: its runs are contiguous, in DFS order, and cover
+    every prefix once; there are n of them when no prefix costs as much
+    as cost / n, and at least 2 (else the sweep is serial); and their
+    merged counts are the whole _run's, in its key order."""
+    lat = data.draw(lattices(rational))
+    shift = data.draw(shifts(lat.dim)) if shifted else None
+    form, canonical = searched_form(lat, shift), shift is None
+    bound = scale * max(lat.gram[i][i] for i in range(lat.dim))
+    assume(enumeration._floats(form, bound) is not None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_cores", lambda: workers)
+        mp.setattr(enumeration, "RUN_NODES", run_nodes)
+        split = enumeration._split(form, bound, canonical, workers)
+    prefixes = enumeration._prefixes(form, enumeration._top(form, bound),
+                                     canonical)
+    top = len(form.rows) - 1
+    below = top - 2 if top >= 2 else top - 1
+    cost = [1 + enumeration._nodes(form, below, r) for _, _, r in prefixes]
+    nruns = min(len(prefixes), max(workers, int(sum(cost) // run_nodes)))
+    # no prefix spans a whole run (the margin absorbs float rounding)
+    even = nruns and max(cost) < sum(cost) / nruns * (1 - 1e-9)
+    if split is None:
+        assert nruns < 2 or not even
+        return
+    jobs, got_workers = split
+    assert got_workers == workers and 2 <= len(jobs) <= nruns
+    if even:
+        assert len(jobs) == nruns
+    index = {(x, y): i for i, (x, y, _) in enumerate(prefixes)}
+    start = 0
+    for (x0, x1), inner in jobs:
+        y0, y1 = inner or (None, None)
+        assert index[x0, y0] == start
+        start = index[x1, y1] + 1
+    assert start == len(prefixes)
+    merged = enumeration._merge(
+        enumeration._vector_search(form, bound, False, None, outer, inner,
+                                   canonical) for outer, inner in jobs)
+    want = enumeration._run(form, bound, False, None, canonical)
+    assert list(merged[0].items()) == list(want[0].items())
+
+
 @st.composite
 def rebased(draw):
     """A seeded unimodular rebasing of A_n, D_n or Z^n (n = 10-12), scaled

@@ -31,8 +31,9 @@ def searched_form(lat, shift=None):
 
 def same_searches(form, bound, canonical, capacity=None):
     """_vector_search against the whole _run: count-only, whole and merged
-    (_merge) over the runs of a two-worker split, the same counts in the
-    same key order; collecting, whole, the same counts and leaves, and up
+    (_merge) over the runs of a two-worker split as fine as its costs
+    allow (RUN_NODES = 1: one cut point per prefix), the same counts in
+    the same key order; collecting, whole, the same counts and leaves, and up
     to capacity (by default half the vectors, so that it is passed) the
     same partial counts (_cut), as the searches stop at different points
     past the leaf that passes it.  Returns the counts by key."""
@@ -40,6 +41,7 @@ def same_searches(form, bound, canonical, capacity=None):
     assert enumeration._floats(form, bound) is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_cores", lambda: 2)
+        mp.setattr(enumeration, "RUN_NODES", 1)
         split = enumeration._split(form, bound, canonical, 2)
 
     def searches(collect, cap):
